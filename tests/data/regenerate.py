@@ -1,17 +1,32 @@
-"""Regenerate the golden quick-scale traces (see README.md)."""
+"""Regenerate the golden data files (see README.md).
+
+Usage::
+
+    PYTHONPATH=src python tests/data/regenerate.py [traces] [corruption]
+
+With no arguments every golden file is rewritten.
+"""
 
 import gzip
+import hashlib
+import json
+import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.experiments.common import get_trace
-from repro.trace.io import save_trace
+from repro.trace.io import load_trace, save_trace
 from repro.workloads.registry import BENCHMARK_NAMES
 
 DATA_DIR = Path(__file__).parent
 
+#: The armed replay pinned by ``corruption_goldens.json``.
+CORRUPTION_APP = "moldyn"
+CORRUPTION_RATES = {"flip": 0.05, "loss": 0.01}
 
-def main() -> None:
+
+def regenerate_traces() -> None:
     for app in BENCHMARK_NAMES:
         events = get_trace(app, quick=True, seed=0)
         with tempfile.NamedTemporaryFile(suffix=".jsonl") as tmp:
@@ -23,6 +38,97 @@ def main() -> None:
             with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:
                 gz.write(data)
         print(f"{out.name}: {count} events")
+
+
+def _plain(value):
+    """``value`` as it reads back from JSON (tuples -> lists, str keys)."""
+    return json.loads(json.dumps(value))
+
+
+def _module_states(armed: bool) -> dict:
+    """Each module's snapshot after replaying the golden trace.
+
+    A full snapshot runs to hundreds of kilobytes, so each module keeps
+    its readable statistics plus a digest of the whole canonical state
+    (tables, parity bits, injector RNG).
+    """
+    from repro.core.bank import PredictorBank
+    from repro.core.config import CosmosConfig
+    from repro.core.corruption import CorruptionProfile
+
+    raw = gzip.decompress(
+        (DATA_DIR / f"{CORRUPTION_APP}_quick_seed0.jsonl.gz").read_bytes()
+    )
+    with tempfile.NamedTemporaryFile(suffix=".jsonl") as tmp:
+        Path(tmp.name).write_bytes(raw)
+        events = load_trace(tmp.name)
+    bank = PredictorBank(
+        CosmosConfig(depth=2),
+        corruption=CorruptionProfile(**CORRUPTION_RATES) if armed else None,
+        corruption_seed=0,
+    )
+    for event in events:
+        bank.observe(event)
+    modules = {}
+    for (node, role), predictor in bank:
+        state = _plain(predictor.snapshot_state())
+        # Retired counter: absent from newer snapshots, so never pinned.
+        state["stats"].pop("capacity_evictions", None)
+        canonical = json.dumps(state, sort_keys=True).encode()
+        modules[f"{node}/{role.value}"] = {
+            "stats": state["stats"],
+            "mhr_entries": len(state["mht"]),
+            "pht_entries": sum(len(t) for t in state["phts"].values()),
+            "state_sha256": hashlib.sha256(canonical).hexdigest(),
+        }
+    return modules
+
+
+def corruption_goldens() -> dict:
+    """Corruption-study rows, hardware points and predictor snapshots."""
+    from repro.experiments.corruption import run_corruption_study
+    from repro.experiments.hardware import run_hardware
+
+    study = run_corruption_study(quick=True, seed=0)
+    hardware = run_hardware(quick=True, seed=0)
+    return _plain(
+        {
+            "corruption_study": [asdict(row) for row in study.rows],
+            "hardware": {
+                "capacity_points": [
+                    asdict(point) for point in hardware.capacity_points
+                ],
+                "confidence_points": [
+                    asdict(point) for point in hardware.confidence_points
+                ],
+            },
+            "snapshots": {
+                "app": CORRUPTION_APP,
+                "rates": CORRUPTION_RATES,
+                "armed": _module_states(armed=True),
+                "unarmed": _module_states(armed=False),
+            },
+        }
+    )
+
+
+def regenerate_corruption() -> None:
+    out = DATA_DIR / "corruption_goldens.json"
+    out.write_text(json.dumps(corruption_goldens(), indent=1) + "\n")
+    print(f"{out.name}: written")
+
+
+TARGETS = {"traces": regenerate_traces, "corruption": regenerate_corruption}
+
+
+def main(argv=None) -> None:
+    names = list(argv if argv is not None else sys.argv[1:]) or list(TARGETS)
+    for name in names:
+        if name not in TARGETS:
+            raise SystemExit(
+                f"unknown target {name!r}; pick from {list(TARGETS)}"
+            )
+        TARGETS[name]()
 
 
 if __name__ == "__main__":
