@@ -176,6 +176,7 @@ class PredictorBank:
         """
         recorded = state.get("fingerprint")
         if recorded is not None:
+            recorded = _without_retired_knobs(recorded)
             current = self._fingerprint()
             mismatched = [
                 field
@@ -199,3 +200,24 @@ class PredictorBank:
                 record["node"], Role(record["role"])
             )
             predictor.restore_state(record["state"])
+
+
+def _without_retired_knobs(fingerprint: dict) -> dict:
+    """A recorded fingerprint minus config fields that no longer exist.
+
+    ``mht_capacity`` was folded into ``mhr_capacity`` with LRU eviction.
+    Snapshots that left it unset (``None``) restore as before; one that
+    set it was captured under a bound this bank cannot reproduce.
+    """
+    config = fingerprint.get("config")
+    if not isinstance(config, dict) or "mht_capacity" not in config:
+        return fingerprint
+    legacy = config["mht_capacity"]
+    if legacy is not None:
+        raise CheckpointError(
+            f"predictor-bank snapshot was captured with the retired "
+            f"mht_capacity={legacy!r} (now mhr_capacity with "
+            f"eviction='lru'); it cannot be restored"
+        )
+    config = {k: v for k, v in config.items() if k != "mht_capacity"}
+    return {**fingerprint, "config": config}

@@ -27,11 +27,6 @@ class CosmosConfig:
             an aligned region of this many bytes into one MHR/PHT pair
             (Section 7 suggests Johnson & Hwu-style macroblocks to cut
             Cosmos' memory).  ``None`` (default) keeps per-block tables.
-        mht_capacity: bound the Message History Table to this many MHR
-            entries per predictor, evicted LRU together with their PHTs
-            (a hardware predictor cannot grow without bound; the paper's
-            tables are effectively unbounded because Stache directory
-            state is persistent).  ``None`` (default) is unbounded.
         confidence_threshold: emit a prediction only when its filter
             counter has reached this value, trading coverage for the
             precision that speculative actions need (Section 4's
@@ -39,11 +34,12 @@ class CosmosConfig:
             confidence_threshold``; 0 (default) predicts always.
         mhr_capacity: bound the MHR table to this many entries per
             predictor module, evicting per the configured ``eviction``
-            policy; an evicted block's PHT goes with it.  ``0`` (the
-            default) is unbounded.  Unlike the legacy ``mht_capacity``
-            (always whole-bank LRU), this composes with ``pht_capacity``
-            and the policy knob, and the predictor keeps live/peak/
-            eviction accounting for the memory-frontier studies.
+            policy; an evicted block's PHT goes with it (a hardware
+            predictor cannot grow without bound; the paper's tables are
+            effectively unbounded because Stache directory state is
+            persistent).  ``0`` (the default) is unbounded.  The
+            predictor keeps live/peak/eviction accounting for the
+            memory-frontier studies.
         pht_capacity: bound the *total* pattern entries per predictor
             module (across all blocks), evicting individual
             ``(block, pattern)`` entries per the ``eviction`` policy.
@@ -59,7 +55,6 @@ class CosmosConfig:
     tuple_bytes: int = 2
     block_bytes: int = 128
     macroblock_bytes: "int | None" = None
-    mht_capacity: "int | None" = None
     confidence_threshold: int = 0
     mhr_capacity: int = 0
     pht_capacity: int = 0
@@ -81,8 +76,6 @@ class CosmosConfig:
                 raise ConfigError("macroblock_bytes must be positive")
             if self.macroblock_bytes & (self.macroblock_bytes - 1):
                 raise ConfigError("macroblock_bytes must be a power of two")
-        if self.mht_capacity is not None and self.mht_capacity < 1:
-            raise ConfigError("mht_capacity must be positive")
         if self.confidence_threshold < 0:
             raise ConfigError("confidence_threshold must be >= 0")
         if self.confidence_threshold > self.filter_max_count:
@@ -104,13 +97,6 @@ class CosmosConfig:
             raise ConfigError(
                 f"eviction must be one of {EVICTION_POLICIES}, "
                 f"got {self.eviction!r}"
-            )
-        if self.mht_capacity is not None and (
-            self.mhr_capacity or self.pht_capacity
-        ):
-            raise ConfigError(
-                "mht_capacity (legacy whole-bank LRU) cannot be combined "
-                "with mhr_capacity/pht_capacity; use the new knobs alone"
             )
 
     @property

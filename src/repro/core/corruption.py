@@ -22,10 +22,11 @@ self-heal through training.  Losses are undetectable by construction
 (the entry is simply gone) and relearned the same way a cold entry is
 learned.
 
-The parity-tracking structures are subclasses
-(:class:`ParityMessageHistoryRegister`,
-:class:`ParityPHTEntry`) chosen by the predictor only when corruption is
-armed, so fault-free runs execute exactly the original code.
+Corruption acts on the predictor's own packed words: a flip XORs one
+sender bit of a stored MHR history word or PHT prediction word.  The
+parity bits live in :class:`ParityTables`, side tables the predictor
+builds only when corruption is armed, so fault-free runs carry no parity
+state and pay nothing for it.
 
 Injection is driven by a :class:`CorruptionInjector` holding a private
 ``random.Random``, one per predictor module, so corrupted evaluations
@@ -37,12 +38,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
-from .mhr import MessageHistoryRegister
-from .pht import PHTEntry
-from .tuples import SENDER_BITS, TUPLE_BITS, TYPE_BITS, MessageTuple, pack
+from .tuples import (
+    SENDER_BITS,
+    TUPLE_BITS,
+    TYPE_BITS,
+    MessageTuple,
+    pack,
+    pack_pattern,
+    tuple_of_word,
+)
 
 
 def tuple_parity(tup: MessageTuple) -> int:
@@ -50,14 +57,18 @@ def tuple_parity(tup: MessageTuple) -> int:
     return pack(tup).bit_count() & 1
 
 
-def flip_sender_bit(tup: MessageTuple, bit: int) -> MessageTuple:
-    """``tup`` with bit ``bit`` of its sender field inverted."""
+def sender_bit(bit: int) -> int:
+    """The mask of sender bit ``bit`` within one packed 16-bit tuple."""
     if not 0 <= bit < SENDER_BITS:
         raise ConfigError(
             f"sender bit index {bit} out of range [0, {SENDER_BITS})"
         )
-    sender, mtype = tup
-    return (sender ^ (1 << bit), mtype)
+    return 1 << (TYPE_BITS + bit)
+
+
+def flip_sender_bit(tup: MessageTuple, bit: int) -> MessageTuple:
+    """``tup`` with bit ``bit`` of its sender field inverted."""
+    return tuple_of_word(pack(tup) ^ sender_bit(bit))
 
 
 @dataclass(frozen=True)
@@ -139,70 +150,117 @@ class CorruptionInjector:
         self.injected_losses = state["injected_losses"]
 
 
-class ParityMessageHistoryRegister(MessageHistoryRegister):
-    """An MHR that stores one parity bit per held tuple."""
+def history_parity(hist: int) -> int:
+    """One parity bit per tuple of a marker-led history word.
 
-    __slots__ = ("_parity",)
+    Bit ``i`` covers the ``i``-th newest tuple (the ``i``-th lowest
+    16-bit field), so shifting a tuple in is a one-bit left shift.
+    """
+    bits = 0
+    field_mask = (1 << TUPLE_BITS) - 1
+    for slot in range((hist.bit_length() - 1) // TUPLE_BITS):
+        field = (hist >> (slot * TUPLE_BITS)) & field_mask
+        bits |= (field.bit_count() & 1) << slot
+    return bits
+
+
+class ParityTables:
+    """Parity bits for an armed predictor's MHT and PHT words.
+
+    ``mhr`` maps a block to its history parity (see
+    :func:`history_parity`); ``pht`` maps a block to ``{pattern word:
+    parity of the stored prediction}``.  The predictor keeps both in step
+    with its tables: bits are written when a word is stored and dropped
+    with the entry.  A flip changes the word but not its bit, which is
+    what the checks catch.
+    """
+
+    __slots__ = ("mhr", "pht", "_slot_mask")
 
     def __init__(self, depth: int) -> None:
-        super().__init__(depth)
-        self._parity: Tuple[int, ...] = ()
+        self.mhr: Dict[int, int] = {}
+        self.pht: Dict[int, Dict[int, int]] = {}
+        self._slot_mask = (1 << depth) - 1
 
-    def shift_word(self, word: int) -> None:
-        super().shift_word(word)
+    def mhr_ok(self, block: int, hist: int) -> bool:
+        """Whether every tuple of ``block``'s history matches its bit."""
+        return history_parity(hist) == self.mhr[block]
+
+    def entry_ok(self, block: int, pattern: int, prediction: int) -> bool:
+        """Whether a stored prediction word matches its parity bit."""
+        return prediction.bit_count() & 1 == self.pht[block][pattern]
+
+    def record(
+        self,
+        block: int,
+        before: Optional[int],
+        word: int,
+        mht: Dict[int, int],
+        phts: Dict[int, Dict[int, list]],
+    ) -> None:
+        """Write the bits for one training step of ``block`` on ``word``.
+
+        ``before`` is the block's history word before the step (``None``
+        for a new register).  The history gains ``word``'s bit; the PHT
+        entry indexed by ``before`` is rewritten only when its prediction
+        now equals ``word`` -- freshly stored or confirmed -- and keeps
+        its (possibly stale) bit otherwise.
+        """
         parity = word.bit_count() & 1
-        if len(self._parity) < len(self):
-            self._parity = self._parity + (parity,)
-        else:
-            self._parity = self._parity[1:] + (parity,)
+        if block in mht:  # not evicted by its own insertion
+            if before is None:
+                self.mhr[block] = parity
+            else:
+                self.mhr[block] = (
+                    (self.mhr[block] << 1) | parity
+                ) & self._slot_mask
+        table = phts.get(block)
+        if table is not None and before is not None:
+            entry = table.get(before)
+            if entry is not None and entry[0] == word:
+                self.pht.setdefault(block, {})[before] = parity
 
-    def corrupt_slot(self, index: int, bit: int) -> None:
-        """Flip one sender bit of slot ``index`` (parity left stale)."""
-        length = len(self)
-        if not 0 <= index < length:
-            raise IndexError(f"MHR slot {index} out of range [0, {length})")
-        if not 0 <= bit < SENDER_BITS:
-            raise ConfigError(
-                f"sender bit index {bit} out of range [0, {SENDER_BITS})"
-            )
-        # Slot 0 is the oldest tuple, i.e. the highest field of the word;
-        # sender bits are the high 12 bits of each 16-bit field.
-        position = (length - 1 - index) * TUPLE_BITS + TYPE_BITS + bit
-        self._word ^= 1 << position
+    def drop_block(self, block: int) -> None:
+        self.mhr.pop(block, None)
+        self.pht.pop(block, None)
 
-    def validate(self) -> bool:
-        """Whether every held tuple still matches its stored parity."""
-        word = self._word
-        field_mask = (1 << TUPLE_BITS) - 1
-        # Walk newest (lowest field) to oldest against reversed parity.
-        for parity in reversed(self._parity):
-            if (word & field_mask).bit_count() & 1 != parity:
-                return False
-            word >>= TUPLE_BITS
-        return True
+    def drop_entry(self, block: int, pattern: int) -> None:
+        bits = self.pht.get(block)
+        if bits is not None:
+            bits.pop(pattern, None)
 
+    def history_record(self, block: int, hist: int) -> Tuple[int, ...]:
+        """``block``'s history bits, oldest tuple first (snapshots)."""
+        bits = self.mhr[block]
+        slots = (hist.bit_length() - 1) // TUPLE_BITS
+        return tuple((bits >> slot) & 1 for slot in reversed(range(slots)))
 
-class ParityPHTEntry(PHTEntry):
-    """A PHT entry that stores one parity bit for its prediction."""
+    def restore(
+        self,
+        state: dict,
+        mht: Dict[int, int],
+        phts: Dict[int, Dict[int, list]],
+    ) -> None:
+        """Rebuild from a predictor snapshot's records.
 
-    __slots__ = ("parity",)
-
-    def __init__(self, prediction: MessageTuple) -> None:
-        super().__init__(prediction)
-        self.parity = tuple_parity(prediction)
-
-    def update(self, actual: MessageTuple, max_count: int) -> None:
-        super().update(actual, max_count)
-        # The prediction now equals ``actual`` either because it was just
-        # replaced or because it was confirmed; both re-derive the value
-        # from fresh data, so the parity is rewritten (self-healing).
-        if self.prediction == actual:
-            self.parity = tuple_parity(self.prediction)
-
-    def corrupt(self, bit: int) -> None:
-        """Flip one sender bit of the prediction (parity left stale)."""
-        self.prediction = flip_sender_bit(self.prediction, bit)
-
-    @property
-    def valid(self) -> bool:
-        return tuple_parity(self.prediction) == self.parity
+        Bits a record lacks (a snapshot taken unarmed) are derived from
+        the stored words, which makes them consistent.
+        """
+        self.mhr = {}
+        for record in state["mht"]:
+            block = record["block"]
+            if "parity" in record:
+                bits = 0
+                for bit in record["parity"]:
+                    bits = (bits << 1) | bit
+            else:
+                bits = history_parity(mht[block])
+            self.mhr[block] = bits
+        self.pht = {}
+        for block, entries in state["phts"].items():
+            bits = self.pht[block] = {}
+            for item in entries:
+                pattern = pack_pattern(item["pattern"])
+                bits[pattern] = item.get(
+                    "parity", phts[block][pattern][0].bit_count() & 1
+                )

@@ -269,26 +269,23 @@ def _evaluate_trace_flat(
     work is the fused :meth:`CosmosPredictor.observe_word` kernel written
     out over each module's ``_mht``/``_phts`` dicts: small-int packing,
     dict lookups, and list-slot counter bumps -- no method dispatch, no
-    ``Observation`` allocation, no enum hashing.
+    ``Observation`` allocation, no enum hashing.  A capacity-bounded
+    bank calls the predictor's own eviction hooks at the same points and
+    in the same order as the kernel, so both evict the same victims.
     """
-    if cosmos_config.mhr_capacity or cosmos_config.pht_capacity:
-        # Capacity-bounded banks drive the fused observe_word kernel
-        # instead of re-inlining the eviction machinery here: one
-        # implementation to prove identical across layouts.
-        return _evaluate_trace_flat_bounded(
-            events, config, cosmos_config, checkpoint_iterations, track_arcs
-        )
     depth_full_at = 1 << (TUPLE_BITS * cosmos_config.depth)
     full_mask = depth_full_at - 1
     macro = cosmos_config.macroblock_bytes
-    capacity = cosmos_config.mht_capacity
     confidence = cosmos_config.confidence_threshold
     max_count = cosmos_config.filter_max_count
+    mhr_bounded = bool(cosmos_config.mhr_capacity)
+    pht_bounded = bool(cosmos_config.pht_capacity)
+    bounded = mhr_bounded or pht_bounded
     directory = Role.DIRECTORY
 
     # Module state, keyed ``(node << 1) | role-bit``:
     # [mht, phts, predictions, hits, no_prediction, last-type-by-block,
-    #  capacity_evictions] -- the dicts are the predictor's own, so the
+    #  predictor, MHR clock] -- the dicts are the predictor's own, so the
     # result-facing CosmosPredictor objects see every update for free.
     predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
     modules: Dict[int, list] = {}
@@ -334,7 +331,8 @@ def _evaluate_trace_flat(
             predictor = CosmosPredictor(cosmos_config)
             predictors[(event.node, role)] = predictor
             module = modules[module_key] = [
-                predictor._mht, predictor._phts, 0, 0, 0, {}, 0,
+                predictor._mht, predictor._phts, 0, 0, 0, {},
+                predictor, predictor._mhr_clock,
             ]
         block = event.block
         word = (event.sender << TYPE_BITS) | event.mtype
@@ -346,47 +344,50 @@ def _evaluate_trace_flat(
         if hist is None:
             module[4] += 1
             mht[key] = (1 << TUPLE_BITS) | word
-            if capacity is not None and len(mht) > capacity:
-                victim = next(iter(mht))
-                del mht[victim]
-                module[1].pop(victim, None)
-                module[6] += 1
-        elif hist >= depth_full_at:
-            if capacity is not None:
-                del mht[key]
-            phts = module[1]
-            pht = phts.get(key)
-            if pht is None:
-                pht = phts[key] = {}
-            entry = pht.get(hist)
-            if entry is None:
-                module[4] += 1
-                pht[hist] = [word, 0]
-            else:
-                stored = entry[0]
-                counter = entry[1]
-                if confidence == 0 or counter >= confidence:
-                    module[2] += 1
-                    if stored == word:
-                        module[3] += 1
-                        hit = True
-                else:
-                    module[4] += 1
-                if stored == word:
-                    if counter < max_count:
-                        entry[1] = counter + 1
-                elif counter > 0:
-                    entry[1] = counter - 1
-                else:
-                    entry[0] = word
-            mht[key] = depth_full_at | (
-                ((hist << TUPLE_BITS) | word) & full_mask
-            )
+            if bounded:
+                module[6]._bound_mhr_insert(key)
         else:
-            if capacity is not None:
-                del mht[key]
-            module[4] += 1
-            mht[key] = (hist << TUPLE_BITS) | word
+            if mhr_bounded:
+                if module[7] is None:
+                    del mht[key]  # re-inserted below == move to LRU tail
+                else:
+                    module[7].touch(key)
+            if hist >= depth_full_at:
+                phts = module[1]
+                pht = phts.get(key)
+                if pht is None:
+                    pht = phts[key] = {}
+                entry = pht.get(hist)
+                if entry is None:
+                    module[4] += 1
+                    pht[hist] = [word, 0]
+                    if bounded:
+                        module[6]._bound_pht_insert(key, hist)
+                else:
+                    stored = entry[0]
+                    counter = entry[1]
+                    if confidence == 0 or counter >= confidence:
+                        module[2] += 1
+                        if stored == word:
+                            module[3] += 1
+                            hit = True
+                    else:
+                        module[4] += 1
+                    if stored == word:
+                        if counter < max_count:
+                            entry[1] = counter + 1
+                    elif counter > 0:
+                        entry[1] = counter - 1
+                    else:
+                        entry[0] = word
+                    if pht_bounded:
+                        module[6]._touch_pht(key, hist)
+                mht[key] = depth_full_at | (
+                    ((hist << TUPLE_BITS) | word) & full_mask
+                )
+            else:
+                module[4] += 1
+                mht[key] = (hist << TUPLE_BITS) | word
 
         if track_arcs:
             last_type = module[5]
@@ -408,15 +409,15 @@ def _evaluate_trace_flat(
 
     # Hand the counters back to the result-facing predictors, then run
     # the same end-of-replay folds as the generic loop.
-    for (node, role), predictor in predictors.items():
-        module = modules[(node << 1) | (role is directory)]
+    for module in modules.values():
+        predictor = module[6]
         predictor.predictions = module[2]
         predictor.hits = module[3]
         predictor.no_prediction = module[4]
-        predictor.capacity_evictions = module[6]
     for predictor in predictors.values():
         for size in predictor.pht_sizes():
             METRICS.observe("pred.pht.block_entries", size)
+    _fold_memory_metrics(predictors)
 
     overall, by_role = _fold_module_tallies(modules)
     return EvaluationResult(
@@ -427,122 +428,6 @@ def _evaluate_trace_flat(
         checkpoints=checkpoints,
         overhead=_measure_bank_overhead(predictors),
     )
-
-
-def _evaluate_trace_flat_bounded(
-    events: Iterable[TraceEvent],
-    config: Optional[CosmosConfig],
-    cosmos_config: CosmosConfig,
-    checkpoint_iterations: Iterable[int],
-    track_arcs: bool,
-) -> EvaluationResult:
-    """The capacity-bounded flat replay.
-
-    Each event runs :meth:`CosmosPredictor.observe_word` -- the single
-    implementation of the bounded kernel, shared with the object layout's
-    ``update`` path -- so eviction decisions here are the ones the
-    differential suite certifies.  Tallies, arcs, and checkpoints fold
-    exactly as the unbounded inline loop's do.
-    """
-    directory = Role.DIRECTORY
-    predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
-    # (node << 1) | role-bit -> [predictor, last-type-by-block]
-    modules: Dict[int, list] = {}
-    arc_counts: Dict[int, list] = {}
-
-    remaining = sorted(set(checkpoint_iterations))
-    checkpoints: List[IterationCheckpoint] = []
-    track_iterations = bool(remaining)
-    current_iteration: Optional[int] = None
-
-    def snapshot(iteration: int) -> IterationCheckpoint:
-        overall, by_role = _fold_predictor_tallies(modules)
-        return IterationCheckpoint(
-            iteration=iteration,
-            overall=overall,
-            by_role=by_role,
-            arcs=_arc_tallies(arc_counts),
-        )
-
-    def flush_checkpoints(next_iteration: Optional[int]) -> None:
-        while remaining and (
-            next_iteration is None or remaining[0] < next_iteration
-        ):
-            checkpoints.append(snapshot(remaining.pop(0)))
-
-    for event in events:
-        if track_iterations:
-            iteration = event.iteration
-            if (
-                current_iteration is not None
-                and iteration > current_iteration
-            ):
-                flush_checkpoints(iteration)
-            current_iteration = iteration
-
-        role = event.role
-        module_key = (event.node << 1) | (role is directory)
-        module = modules.get(module_key)
-        if module is None:
-            predictor = CosmosPredictor(cosmos_config)
-            predictors[(event.node, role)] = predictor
-            module = modules[module_key] = [predictor, {}]
-        block = event.block
-        word = (event.sender << TYPE_BITS) | event.mtype
-        predicted = module[0].observe_word(block, word)
-        hit = predicted == word
-
-        if track_arcs:
-            last_type = module[1]
-            previous = last_type.get(block)
-            mtype = event.mtype
-            if previous is not None:
-                arc_key = (
-                    ((module_key & 1) << 8) | (previous << TYPE_BITS) | mtype
-                )
-                arc = arc_counts.get(arc_key)
-                if arc is None:
-                    arc = arc_counts[arc_key] = [0, 0]
-                arc[1] += 1
-                if hit:
-                    arc[0] += 1
-            last_type[block] = mtype
-
-    flush_checkpoints(None)
-
-    for predictor in predictors.values():
-        for size in predictor.pht_sizes():
-            METRICS.observe("pred.pht.block_entries", size)
-    _fold_memory_metrics(predictors)
-
-    overall, by_role = _fold_predictor_tallies(modules)
-    return EvaluationResult(
-        config=config,
-        overall=overall,
-        by_role=by_role,
-        arcs=ArcStats(tallies=_arc_tallies(arc_counts)),
-        checkpoints=checkpoints,
-        overhead=_measure_bank_overhead(predictors),
-    )
-
-
-def _fold_predictor_tallies(
-    modules: Dict[int, list]
-) -> Tuple[Tally, Dict[Role, Tally]]:
-    """Tallies from bounded-loop modules (counters live on predictors)."""
-    by_role = {Role.CACHE: Tally(), Role.DIRECTORY: Tally()}
-    for module_key, module in modules.items():
-        predictor = module[0]
-        tally = by_role[
-            Role.DIRECTORY if module_key & 1 else Role.CACHE
-        ]
-        tally.hits += predictor.hits
-        tally.refs += predictor.predictions + predictor.no_prediction
-    overall = Tally(
-        hits=by_role[Role.CACHE].hits + by_role[Role.DIRECTORY].hits,
-        refs=by_role[Role.CACHE].refs + by_role[Role.DIRECTORY].refs,
-    )
-    return overall, by_role
 
 
 def _fold_module_tallies(

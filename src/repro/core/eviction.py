@@ -6,7 +6,7 @@ when :class:`~repro.core.config.CosmosConfig` sets ``mhr_capacity`` /
 policies to pick victims:
 
 * ``lru`` -- exact least-recently-used.  For the MHR table this costs
-  nothing extra: both layouts already keep recency as the table's own
+  nothing extra: the predictor already keeps recency as the table's own
   insertion order (re-inserting a key moves it to the end), so only the
   cross-block PHT order needs a side dict.
 * ``clock`` -- the classic second-chance approximation: a reference bit
@@ -17,10 +17,10 @@ policies to pick victims:
   decays it down, and only fully-decayed entries are evicted.  Hot
   entries therefore survive several sweeps of cold traffic.
 
-:class:`ClockOrder` implements the latter two.  It is shared verbatim by
-the flat and object predictor layouts -- both drive it with the same
+:class:`ClockOrder` implements the latter two.  The predictor's kernel
+and the inlined replay loop drive it with the same
 ``touch``/``discard``/``victim`` call sequence on the same integer keys,
-which is what makes their eviction decisions provably identical (the
+which is what makes their eviction decisions identical (the
 differential suite pins this).
 
 Externally removed keys (corruption losses, ``forget``) are *lazily*

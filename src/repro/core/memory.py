@@ -27,8 +27,7 @@ class MemoryOverhead:
 
     Entry counts are *live* entries; a capacity-bounded bank that has
     been evicting reports smaller tables than it once held, so the
-    high-water marks ride along (``-1`` = not tracked, treat as live)
-    and back the ``pred.mem.peak_*`` metrics.
+    high-water marks ride along (``-1`` = not tracked).
     """
 
     mhr_entries: int
@@ -38,34 +37,6 @@ class MemoryOverhead:
     block_bytes: int
     peak_mhr_entries: int = -1
     peak_pht_entries: int = -1
-
-    @property
-    def peak_mhr(self) -> int:
-        """High-water MHR count (falls back to live when untracked)."""
-        if self.peak_mhr_entries < 0:
-            return self.mhr_entries
-        return self.peak_mhr_entries
-
-    @property
-    def peak_pht(self) -> int:
-        """High-water PHT count (falls back to live when untracked)."""
-        if self.peak_pht_entries < 0:
-            return self.pht_entries
-        return self.peak_pht_entries
-
-    @property
-    def table_bytes(self) -> int:
-        """Estimated live predictor storage under the Table 7 model."""
-        return _table_bytes(
-            self.depth, self.tuple_bytes, self.mhr_entries, self.pht_entries
-        )
-
-    @property
-    def peak_table_bytes(self) -> int:
-        """Estimated high-water storage under the Table 7 model."""
-        return _table_bytes(
-            self.depth, self.tuple_bytes, self.peak_mhr, self.peak_pht
-        )
 
     @property
     def ratio(self) -> float:
@@ -92,25 +63,17 @@ class MemoryOverhead:
         )
 
 
-def _table_bytes(
-    depth: int, tuple_bytes: int, mhr_entries: int, pht_entries: int
+def estimated_table_bytes(
+    config: CosmosConfig, mhr_entries: int, pht_entries: int
 ) -> int:
-    """Table 7's per-entry costs applied to whole-table entry counts.
+    """Estimated predictor storage for given entry counts (Table 7 model).
 
     An MHR entry holds ``depth`` tuples; a PHT entry holds one pattern
     (``depth`` tuples) plus one prediction tuple.
     """
-    return tuple_bytes * (
+    depth = config.depth
+    return config.tuple_bytes * (
         mhr_entries * depth + pht_entries * (depth + 1)
-    )
-
-
-def estimated_table_bytes(
-    config: CosmosConfig, mhr_entries: int, pht_entries: int
-) -> int:
-    """Estimated predictor storage for given entry counts (Table 7 model)."""
-    return _table_bytes(
-        config.depth, config.tuple_bytes, mhr_entries, pht_entries
     )
 
 

@@ -41,11 +41,7 @@ class MessageHistoryRegister:
 
     def shift(self, tup: MessageTuple) -> None:
         """Shift ``tup`` in as the most recent message."""
-        self.shift_word(pack(tup))
-
-    def shift_word(self, word: int) -> None:
-        """Shift an already-packed 16-bit tuple encoding in."""
-        shifted = (self._word << TUPLE_BITS) | word
+        shifted = (self._word << TUPLE_BITS) | pack(tup)
         if shifted >= self._full_at << TUPLE_BITS:
             # Drop the oldest tuple and re-plant the marker bit.
             shifted = self._full_at | (shifted & (self._full_at - 1))
@@ -59,11 +55,6 @@ class MessageHistoryRegister:
         """
         if self._word < self._full_at:
             return None
-        return self._word
-
-    @property
-    def word(self) -> int:
-        """The (possibly partial) marker-led history word."""
         return self._word
 
     def snapshot(self) -> Tuple[MessageTuple, ...]:

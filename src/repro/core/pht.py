@@ -60,18 +60,11 @@ class PHTEntry:
 class PatternHistoryTable:
     """Per-block pattern -> prediction table."""
 
-    __slots__ = ("_entries", "_max_count", "_entry_cls")
+    __slots__ = ("_entries", "_max_count")
 
-    def __init__(
-        self,
-        filter_max_count: int = 0,
-        entry_cls: type = PHTEntry,
-    ) -> None:
+    def __init__(self, filter_max_count: int = 0) -> None:
         self._entries: Dict[int, PHTEntry] = {}
         self._max_count = filter_max_count
-        # Pluggable so corruption-tolerant runs can use parity-tracking
-        # entries (repro.core.corruption) without taxing the normal path.
-        self._entry_cls = entry_cls
 
     def predict(self, pattern: Pattern) -> Optional[MessageTuple]:
         """The prediction stored for ``pattern``, or ``None`` if absent."""
@@ -98,17 +91,13 @@ class PatternHistoryTable:
         word = pattern_word(pattern)
         entry = self._entries.get(word)
         if entry is None:
-            self._entries[word] = self._entry_cls(actual)
+            self._entries[word] = PHTEntry(actual)
         else:
             entry.update(actual, self._max_count)
 
     def entry(self, pattern: Pattern) -> Optional[PHTEntry]:
         """The live entry object for ``pattern`` (validity checks)."""
         return self._entries.get(pattern_word(pattern))
-
-    def drop(self, pattern: Pattern) -> None:
-        """Discard the entry for ``pattern`` (corruption handling)."""
-        self._entries.pop(pattern_word(pattern), None)
 
     def __len__(self) -> int:
         """Number of allocated pattern entries (Table 7 counts these)."""

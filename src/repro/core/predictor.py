@@ -8,43 +8,34 @@ Update (Section 3.4): write the observed tuple as the new prediction for
 the current pattern (subject to the noise filter), then shift the tuple
 into the MHR.
 
-Two equivalent state layouts back the same API:
+State is flat small-int dicts: the MHT maps a block to its marker-led
+packed history word, and each per-block PHT maps a pattern word to
+``[prediction word, filter counter]``.  :meth:`observe_word` fuses
+predict + score + train into one pass over them -- the hot path the
+evaluation loop runs millions of times.  LRU order for bounded tables is
+the dict's insertion order (re-inserting a key moves it to the end).
+:meth:`predict`, :meth:`update` and :meth:`observe` are pack/unpack
+wrappers around the same state and the same kernel.
 
-* **flat** (the default): the MHT is a plain ``Dict[int, int]`` mapping a
-  block to its marker-led packed history word, and each per-block PHT is
-  a ``Dict[int, list]`` mapping a pattern word to ``[prediction word,
-  filter counter]``.  :meth:`observe_word` fuses predict + score + train
-  into one pass of small-int dict operations -- the hot path the
-  evaluation loop runs millions of times.  LRU order for bounded tables
-  is the dict's insertion order (re-inserting a key moves it to the
-  end).
-* **object** (only when corruption injection is armed): the original
-  :class:`~repro.core.mhr.MessageHistoryRegister` /
-  :class:`~repro.core.pht.PatternHistoryTable` structures, swapped for
-  their parity-tracking subclasses.  Corruption studies mutate live
-  register/entry objects in place, which the flat layout deliberately
-  has none of.
+Corruption injection (only when an injector is armed) flips bits of the
+stored words themselves; their parity bits live in side tables
+(:class:`~repro.core.corruption.ParityTables`) that exist only then, so
+an unarmed predictor carries no parity state.
 
 Snapshots use the readable tuple form for histories, patterns, and
-predictions regardless of layout, so checkpoints stay format-compatible
-and layout-independent.
+predictions, so checkpoints stay format-compatible.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .config import CosmosConfig
+from .corruption import CorruptionInjector, ParityTables, sender_bit
 from .eviction import ClockOrder
-from .corruption import (
-    CorruptionInjector,
-    ParityMessageHistoryRegister,
-    ParityPHTEntry,
-)
 from .mhr import MessageHistoryRegister
-from .pht import PatternHistoryTable, pattern_word
+from .pht import PatternHistoryTable
 from .tuples import (
     TUPLE_BITS,
     MessageTuple,
@@ -88,15 +79,16 @@ class CosmosPredictor:
         config = config if config is not None else CosmosConfig()
         self.config = config
         self._macro = config.macroblock_bytes
-        self._capacity = config.mht_capacity
         self._confidence = config.confidence_threshold
         self._max_count = config.filter_max_count
         self._full_at = 1 << (TUPLE_BITS * config.depth)
         self._corruption = corruption
-        self._flat = corruption is None
+        self._parity = (
+            ParityTables(config.depth) if corruption is not None else None
+        )
         # Capacity-bounded tables (mhr_capacity / pht_capacity; see
         # core/eviction.py).  LRU MHR bounding needs no side structure:
-        # recency is the table's own insertion order in both layouts.
+        # recency is the table's own insertion order.
         # clock/decay keep a ClockOrder per bounded table; a bounded PHT
         # under LRU keeps a cross-block recency dict.  All of it is None
         # (and costs nothing on the hot path) when unbounded.
@@ -124,20 +116,15 @@ class CosmosPredictor:
         self._pht_total = 0
         self._peak_mhr = 0
         self._peak_pht = 0
-        if self._flat:
-            # block -> marker-led packed history word (insertion order is
-            # LRU order for bounded tables).
-            self._mht: Dict[int, int] = {}
-            # block -> {pattern word -> [prediction word, counter]}
-            self._phts: Dict[int, Dict[int, list]] = {}
-        else:
-            self._mht = OrderedDict()  # block -> ParityMHR
-            self._phts = {}  # block -> PatternHistoryTable
+        # block -> marker-led packed history word (insertion order is
+        # LRU order for bounded tables).
+        self._mht: Dict[int, int] = {}
+        # block -> {pattern word -> [prediction word, counter]}
+        self._phts: Dict[int, Dict[int, list]] = {}
         # Statistics
         self.predictions = 0
         self.hits = 0
         self.no_prediction = 0
-        self.capacity_evictions = 0
         self.evictions_mhr = 0
         self.evictions_pht = 0
         self.corrupt_flips = 0
@@ -151,17 +138,19 @@ class CosmosPredictor:
         return block // self._macro
 
     # ------------------------------------------------------------------
-    # the fused hot path (flat layout)
+    # the fused hot path
     # ------------------------------------------------------------------
 
     def observe_word(self, block: int, word: int) -> int:
         """Predict, score, and train on one packed ``<sender, type>`` word.
 
-        The flat layout's fused equivalent of :meth:`observe`: ``word``
-        is the 16-bit :func:`~repro.core.tuples.pack` encoding of the
-        observed tuple, and the return value is the packed prediction
-        Cosmos made for it (``-1`` when it declined to predict).  All
-        statistics counters update exactly as :meth:`observe` would.
+        The fused kernel behind :meth:`observe`: ``word`` is the 16-bit
+        :func:`~repro.core.tuples.pack` encoding of the observed tuple,
+        and the return value is the packed prediction Cosmos made for it
+        (``-1`` when it declined to predict).  All statistics counters
+        update exactly as :meth:`observe` would.  It neither injects
+        corruption nor maintains parity, so an armed predictor is driven
+        through :meth:`observe` instead.
         """
         if self._macro is not None:
             block //= self._macro
@@ -170,17 +159,10 @@ class CosmosPredictor:
         if hist is None:
             self.no_prediction += 1
             mht[block] = (1 << TUPLE_BITS) | word
-            if self._capacity is not None and len(mht) > self._capacity:
-                # Hardware-bounded table: evict the least recently used
-                # block's history (and its patterns) wholesale.
-                victim = next(iter(mht))
-                del mht[victim]
-                self._phts.pop(victim, None)
-                self.capacity_evictions += 1
-            elif self._bounded:
+            if self._bounded:
                 self._bound_mhr_insert(block)
             return -1
-        if self._capacity is not None or self._lru_mhr:
+        if self._lru_mhr:
             del mht[block]  # re-inserted below == move to LRU tail
         elif self._mhr_clock is not None:
             self._mhr_clock.touch(block)
@@ -230,23 +212,19 @@ class CosmosPredictor:
     # capacity bounding (mhr_capacity / pht_capacity; core/eviction.py)
     # ------------------------------------------------------------------
     #
-    # Both layouts call the same helpers in the same order with the same
-    # integer keys, so their eviction decisions are identical -- the
-    # property the differential suite pins.  Live PHT totals are kept
-    # incrementally (O(1) accounting even while thrashing), and peaks
-    # are noted just before any removal, the only moments a table can
-    # shrink, so ``peak_*_entries`` stays exact without per-observation
-    # bookkeeping.
+    # The kernel and the inlined replay loop in core/evaluation.py call
+    # these hooks at the same points in the same order with the same
+    # integer keys, so their eviction decisions are identical.  Live PHT
+    # totals are kept incrementally (O(1) accounting even while
+    # thrashing), and peaks are noted just before any removal, the only
+    # moments a table can shrink, so ``peak_*_entries`` stays exact
+    # without per-observation bookkeeping.
 
     def _note_peaks(self) -> None:
         if len(self._mht) > self._peak_mhr:
             self._peak_mhr = len(self._mht)
         if self._pht_total > self._peak_pht:
             self._peak_pht = self._pht_total
-
-    def _pht_words(self, table):
-        """The pattern-word keys of one block's PHT, either layout."""
-        return table if self._flat else table._entries
 
     def _bound_mhr_insert(self, block: int) -> None:
         """Track a just-inserted MHR entry; evict if over capacity."""
@@ -283,31 +261,11 @@ class CosmosPredictor:
 
     def _evict_mhr(self) -> None:
         """Evict one block's MHR -- and, wholesale, its PHT."""
-        self._note_peaks()
-        mht = self._mht
         clock = self._mhr_clock
-        if clock is not None:
-            victim = clock.victim()
-            del mht[victim]
-        elif self._flat:
-            victim = next(iter(mht))
-            del mht[victim]
-        else:
-            victim, _ = mht.popitem(last=False)
-        dropped = self._phts.pop(victim, None)
+        victim = clock.victim() if clock is not None else next(iter(self._mht))
+        dropped = self._drop_block(victim)
         if dropped is not None:
-            count = len(dropped)
-            self._pht_total -= count
-            self.evictions_pht += count
-            if self._pht_cap:
-                base = victim << self._pkey_shift
-                lru = self._pht_lru
-                if lru is not None:
-                    for pword in self._pht_words(dropped):
-                        lru.pop(base | pword, None)
-                else:
-                    for pword in self._pht_words(dropped):
-                        self._pht_clock.discard(base | pword)
+            self.evictions_pht += len(dropped)
         self.evictions_mhr += 1
 
     def _evict_pht(self) -> None:
@@ -323,30 +281,45 @@ class CosmosPredictor:
         block = key >> shift
         pword = key & ((1 << shift) - 1)
         table = self._phts[block]
-        entries = self._pht_words(table)
-        del entries[pword]
-        if not entries:
+        del table[pword]
+        if not table:
             del self._phts[block]
+        if self._parity is not None:
+            self._parity.drop_entry(block, pword)
         self._pht_total -= 1
         self.evictions_pht += 1
 
-    def _discard_tracking(self, block: int, dropped) -> None:
-        """Unbook a block removed outside eviction (forget, corruption)."""
-        self._note_peaks()
-        clock = self._mhr_clock
-        if clock is not None:
-            clock.discard(block)
-        if dropped is not None:
-            self._pht_total -= len(dropped)
-            if self._pht_cap:
-                base = block << self._pkey_shift
-                lru = self._pht_lru
-                if lru is not None:
-                    for pword in self._pht_words(dropped):
-                        lru.pop(base | pword, None)
-                else:
-                    for pword in self._pht_words(dropped):
-                        self._pht_clock.discard(base | pword)
+    def _drop_block(self, block: int) -> Optional[Dict[int, list]]:
+        """Remove a block's MHR and PHT and unbook both; return the PHT.
+
+        Eviction, ``forget`` and corruption loss all go through here, so
+        the high-water marks are noted while the block still counts.
+        """
+        bounded = self._bounded
+        if bounded:
+            self._note_peaks()
+        self._mht.pop(block, None)
+        dropped = self._phts.pop(block, None)
+        if self._parity is not None:
+            self._parity.drop_block(block)
+        if bounded:
+            if self._mhr_clock is not None:
+                self._mhr_clock.discard(block)
+            if dropped is not None:
+                self._pht_total -= len(dropped)
+                if self._pht_cap:
+                    base = block << self._pkey_shift
+                    for pword in dropped:
+                        self._unbook_pht(base | pword)
+        return dropped
+
+    def _unbook_pht(self, key: int) -> None:
+        """Stop tracking a PHT entry dropped other than by its own
+        eviction (a block drop, a parity-detected entry)."""
+        if self._pht_lru is not None:
+            self._pht_lru.pop(key, None)
+        else:
+            self._pht_clock.discard(key)
 
     def enforce_capacity(self) -> int:
         """Evict until within the configured capacities; count evicted.
@@ -372,150 +345,53 @@ class CosmosPredictor:
     def predict(self, block: int) -> Optional[MessageTuple]:
         """Predict the next ``<sender, type>`` for ``block`` (or ``None``)."""
         block = self._key(block)
-        if self._flat:
-            hist = self._mht.get(block)
-            if hist is None or hist < self._full_at:
-                return None
-            pht = self._phts.get(block)
-            if pht is None:
-                return None
-            entry = pht.get(hist)
-            if entry is None:
-                return None
-            if self._confidence and entry[1] < self._confidence:
-                return None
-            return tuple_of_word(entry[0])
-        mhr = self._mht.get(block)
-        if mhr is None:
-            return None
-        if not mhr.validate():
-            # Parity caught a flipped history bit: the register contents
-            # are untrustworthy, so drop them and relearn.  The block's
-            # PHT survives -- its patterns were trained from pre-flip
-            # history and stay as good as any learned knowledge.
-            self.corrupt_detected += 1
-            self._mht.pop(block, None)
-            if self._bounded:
-                # The block's PHT survives a history drop, so only the
-                # MHR-side tracking is unbooked.
-                self._note_peaks()
-                if self._mhr_clock is not None:
-                    self._mhr_clock.discard(block)
-            return None
-        pattern = mhr.pattern()
-        if pattern is None:
+        if self._parity is not None:
+            self._check_parity(block)
+        hist = self._mht.get(block)
+        if hist is None or hist < self._full_at:
             return None
         pht = self._phts.get(block)
         if pht is None:
             return None
-        entry = pht.entry(pattern)
-        if entry is not None and not entry.valid:
-            # Flipped prediction: drop the single entry and relearn.
-            self.corrupt_detected += 1
-            pht.drop(pattern)
-            if self._bounded:
-                self._note_peaks()
-                self._pht_total -= 1
-                key = (block << self._pkey_shift) | pattern
-                if self._pht_lru is not None:
-                    self._pht_lru.pop(key, None)
-                elif self._pht_clock is not None:
-                    self._pht_clock.discard(key)
+        entry = pht.get(hist)
+        if entry is None:
             return None
-        if self._confidence == 0:
-            return pht.predict(pattern)
-        found = pht.predict_with_confidence(pattern)
-        if found is None:
+        if self._confidence and entry[1] < self._confidence:
             return None
-        prediction, counter = found
-        return prediction if counter >= self._confidence else None
+        return tuple_of_word(entry[0])
 
     def update(self, block: int, actual: MessageTuple) -> None:
-        """Train on the reception of ``actual`` for ``block``."""
-        if self._flat:
-            word = pack(actual)
-            block = self._key(block)
-            mht = self._mht
-            hist = mht.get(block)
-            if hist is None:
-                mht[block] = (1 << TUPLE_BITS) | word
-                if (
-                    self._capacity is not None
-                    and len(mht) > self._capacity
-                ):
-                    victim = next(iter(mht))
-                    del mht[victim]
-                    self._phts.pop(victim, None)
-                    self.capacity_evictions += 1
-                elif self._bounded:
-                    self._bound_mhr_insert(block)
-                return
-            if self._capacity is not None or self._lru_mhr:
-                del mht[block]
-            elif self._mhr_clock is not None:
-                self._mhr_clock.touch(block)
-            full_at = self._full_at
-            if hist >= full_at:
-                pht = self._phts.get(block)
-                if pht is None:
-                    pht = self._phts[block] = {}
-                entry = pht.get(hist)
-                if entry is None:
-                    pht[hist] = [word, 0]
-                    if self._bounded:
-                        self._bound_pht_insert(block, hist)
-                else:
-                    stored = entry[0]
-                    counter = entry[1]
-                    if stored == word:
-                        if counter < self._max_count:
-                            entry[1] = counter + 1
-                    elif counter > 0:
-                        entry[1] = counter - 1
-                    else:
-                        entry[0] = word
-                    if self._pht_cap:
-                        self._touch_pht(block, hist)
-                hist = full_at | (
-                    ((hist << TUPLE_BITS) | word) & (full_at - 1)
-                )
-            else:
-                hist = (hist << TUPLE_BITS) | word
-            mht[block] = hist
-            return
-        block = self._key(block)
-        mhr = self._mht.get(block)
-        if mhr is None:
-            mhr = ParityMessageHistoryRegister(self.config.depth)
-            self._mht[block] = mhr
-            if self._capacity is not None and len(self._mht) > self._capacity:
-                victim, _ = self._mht.popitem(last=False)
-                self._phts.pop(victim, None)
-                self.capacity_evictions += 1
-            elif self._bounded:
-                self._bound_mhr_insert(block)
-        elif self._capacity is not None or self._lru_mhr:
-            self._mht.move_to_end(block)
-        elif self._mhr_clock is not None:
-            self._mhr_clock.touch(block)
-        pattern = mhr.pattern()
-        if pattern is not None:
-            pht = self._phts.get(block)
-            if pht is None:
-                pht = PatternHistoryTable(
-                    self.config.filter_max_count, entry_cls=ParityPHTEntry
-                )
-                self._phts[block] = pht
-            if self._bounded:
-                inserted = pattern not in pht
-                pht.train(pattern, actual)
-                if inserted:
-                    self._bound_pht_insert(block, pattern)
-                elif self._pht_cap:
-                    self._touch_pht(block, pattern)
-            else:
-                pht.train(pattern, actual)
-        mhr.shift(actual)
+        """Train on the reception of ``actual`` for ``block``.
+
+        Runs the kernel and discards its scoring: training is exactly
+        what :meth:`observe` does after predicting.
+        """
+        scored = (self.predictions, self.hits, self.no_prediction)
+        self._train(block, pack(actual))
+        self.predictions, self.hits, self.no_prediction = scored
+
+    def observe(self, block: int, actual: MessageTuple) -> Observation:
+        """Predict, score against ``actual``, then train.  One message."""
+        if self._corruption is not None:
+            self._inject_corruption()
+            self._check_parity(self._key(block))
+        predicted = self._train(block, pack(actual))
+        return Observation(
+            block=block,
+            predicted=tuple_of_word(predicted) if predicted >= 0 else None,
+            actual=actual,
+        )
+
+    def _train(self, block: int, word: int) -> int:
+        """The kernel, plus the parity writes of an armed predictor."""
+        parity = self._parity
+        if parity is None:
+            return self.observe_word(block, word)
+        key = self._key(block)
+        before = self._mht.get(key)
+        predicted = self.observe_word(block, word)
+        parity.record(key, before, word, self._mht, self._phts)
+        return predicted
 
     def forget(self, block: int) -> None:
         """Discard all history for ``block``.
@@ -526,11 +402,75 @@ class CosmosPredictor:
         (``repro.experiments.replacement``) calls this on every eviction
         to measure what that merging costs.
         """
-        key = self._key(block)
-        self._mht.pop(key, None)
-        dropped = self._phts.pop(key, None)
+        self._drop_block(self._key(block))
+
+    # ------------------------------------------------------------------
+    # corruption (armed predictors only)
+    # ------------------------------------------------------------------
+
+    def _check_parity(self, block: int) -> None:
+        """Drop whatever of ``block``'s state fails its parity check.
+
+        Checked before the kernel runs, as hardware would on read.  A bad
+        history is dropped and relearned while the block's PHT survives
+        -- its patterns were trained from pre-flip history and stay as
+        good as any learned knowledge.  A bad prediction is dropped
+        alone.
+        """
+        parity = self._parity
+        hist = self._mht.get(block)
+        if hist is None:
+            return
+        if not parity.mhr_ok(block, hist):
+            self.corrupt_detected += 1
+            if self._bounded:
+                self._note_peaks()
+                if self._mhr_clock is not None:
+                    self._mhr_clock.discard(block)
+            del self._mht[block]
+            del parity.mhr[block]
+            return
+        pht = self._phts.get(block)
+        if hist < self._full_at or pht is None:
+            return
+        entry = pht.get(hist)
+        if entry is None or parity.entry_ok(block, hist, entry[0]):
+            return
+        self.corrupt_detected += 1
         if self._bounded:
-            self._discard_tracking(key, dropped)
+            self._note_peaks()
+            self._pht_total -= 1
+            if self._pht_cap:
+                self._unbook_pht((block << self._pkey_shift) | hist)
+        # The emptied table stays allocated, as a lazily allocated PHT
+        # does until its block is dropped.
+        del pht[hist]
+        parity.drop_entry(block, hist)
+
+    def corrupt(self, block: int, index: int, bit: int) -> None:
+        """Flip sender bit ``bit`` of one stored tuple of ``block``.
+
+        ``block`` is a table key as :meth:`blocks` lists it.  ``index``
+        counts the block's MHR slots, oldest first, then its PHT entries'
+        predictions in insertion order -- the space the injector draws
+        victims from.  The parity bit is left stale, as a soft error
+        leaves it.
+        """
+        hist = self._mht[block]
+        slots = (hist.bit_length() - 1) // TUPLE_BITS
+        pht = self._phts.get(block)
+        patterns = list(pht) if pht else []
+        if not 0 <= index < slots + len(patterns):
+            raise IndexError(
+                f"tuple {index} out of range [0, {slots + len(patterns)})"
+            )
+        mask = sender_bit(bit)
+        if index < slots:
+            # Slot 0 is the oldest tuple, i.e. the highest field.
+            shift = (slots - 1 - index) * TUPLE_BITS
+            self._mht[block] = hist ^ (mask << shift)
+        else:
+            pht[patterns[index - slots]][0] ^= mask
 
     def _inject_corruption(self) -> None:
         """Maybe corrupt this module's SRAM before the next use.
@@ -542,61 +482,29 @@ class CosmosPredictor:
         matching how real SRAM error rates scale with capacity.
         """
         injector = self._corruption
-        if not self._mht:
+        mht = self._mht
+        if not mht:
             return
         if injector.draw_loss():
-            victim = injector.choose(list(self._mht))
-            self._mht.pop(victim, None)
-            dropped = self._phts.pop(victim, None)
-            if self._bounded:
-                self._discard_tracking(victim, dropped)
+            self._drop_block(injector.choose(list(mht)))
             self.corrupt_losses += 1
             injector.injected_losses += 1
-        if not self._mht:
-            return
+            if not mht:
+                return
         if injector.draw_flip():
-            target = injector.choose(list(self._mht))
-            mhr = self._mht[target]
-            pht = self._phts.get(target)
+            target = injector.choose(list(mht))
             # Choose uniformly among the block's stored tuples: each MHR
             # slot and each PHT entry's prediction is one 16-bit word.
-            slots = len(mhr)
-            entries = (
-                [pattern for pattern, _ in pht.items()] if pht else []
+            pht = self._phts.get(target)
+            total = (mht[target].bit_length() - 1) // TUPLE_BITS + (
+                len(pht) if pht else 0
             )
-            total = slots + len(entries)
             if total == 0:
                 return
-            pick = injector.choose(range(total))
-            bit = injector.flip_bit()
-            if pick < slots:
-                mhr.corrupt_slot(pick, bit)
-            else:
-                pht.entry(entries[pick - slots]).corrupt(bit)
+            index = injector.choose(range(total))
+            self.corrupt(target, index, injector.flip_bit())
             self.corrupt_flips += 1
             injector.injected_flips += 1
-
-    def observe(self, block: int, actual: MessageTuple) -> Observation:
-        """Predict, score against ``actual``, then train.  One message."""
-        if self._flat:
-            predicted = self.observe_word(block, pack(actual))
-            return Observation(
-                block=block,
-                predicted=(
-                    tuple_of_word(predicted) if predicted >= 0 else None
-                ),
-                actual=actual,
-            )
-        self._inject_corruption()
-        predicted = self.predict(block)
-        if predicted is None:
-            self.no_prediction += 1
-        else:
-            self.predictions += 1
-            if predicted == actual:
-                self.hits += 1
-        self.update(block, actual)
-        return Observation(block=block, predicted=predicted, actual=actual)
 
     # ------------------------------------------------------------------
     # introspection (memory accounting, analysis)
@@ -629,12 +537,11 @@ class CosmosPredictor:
         return live if live > self._peak_pht else self._peak_pht
 
     def pht_of(self, block: int) -> Optional[PatternHistoryTable]:
-        """The block's PHT: the live table (object layout) or a read-only
-        materialized view of the flat state (mutations do not write back).
-        """
+        """A read-only materialized view of the block's PHT (mutations do
+        not write back)."""
         table = self._phts.get(self._key(block))
-        if table is None or not self._flat:
-            return table
+        if table is None:
+            return None
         view = PatternHistoryTable(self.config.filter_max_count)
         for pattern, (prediction, counter) in table.items():
             view.train(pattern, tuple_of_word(prediction))
@@ -642,12 +549,10 @@ class CosmosPredictor:
         return view
 
     def mhr_of(self, block: int) -> Optional[MessageHistoryRegister]:
-        """The block's MHR: the live register (object layout) or a
-        read-only materialized view of the flat state.
-        """
+        """A read-only materialized view of the block's MHR."""
         found = self._mht.get(self._key(block))
-        if found is None or not self._flat:
-            return found
+        if found is None:
+            return None
         view = MessageHistoryRegister(self.config.depth)
         view._word = found
         return view
@@ -673,7 +578,6 @@ class CosmosPredictor:
         "predictions",
         "hits",
         "no_prediction",
-        "capacity_evictions",
         "evictions_mhr",
         "evictions_pht",
         "corrupt_flips",
@@ -686,42 +590,30 @@ class CosmosPredictor:
 
         MHT order is preserved (it *is* the LRU order capacity eviction
         walks), histories/patterns/predictions are stored in the
-        layout-independent tuple form, and parity bits ride along when
-        the parity-tracking structures are in use -- so a restored
-        predictor behaves bit-identically, including which corrupted
-        entries are still latent.
+        readable tuple form, and an armed predictor's parity bits ride
+        along -- so a restored predictor behaves bit-identically,
+        including which corrupted entries are still latent.
         """
+        parity = self._parity
         mht = []
+        for block, word in self._mht.items():
+            record = {"block": block, "history": unpack_pattern(word)}
+            if parity is not None:
+                record["parity"] = parity.history_record(block, word)
+            mht.append(record)
         phts = {}
-        if self._flat:
-            for block, word in self._mht.items():
-                mht.append({"block": block, "history": unpack_pattern(word)})
-            for block, table in self._phts.items():
-                phts[block] = [
-                    {
-                        "pattern": unpack_pattern(pattern),
-                        "prediction": tuple_of_word(prediction),
-                        "counter": counter,
-                    }
-                    for pattern, (prediction, counter) in table.items()
-                ]
-        else:
-            for block, mhr in self._mht.items():
-                record = {"block": block, "history": mhr.snapshot()}
-                record["parity"] = mhr._parity
-                mht.append(record)
-            for block, pht in self._phts.items():
-                entries = []
-                for pattern, entry in pht.items():
-                    entries.append(
-                        {
-                            "pattern": unpack_pattern(pattern),
-                            "prediction": entry.prediction,
-                            "counter": entry.counter,
-                            "parity": entry.parity,
-                        }
-                    )
-                phts[block] = entries
+        for block, table in self._phts.items():
+            entries = []
+            for pattern, (prediction, counter) in table.items():
+                item = {
+                    "pattern": unpack_pattern(pattern),
+                    "prediction": tuple_of_word(prediction),
+                    "counter": counter,
+                }
+                if parity is not None:
+                    item["parity"] = parity.pht[block][pattern]
+                entries.append(item)
+            phts[block] = entries
         state = {
             "mht": mht,
             "phts": phts,
@@ -756,47 +648,25 @@ class CosmosPredictor:
         The predictor must have been constructed with the same config
         and the same corruption arming as the captured one.
         """
-        if self._flat:
-            self._mht = {
-                record["block"]: pack_pattern(record["history"])
-                for record in state["mht"]
+        self._mht = {
+            record["block"]: pack_pattern(record["history"])
+            for record in state["mht"]
+        }
+        self._phts = {
+            block: {
+                pack_pattern(item["pattern"]): [
+                    pack(item["prediction"]),
+                    item["counter"],
+                ]
+                for item in entries
             }
-            self._phts = {
-                block: {
-                    pack_pattern(item["pattern"]): [
-                        pack(item["prediction"]),
-                        item["counter"],
-                    ]
-                    for item in entries
-                }
-                for block, entries in state["phts"].items()
-            }
-        else:
-            self._mht = OrderedDict()
-            for record in state["mht"]:
-                mhr = ParityMessageHistoryRegister(self.config.depth)
-                for tup in record["history"]:
-                    mhr.shift(tup)
-                if "parity" in record:
-                    # Replay-computed parity is always consistent; restore
-                    # the captured bits so latent corruption stays latent.
-                    mhr._parity = tuple(record["parity"])
-                self._mht[record["block"]] = mhr
-            self._phts = {}
-            for block, entries in state["phts"].items():
-                pht = PatternHistoryTable(
-                    self.config.filter_max_count, entry_cls=ParityPHTEntry
-                )
-                for item in entries:
-                    entry = ParityPHTEntry(item["prediction"])
-                    entry.counter = item["counter"]
-                    if "parity" in item:
-                        entry.parity = item["parity"]
-                    pht._entries[pattern_word(item["pattern"])] = entry
-                self._phts[block] = pht
+            for block, entries in state["phts"].items()
+        }
+        if self._parity is not None:
+            self._parity.restore(state, self._mht, self._phts)
         for name in self._STAT_FIELDS:
             # Snapshots predate some counters (evictions_* landed after
-            # capacity_evictions); absent ones restore to zero.
+            # the first checkpoints); absent ones restore to zero.
             setattr(self, name, state["stats"].get(name, 0))
         if self._bounded:
             self._restore_eviction(state.get("eviction"))
@@ -814,48 +684,26 @@ class CosmosPredictor:
         with :meth:`enforce_capacity`.
         """
         self._pht_total = sum(len(pht) for pht in self._phts.values())
-        if eviction is None:
-            self._peak_mhr = 0
-            self._peak_pht = 0
-            if self._mhr_clock is not None:
-                self._mhr_clock.seed(self._mht)
-            if self._pht_lru is not None:
-                self._pht_lru = {
-                    (block << self._pkey_shift) | pword: None
-                    for block, table in self._phts.items()
-                    for pword in self._pht_words(table)
-                }
-            elif self._pht_clock is not None:
-                self._pht_clock.seed(
-                    (block << self._pkey_shift) | pword
-                    for block, table in self._phts.items()
-                    for pword in self._pht_words(table)
-                )
-            return
-        self._peak_mhr = eviction["peak_mhr"]
-        self._peak_pht = eviction["peak_pht"]
+        eviction = eviction or {}
+        self._peak_mhr = eviction.get("peak_mhr", 0)
+        self._peak_pht = eviction.get("peak_pht", 0)
         if self._mhr_clock is not None:
             if "mhr" in eviction:
                 self._mhr_clock.restore(eviction["mhr"])
             else:
                 self._mhr_clock.seed(self._mht)
+        recorded = eviction.get("pht")
+        seeded = [
+            (block << self._pkey_shift) | pword
+            for block, table in self._phts.items()
+            for pword in table
+        ]
         if self._pht_lru is not None:
-            recorded = eviction.get("pht")
-            if recorded is not None and not isinstance(recorded, dict):
-                self._pht_lru = dict.fromkeys(recorded)
-            else:
-                self._pht_lru = {
-                    (block << self._pkey_shift) | pword: None
-                    for block, table in self._phts.items()
-                    for pword in self._pht_words(table)
-                }
+            if recorded is None or isinstance(recorded, dict):
+                recorded = seeded
+            self._pht_lru = dict.fromkeys(recorded)
         elif self._pht_clock is not None:
-            recorded = eviction.get("pht")
             if isinstance(recorded, dict):
                 self._pht_clock.restore(recorded)
             else:
-                self._pht_clock.seed(
-                    (block << self._pkey_shift) | pword
-                    for block, table in self._phts.items()
-                    for pword in self._pht_words(table)
-                )
+                self._pht_clock.seed(seeded)

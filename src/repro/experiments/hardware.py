@@ -5,9 +5,9 @@ memory and persist).  A hardware implementation faces two knobs the
 paper leaves open:
 
 * **Capacity** -- a bounded Message History Table must evict predictor
-  state (LRU here).  We sweep per-module MHT capacity and watch accuracy
-  fall off once the table no longer covers the active working set of
-  blocks.
+  state (``mhr_capacity`` with LRU eviction here).  We sweep per-module
+  MHT capacity and watch accuracy fall off once the table no longer
+  covers the active working set of blocks.
 * **Confidence** -- Section 4's actions pay real costs on
   mispredictions, so an implementation may only act on *confident*
   predictions.  Gating on the filter counter trades coverage for
@@ -109,7 +109,7 @@ def _run_bank(
         if observation.predicted is not None:
             predictions += 1
             hits += observation.hit
-    evictions = sum(p.capacity_evictions for p in predictors.values())
+    evictions = sum(p.evictions_mhr for p in predictors.values())
     return hits, predictions, refs, evictions
 
 
@@ -125,7 +125,9 @@ def run_hardware(
     events = get_trace(app, seed=seed, quick=quick)
     capacity_points: List[CapacityPoint] = []
     for capacity in capacities:
-        config = CosmosConfig(depth=depth, mht_capacity=capacity)
+        config = CosmosConfig(
+            depth=depth, mhr_capacity=capacity or 0, eviction="lru"
+        )
         hits, _preds, refs, evictions = _run_bank(events, config)
         capacity_points.append(
             CapacityPoint(

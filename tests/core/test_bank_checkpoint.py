@@ -110,3 +110,25 @@ class TestFingerprintEnforcement:
         )
         twin.restore_state(state)
         assert len(twin) == 2
+
+
+class TestRetiredKnobs:
+    """Snapshots written while ``CosmosConfig`` still had ``mht_capacity``
+    carry it in their fingerprint."""
+
+    def legacy_state(self, mht_capacity):
+        state = trained_bank(config=CosmosConfig(depth=2)).snapshot_state()
+        state["fingerprint"]["config"]["mht_capacity"] = mht_capacity
+        for record in state["predictors"]:
+            record["state"]["stats"]["capacity_evictions"] = 0
+        return state
+
+    def test_unset_mht_capacity_is_ignored(self):
+        bank = PredictorBank(config=CosmosConfig(depth=2))
+        bank.restore_state(self.legacy_state(None))
+        assert len(bank) == 2
+
+    def test_set_mht_capacity_is_rejected_by_name(self):
+        bank = PredictorBank(config=CosmosConfig(depth=2))
+        with pytest.raises(CheckpointError, match="mht_capacity=16"):
+            bank.restore_state(self.legacy_state(16))

@@ -18,7 +18,7 @@ def blocks(n):
 class TestConfigValidation:
     def test_capacity_positive(self):
         with pytest.raises(ConfigError):
-            CosmosConfig(mht_capacity=0)
+            CosmosConfig(mhr_capacity=-1)
 
     def test_threshold_nonnegative(self):
         with pytest.raises(ConfigError):
@@ -32,18 +32,18 @@ class TestConfigValidation:
 
 class TestBoundedCapacity:
     def test_capacity_enforced_lru(self):
-        predictor = CosmosPredictor(CosmosConfig(mht_capacity=2))
+        predictor = CosmosPredictor(CosmosConfig(mhr_capacity=2))
         b = blocks(3)
         predictor.update(b[0], A)
         predictor.update(b[1], A)
         predictor.update(b[2], A)  # evicts b[0]
         assert predictor.mhr_entries == 2
-        assert predictor.capacity_evictions == 1
+        assert predictor.evictions_mhr == 1
         assert predictor.mhr_of(b[0]) is None
         assert predictor.mhr_of(b[1]) is not None
 
     def test_recency_updated_on_touch(self):
-        predictor = CosmosPredictor(CosmosConfig(mht_capacity=2))
+        predictor = CosmosPredictor(CosmosConfig(mhr_capacity=2))
         b = blocks(3)
         predictor.update(b[0], A)
         predictor.update(b[1], A)
@@ -53,7 +53,7 @@ class TestBoundedCapacity:
         assert predictor.mhr_of(b[1]) is None
 
     def test_eviction_drops_patterns_too(self):
-        predictor = CosmosPredictor(CosmosConfig(depth=1, mht_capacity=1))
+        predictor = CosmosPredictor(CosmosConfig(depth=1, mhr_capacity=1))
         block_a, block_b = blocks(2)
         for _ in range(4):
             predictor.update(block_a, A)
@@ -68,11 +68,11 @@ class TestBoundedCapacity:
         for block in blocks(100):
             predictor.update(block, A)
         assert predictor.mhr_entries == 100
-        assert predictor.capacity_evictions == 0
+        assert predictor.evictions_mhr == 0
 
     def test_thrashing_hurts_accuracy(self):
-        big = CosmosPredictor(CosmosConfig(depth=1, mht_capacity=64))
-        tiny = CosmosPredictor(CosmosConfig(depth=1, mht_capacity=2))
+        big = CosmosPredictor(CosmosConfig(depth=1, mhr_capacity=64))
+        tiny = CosmosPredictor(CosmosConfig(depth=1, mhr_capacity=2))
         b = blocks(8)
         for _ in range(10):
             for block in b:  # round-robin over 8 blocks

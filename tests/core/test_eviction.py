@@ -1,11 +1,11 @@
 """Memory-bounded prediction: capacity limits, eviction, and peaks.
 
-The bounded bank has one correctness obligation above all: the flat
-packed-int layout and the armed object layout must make *identical*
-eviction decisions -- same victims, same order, same stats -- because
-checkpoints cross between them and the serve oracle replays one against
-the other.  These tests pin that differentially (hypothesis streams
-through both layouts), plus the local invariants: capacity is never
+The bounded bank has one correctness obligation above all: arming
+corruption injection must be observationally neutral -- an unarmed
+predictor and one armed with zero error rates make *identical* eviction
+decisions (same victims, same order, same stats), because checkpoints
+cross between them.  These tests pin that differentially (hypothesis
+streams through both), plus the local invariants: capacity is never
 exceeded after an observation, ``capacity=0`` is byte-identical to the
 pre-capacity predictor, peaks record the transient insert-then-evict
 overshoot, MHR eviction drops the block's PHT collaterally, and
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CosmosConfig
+from repro.core.corruption import CorruptionInjector, CorruptionProfile
 from repro.core.eviction import DECAY_MAX, EVICTION_POLICIES, ClockOrder
 from repro.core.predictor import CosmosPredictor
 from repro.core.tuples import pack
@@ -62,15 +63,6 @@ class TestConfigValidation:
     def test_unknown_eviction_policy_is_rejected(self):
         with pytest.raises(ConfigError):
             CosmosConfig(eviction="mru")
-
-    def test_legacy_mht_capacity_excludes_the_new_knobs(self):
-        with pytest.raises(ConfigError):
-            CosmosConfig(mht_capacity=8, mhr_capacity=4)
-        with pytest.raises(ConfigError):
-            CosmosConfig(mht_capacity=8, pht_capacity=4)
-        # Each alone stays valid.
-        CosmosConfig(mht_capacity=8)
-        CosmosConfig(mhr_capacity=4, pht_capacity=4)
 
     def test_describe_names_the_bound(self):
         text = CosmosConfig(mhr_capacity=4, eviction="clock").describe()
@@ -202,6 +194,46 @@ class TestCapacityInvariants:
         assert bounded.pht_entries <= 4
 
 
+class TestPeaksSurviveDrops:
+    """Removing a block outside eviction -- ``forget``, a parity-detected
+    history, a corruption loss -- must not lower the MHR high-water
+    mark: the peak is noted while the block still counts."""
+
+    @staticmethod
+    def five_blocks(injector=None):
+        predictor = CosmosPredictor(
+            CosmosConfig(pht_capacity=8), corruption=injector
+        )
+        for i in range(5):
+            predictor.observe(0x40 * i, TUP_A)
+        return predictor
+
+    def test_forget_keeps_the_mhr_high_water_mark(self):
+        predictor = self.five_blocks()
+        predictor.forget(0x40)
+        assert predictor.mhr_entries == 4
+        assert predictor.peak_mhr_entries == 5
+
+    def test_parity_drop_keeps_the_mhr_high_water_mark(self):
+        predictor = self.five_blocks(
+            CorruptionInjector(CorruptionProfile(), seed=0)
+        )
+        predictor.corrupt(0x40, 0, bit=0)
+        assert predictor.predict(0x40) is None
+        assert predictor.corrupt_detected == 1
+        assert predictor.mhr_entries == 4
+        assert predictor.peak_mhr_entries == 5
+
+    def test_corruption_loss_keeps_the_mhr_high_water_mark(self):
+        injector = CorruptionInjector(CorruptionProfile(), seed=0)
+        predictor = self.five_blocks(injector)
+        injector.profile = CorruptionProfile(loss=0.9)
+        predictor.observe(0x00, TUP_B)
+        assert predictor.corrupt_losses == 1
+        assert predictor.mhr_entries == 4  # the loss hit another block
+        assert predictor.peak_mhr_entries == 5
+
+
 # ---------------------------------------------------------------------------
 # capacity=0 is byte-identical to the pre-capacity predictor
 # ---------------------------------------------------------------------------
@@ -224,7 +256,7 @@ class TestUnboundedIdentity:
 
 
 # ---------------------------------------------------------------------------
-# differential: flat vs armed layouts evict identically
+# differential: arming (at zero error rates) is observationally neutral
 # ---------------------------------------------------------------------------
 
 
@@ -259,7 +291,6 @@ class TestDifferentialEquivalence:
         )
         flat = CosmosPredictor(config)
         armed = reference_predictor(config)
-        assert flat._flat and not armed._flat
         for block, tup in stream:
             assert flat.observe(block, tup) == armed.observe(block, tup)
             # Same victims at the same moments: the *tables* agree, not

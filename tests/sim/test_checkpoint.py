@@ -226,7 +226,7 @@ def test_predictor_snapshot_roundtrip_property(history, future, corrupt, seed):
     the pickle round trip so the restored predictor emits the same
     predictions, detections, and injections as the original.
     """
-    config = CosmosConfig(depth=2, filter_max_count=1, mht_capacity=4)
+    config = CosmosConfig(depth=2, filter_max_count=1, mhr_capacity=4)
 
     def build():
         injector = (
