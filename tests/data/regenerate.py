@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python tests/data/regenerate.py [traces] [corruption]
+    PYTHONPATH=src python tests/data/regenerate.py [traces] [corruption] [bank]
 
 With no arguments every golden file is rewritten.
 """
@@ -45,6 +45,16 @@ def _plain(value):
     return json.loads(json.dumps(value))
 
 
+def _golden_events(app: str):
+    """The committed golden trace of ``app``, loaded back."""
+    raw = gzip.decompress(
+        (DATA_DIR / f"{app}_quick_seed0.jsonl.gz").read_bytes()
+    )
+    with tempfile.NamedTemporaryFile(suffix=".jsonl") as tmp:
+        Path(tmp.name).write_bytes(raw)
+        return load_trace(tmp.name)
+
+
 def _module_states(armed: bool) -> dict:
     """Each module's snapshot after replaying the golden trace.
 
@@ -56,12 +66,7 @@ def _module_states(armed: bool) -> dict:
     from repro.core.config import CosmosConfig
     from repro.core.corruption import CorruptionProfile
 
-    raw = gzip.decompress(
-        (DATA_DIR / f"{CORRUPTION_APP}_quick_seed0.jsonl.gz").read_bytes()
-    )
-    with tempfile.NamedTemporaryFile(suffix=".jsonl") as tmp:
-        Path(tmp.name).write_bytes(raw)
-        events = load_trace(tmp.name)
+    events = _golden_events(CORRUPTION_APP)
     bank = PredictorBank(
         CosmosConfig(depth=2),
         corruption=CorruptionProfile(**CORRUPTION_RATES) if armed else None,
@@ -118,7 +123,69 @@ def regenerate_corruption() -> None:
     print(f"{out.name}: written")
 
 
-TARGETS = {"traces": regenerate_traces, "corruption": regenerate_corruption}
+def _forensics(app: str) -> dict:
+    """``explain_trace`` totals, pattern counts and its PHT-size fold."""
+    from repro.obs.forensics import explain_trace, format_pattern
+    from repro.sim.metrics import METRICS
+
+    saved = METRICS.snapshot()
+    METRICS.reset()
+    try:
+        report = explain_trace(_golden_events(app))
+        histogram = METRICS.histogram("pred.pht.block_entries").snapshot()
+    finally:
+        METRICS.reset()
+        METRICS.merge(saved)
+
+    def patterns(counter) -> list:
+        return sorted(
+            [role.value, format_pattern(pattern), count]
+            for (role, pattern), count in counter.items()
+        )
+
+    return {
+        "app": app,
+        "total_refs": report.total_refs,
+        "total_mispredicts": report.total_mispredicts,
+        "pattern_mispredicts": patterns(report.pattern_mispredicts),
+        "pattern_refs": patterns(report.pattern_refs),
+        "pht_block_entries": histogram,
+    }
+
+
+def bank_goldens() -> dict:
+    """Critical-path rows, replacement points and forensics totals."""
+    from repro.experiments.critical_path import run_critical_path
+    from repro.experiments.replacement import run_replacement_study
+
+    critical = run_critical_path(apps=["moldyn"], quick=True, seed=0)
+    replacement = run_replacement_study(quick=True)
+    return _plain(
+        {
+            "critical_path": {
+                app: {
+                    predictor: asdict(summary)
+                    for predictor, summary in rows.items()
+                }
+                for app, rows in critical.summaries.items()
+            },
+            "replacement": [asdict(point) for point in replacement.points],
+            "forensics": _forensics("moldyn"),
+        }
+    )
+
+
+def regenerate_bank() -> None:
+    out = DATA_DIR / "bank_goldens.json"
+    out.write_text(json.dumps(bank_goldens(), indent=1) + "\n")
+    print(f"{out.name}: written")
+
+
+TARGETS = {
+    "traces": regenerate_traces,
+    "corruption": regenerate_corruption,
+    "bank": regenerate_bank,
+}
 
 
 def main(argv=None) -> None:
