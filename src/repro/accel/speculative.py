@@ -66,7 +66,7 @@ def replay_with_speculation(
     costs, the report counts how many times each Table 2 action rule was
     triggered by a correct prediction.
     """
-    bank = PredictorBank(config if config is not None else CosmosConfig())
+    bank = PredictorBank(config)
     hits = 0
     messages = 0
     accelerated = 0.0

@@ -65,7 +65,7 @@ def pht_size_histogram(
     scheme that statically preallocates a few entries per block and
     spills the rest to a shared pool (like LimitLESS directory entries).
     """
-    bank = PredictorBank(config if config is not None else CosmosConfig())
+    bank = PredictorBank(config)
     for event in events:
         bank.observe(event)
     histogram: Counter = Counter()

@@ -9,7 +9,7 @@ from .evaluation import (
     Tally,
     evaluate_trace,
 )
-from .memory import MemoryOverhead, measure_overhead
+from .memory import MemoryOverhead
 from .mhr import MessageHistoryRegister
 from .pht import PatternHistoryTable, PHTEntry
 from .predictor import CosmosPredictor, Observation
@@ -31,7 +31,6 @@ __all__ = [
     "Tally",
     "evaluate_trace",
     "format_tuple",
-    "measure_overhead",
     "pack",
     "unpack",
 ]

@@ -1,27 +1,34 @@
 """A machine-wide bank of Cosmos predictors.
 
 The paper allocates one Cosmos predictor beside every cache module and
-every directory module.  :class:`PredictorBank` manages that collection
-and routes trace events to the right predictor.  ``share_roles=True`` is
-an ablation that merges each node's two predictors into one (cheaper, but
-cache- and directory-side patterns then alias in one table).
+every directory module.  :class:`PredictorBank` is the one collection
+every trace replay takes its predictors from, and routes trace events to
+the right predictor.  ``share_roles=True`` is an ablation that merges
+each node's two predictors into one (cheaper, but cache- and
+directory-side patterns then alias in one table).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..errors import CheckpointError
 from ..protocol.messages import Role
+from ..sim.metrics import METRICS
 from ..trace.events import TraceEvent
 from .config import CosmosConfig
 from .corruption import CorruptionInjector, CorruptionProfile
+from .memory import MemoryOverhead, memory_report
 from .predictor import CosmosPredictor, Observation
 
 
 class PredictorBank:
-    """One predictor per (node, role) -- or per node when roles are shared."""
+    """One predictor per (node, role) -- or per node when roles are shared.
+
+    ``factory`` builds a non-Cosmos predictor per module instead (then
+    ``config`` and corruption are unused).
+    """
 
     def __init__(
         self,
@@ -29,6 +36,7 @@ class PredictorBank:
         share_roles: bool = False,
         corruption: Optional[CorruptionProfile] = None,
         corruption_seed: int = 0,
+        factory: Optional[Callable[[], object]] = None,
     ) -> None:
         self.config = config if config is not None else CosmosConfig()
         self.share_roles = share_roles
@@ -37,7 +45,8 @@ class PredictorBank:
             else None
         )
         self.corruption_seed = corruption_seed
-        self._predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
+        self.factory = factory
+        self._predictors: Dict[Tuple[int, Role], object] = {}
 
     def _key(self, node: int, role: Role) -> Tuple[int, Role]:
         if self.share_roles:
@@ -64,12 +73,15 @@ class PredictorBank:
         key = self._key(node, role)
         predictor = self._predictors.get(key)
         if predictor is None:
-            injector = (
-                self._injector_for(key)
-                if self.corruption is not None
-                else None
-            )
-            predictor = CosmosPredictor(self.config, corruption=injector)
+            if self.factory is not None:
+                predictor = self.factory()
+            else:
+                injector = (
+                    self._injector_for(key)
+                    if self.corruption is not None
+                    else None
+                )
+                predictor = CosmosPredictor(self.config, corruption=injector)
             self._predictors[key] = predictor
         return predictor
 
@@ -84,48 +96,55 @@ class PredictorBank:
     def __len__(self) -> int:
         return len(self._predictors)
 
-    @property
-    def mhr_entries(self) -> int:
-        """Machine-wide MHR entry count (Table 7 denominator)."""
-        return sum(p.mhr_entries for p in self._predictors.values())
+    def _cosmos_config(self) -> Optional[CosmosConfig]:
+        """The modules' config, or ``None`` unless every one is Cosmos."""
+        predictors = self._predictors.values()
+        if not predictors or not all(
+            isinstance(p, CosmosPredictor) for p in predictors
+        ):
+            return None
+        return next(iter(predictors)).config
+
+    def memory_report(self) -> Optional[Dict[str, int]]:
+        """Machine-wide storage totals; ``None`` unless there are Cosmos
+        predictors only."""
+        config = self._cosmos_config()
+        if config is None:
+            return None
+        return memory_report(config, self._predictors.values())
 
     @property
-    def pht_entries(self) -> int:
-        """Machine-wide PHT entry count (Table 7 numerator)."""
-        return sum(p.pht_entries for p in self._predictors.values())
-
-    @property
-    def peak_mhr_entries(self) -> int:
-        """Machine-wide high-water MHR entry count."""
-        return sum(p.peak_mhr_entries for p in self._predictors.values())
-
-    @property
-    def peak_pht_entries(self) -> int:
-        """Machine-wide high-water PHT entry count."""
-        return sum(p.peak_pht_entries for p in self._predictors.values())
-
-    @property
-    def evictions_mhr(self) -> int:
-        """Machine-wide capacity evictions of MHR entries."""
-        return sum(p.evictions_mhr for p in self._predictors.values())
-
-    @property
-    def evictions_pht(self) -> int:
-        """Machine-wide capacity evictions of PHT entries."""
-        return sum(p.evictions_pht for p in self._predictors.values())
-
-    @property
-    def corrupt_injected(self) -> int:
-        """Machine-wide injected corruption events (flips + losses)."""
-        return sum(
-            p.corrupt_flips + p.corrupt_losses
-            for p in self._predictors.values()
+    def overhead(self) -> Optional[MemoryOverhead]:
+        """Machine-wide Table 7 quantities, from :meth:`memory_report`."""
+        report = self.memory_report()
+        if report is None:
+            return None
+        config = self._cosmos_config()
+        return MemoryOverhead(
+            mhr_entries=report["mhr_live"],
+            pht_entries=report["pht_live"],
+            depth=config.depth,
+            tuple_bytes=config.tuple_bytes,
+            block_bytes=config.block_bytes,
+            peak_mhr_entries=report["peak_mhr"],
+            peak_pht_entries=report["peak_pht"],
         )
 
-    @property
-    def corrupt_detected(self) -> int:
-        """Machine-wide parity-detected (and dropped) corrupt entries."""
-        return sum(p.corrupt_detected for p in self._predictors.values())
+    def fold_metrics(self) -> None:
+        """End-of-replay fold: per-block PHT sizes to the
+        ``pred.pht.block_entries`` histogram and, for a capacity-bounded
+        bank only, :meth:`memory_report` to ``pred.mem.*`` counters."""
+        for predictor in self._predictors.values():
+            pht_sizes = getattr(predictor, "pht_sizes", None)
+            if pht_sizes is not None:
+                for size in pht_sizes():
+                    METRICS.observe("pred.pht.block_entries", size)
+        config = self._cosmos_config()
+        if config is not None and (
+            config.mhr_capacity or config.pht_capacity
+        ):
+            for name, value in self.memory_report().items():
+                METRICS.inc(f"pred.mem.{name}", value)
 
     # ------------------------------------------------------------------
     # checkpoint support

@@ -17,18 +17,16 @@ builds Cosmos predictors from a :class:`CosmosConfig`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.log import OBS
 from ..protocol.messages import MessageType, Role
-from ..sim.metrics import METRICS
 from ..trace.events import TraceEvent
+from .bank import PredictorBank
 from .config import CosmosConfig
-from .memory import MemoryOverhead, estimated_table_bytes
-from .predictor import CosmosPredictor
-from .tuples import TUPLE_BITS, TYPE_BITS, MessageTuple
+from .memory import MemoryOverhead
+from .tuples import TUPLE_BITS, TYPE_BITS
 
 #: Arc key: (role, previous message type, current message type).
 ArcKey = Tuple[Role, MessageType, MessageType]
@@ -144,22 +142,16 @@ def evaluate_trace(
     Returns:
         An :class:`EvaluationResult`.
     """
-    if predictor_factory is None:
-        cosmos_config = config if config is not None else CosmosConfig()
-        if not OBS.pred:
-            # The default Cosmos-bank replay runs the fused flat kernel
-            # inline (no per-event method dispatch or Observation
-            # objects); per-event observability capture needs the
-            # object-at-a-time loop below.
-            return _evaluate_trace_flat(
-                events, config, cosmos_config,
-                checkpoint_iterations, track_arcs,
-            )
+    if predictor_factory is None and not OBS.pred:
+        # The default Cosmos-bank replay runs the fused flat kernel
+        # inline (no per-event method dispatch or Observation objects);
+        # per-event observability capture needs the object-at-a-time
+        # loop below.
+        return _evaluate_trace_flat(
+            events, config, checkpoint_iterations, track_arcs
+        )
 
-        def predictor_factory() -> CosmosPredictor:
-            return CosmosPredictor(cosmos_config)
-
-    predictors: Dict[Tuple[int, Role], object] = {}
+    bank = PredictorBank(config, factory=predictor_factory)
     overall = Tally()
     by_role: Dict[Role, Tally] = {Role.CACHE: Tally(), Role.DIRECTORY: Tally()}
     arcs = ArcStats()
@@ -197,12 +189,7 @@ def evaluate_trace(
             flush_checkpoints(event.iteration)
         current_iteration = event.iteration
 
-        key = (event.node, event.role)
-        predictor = predictors.get(key)
-        if predictor is None:
-            predictor = predictor_factory()
-            predictors[key] = predictor
-        observation = predictor.observe(event.block, event.tuple)
+        observation = bank.observe(event)
         hit = observation.hit
         if OBS.pred:
             predicted = observation.predicted
@@ -233,31 +220,20 @@ def evaluate_trace(
             last_type[arc_block] = event.mtype
 
     flush_checkpoints(None)
-
-    # Distribution of per-block PHT sizes across the whole bank -- the
-    # storage skew behind Table 7's totals (one end-of-replay fold).
-    for predictor in predictors.values():
-        pht_sizes = getattr(predictor, "pht_sizes", None)
-        if pht_sizes is not None:
-            for size in pht_sizes():
-                METRICS.observe("pred.pht.block_entries", size)
-
-    _fold_memory_metrics(predictors)
-    overhead = _measure_bank_overhead(predictors)
+    bank.fold_metrics()
     return EvaluationResult(
         config=config,
         overall=overall,
         by_role=by_role,
         arcs=arcs,
         checkpoints=checkpoints,
-        overhead=overhead,
+        overhead=bank.overhead,
     )
 
 
 def _evaluate_trace_flat(
     events: Iterable[TraceEvent],
     config: Optional[CosmosConfig],
-    cosmos_config: CosmosConfig,
     checkpoint_iterations: Iterable[int],
     track_arcs: bool,
 ) -> EvaluationResult:
@@ -272,7 +248,10 @@ def _evaluate_trace_flat(
     ``Observation`` allocation, no enum hashing.  A capacity-bounded
     bank calls the predictor's own eviction hooks at the same points and
     in the same order as the kernel, so both evict the same victims.
+    The bank is asked for a predictor only on a module's first touch.
     """
+    bank = PredictorBank(config)
+    cosmos_config = bank.config
     depth_full_at = 1 << (TUPLE_BITS * cosmos_config.depth)
     full_mask = depth_full_at - 1
     macro = cosmos_config.macroblock_bytes
@@ -286,8 +265,7 @@ def _evaluate_trace_flat(
     # Module state, keyed ``(node << 1) | role-bit``:
     # [mht, phts, predictions, hits, no_prediction, last-type-by-block,
     #  predictor, MHR clock] -- the dicts are the predictor's own, so the
-    # result-facing CosmosPredictor objects see every update for free.
-    predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
+    # bank's CosmosPredictor objects see every update for free.
     modules: Dict[int, list] = {}
     # (role-bit << 8) | (prev type << 4) | current type -> [hits, refs];
     # insertion order is first-occurrence order, same as the generic
@@ -328,8 +306,7 @@ def _evaluate_trace_flat(
         module_key = (event.node << 1) | (role is directory)
         module = modules.get(module_key)
         if module is None:
-            predictor = CosmosPredictor(cosmos_config)
-            predictors[(event.node, role)] = predictor
+            predictor = bank.predictor_for(event.node, role)
             module = modules[module_key] = [
                 predictor._mht, predictor._phts, 0, 0, 0, {},
                 predictor, predictor._mhr_clock,
@@ -407,17 +384,14 @@ def _evaluate_trace_flat(
 
     flush_checkpoints(None)
 
-    # Hand the counters back to the result-facing predictors, then run
-    # the same end-of-replay folds as the generic loop.
+    # Hand the counters back to the bank's predictors, then run the same
+    # end-of-replay fold as the generic loop.
     for module in modules.values():
         predictor = module[6]
         predictor.predictions = module[2]
         predictor.hits = module[3]
         predictor.no_prediction = module[4]
-    for predictor in predictors.values():
-        for size in predictor.pht_sizes():
-            METRICS.observe("pred.pht.block_entries", size)
-    _fold_memory_metrics(predictors)
+    bank.fold_metrics()
 
     overall, by_role = _fold_module_tallies(modules)
     return EvaluationResult(
@@ -426,7 +400,7 @@ def _evaluate_trace_flat(
         by_role=by_role,
         arcs=ArcStats(tallies=_arc_tallies(arc_counts)),
         checkpoints=checkpoints,
-        overhead=_measure_bank_overhead(predictors),
+        overhead=bank.overhead,
     )
 
 
@@ -459,64 +433,3 @@ def _arc_tallies(arc_counts: Dict[int, list]) -> Dict[ArcKey, Tally]:
         ): Tally(hits=counts[0], refs=counts[1])
         for arc_key, counts in arc_counts.items()
     }
-
-
-def _measure_bank_overhead(
-    predictors: Dict[Tuple[int, Role], object]
-) -> Optional[MemoryOverhead]:
-    """Table 7 accounting, when every predictor is a Cosmos predictor."""
-    cosmos = [
-        p for p in predictors.values() if isinstance(p, CosmosPredictor)
-    ]
-    if not cosmos or len(cosmos) != len(predictors):
-        return None
-    config = cosmos[0].config
-    return MemoryOverhead(
-        mhr_entries=sum(p.mhr_entries for p in cosmos),
-        pht_entries=sum(p.pht_entries for p in cosmos),
-        depth=config.depth,
-        tuple_bytes=config.tuple_bytes,
-        block_bytes=config.block_bytes,
-        peak_mhr_entries=sum(p.peak_mhr_entries for p in cosmos),
-        peak_pht_entries=sum(p.peak_pht_entries for p in cosmos),
-    )
-
-
-def _fold_memory_metrics(
-    predictors: Dict[Tuple[int, Role], object]
-) -> None:
-    """Emit ``pred.mem.*`` for capacity-bounded banks.
-
-    Emitted only when a capacity is actually configured, so unbounded
-    runs produce byte-identical metrics to before the knobs existed.
-    Byte estimates use the Table 7 cost model (core/memory.py).
-    """
-    cosmos = [
-        p for p in predictors.values() if isinstance(p, CosmosPredictor)
-    ]
-    if not cosmos:
-        return
-    config = cosmos[0].config
-    if not (config.mhr_capacity or config.pht_capacity):
-        return
-    mhr_live = sum(p.mhr_entries for p in cosmos)
-    pht_live = sum(p.pht_entries for p in cosmos)
-    mhr_peak = sum(p.peak_mhr_entries for p in cosmos)
-    pht_peak = sum(p.peak_pht_entries for p in cosmos)
-    METRICS.inc("pred.mem.mhr_live", mhr_live)
-    METRICS.inc("pred.mem.pht_live", pht_live)
-    METRICS.inc("pred.mem.peak_mhr", mhr_peak)
-    METRICS.inc("pred.mem.peak_pht", pht_peak)
-    METRICS.inc(
-        "pred.mem.evictions_mhr", sum(p.evictions_mhr for p in cosmos)
-    )
-    METRICS.inc(
-        "pred.mem.evictions_pht", sum(p.evictions_pht for p in cosmos)
-    )
-    METRICS.inc(
-        "pred.mem.bytes_est", estimated_table_bytes(config, mhr_live, pht_live)
-    )
-    METRICS.inc(
-        "pred.mem.peak_bytes_est",
-        estimated_table_bytes(config, mhr_peak, pht_peak),
-    )

@@ -16,8 +16,8 @@ why lightly-touched applications (dsmc) can have ratios below one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Iterable
 
-from .bank import PredictorBank
 from .config import CosmosConfig
 
 
@@ -77,20 +77,31 @@ def estimated_table_bytes(
     )
 
 
-def measure_overhead(bank: PredictorBank) -> MemoryOverhead:
-    """Aggregate Table 7 quantities over a whole predictor bank.
+def memory_report(
+    config: CosmosConfig, predictors: Iterable
+) -> Dict[str, int]:
+    """Storage totals over Cosmos ``predictors`` built under ``config``.
 
-    Live entry counts only: a bounded bank's evicted entries are gone
-    from the tables and from this measurement.  Peaks are reported
-    alongside so bounded runs don't silently deflate memory reports.
+    The one place predictor memory is summed (bank overhead, ``pred.mem.*``
+    counters, a serve worker's ``"memory"``).  Entry counts are live;
+    peaks ride along so bounded runs don't deflate memory reports.
     """
-    config: CosmosConfig = bank.config
-    return MemoryOverhead(
-        mhr_entries=bank.mhr_entries,
-        pht_entries=bank.pht_entries,
-        depth=config.depth,
-        tuple_bytes=config.tuple_bytes,
-        block_bytes=config.block_bytes,
-        peak_mhr_entries=bank.peak_mhr_entries,
-        peak_pht_entries=bank.peak_pht_entries,
-    )
+    mhr_live = pht_live = peak_mhr = peak_pht = 0
+    evictions_mhr = evictions_pht = 0
+    for predictor in predictors:
+        mhr_live += predictor.mhr_entries
+        pht_live += predictor.pht_entries
+        peak_mhr += predictor.peak_mhr_entries
+        peak_pht += predictor.peak_pht_entries
+        evictions_mhr += predictor.evictions_mhr
+        evictions_pht += predictor.evictions_pht
+    return {
+        "mhr_live": mhr_live,
+        "pht_live": pht_live,
+        "peak_mhr": peak_mhr,
+        "peak_pht": peak_pht,
+        "evictions_mhr": evictions_mhr,
+        "evictions_pht": evictions_pht,
+        "bytes_est": estimated_table_bytes(config, mhr_live, pht_live),
+        "peak_bytes_est": estimated_table_bytes(config, peak_mhr, peak_pht),
+    }

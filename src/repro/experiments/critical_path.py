@@ -26,7 +26,6 @@ from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
 from ..obs.critpath import (
     CritPathSummary,
-    ReplayBank,
     attributed_paths,
     fold_critpath_metrics,
     replay_outcomes,
@@ -140,7 +139,7 @@ def run_critical_path(
                 outcomes = replay_outcomes(
                     events,
                     transactions,
-                    ReplayBank(LastMessagePredictor),
+                    PredictorBank(factory=LastMessagePredictor),
                 )
             else:
                 outcomes = replay_outcomes(

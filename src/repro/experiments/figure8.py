@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence
 
+from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
 from ..predictors.base import MessagePredictor
 from ..predictors.cosmos_adapter import CosmosAdapter
@@ -137,18 +138,14 @@ def _score_predictors(
 ) -> List[PredictorScore]:
     scores: List[PredictorScore] = []
     for name, factory in factories.items():
-        per_module: Dict[int, MessagePredictor] = {}
+        bank = PredictorBank(factory=factory)
         for event in events:
-            if event.role is not Role.CACHE:
-                continue
-            predictor = per_module.get(event.node)
-            if predictor is None:
-                predictor = factory()
-                per_module[event.node] = predictor
-            predictor.observe(event.block, event.tuple)
-        hits = sum(p.hits for p in per_module.values())
-        preds = sum(p.predictions for p in per_module.values())
-        refs = preds + sum(p.no_prediction for p in per_module.values())
+            if event.role is Role.CACHE:
+                bank.observe(event)
+        modules = [predictor for _key, predictor in bank]
+        hits = sum(p.hits for p in modules)
+        preds = sum(p.predictions for p in modules)
+        refs = preds + sum(p.no_prediction for p in modules)
         scores.append(
             PredictorScore(
                 predictor=name,

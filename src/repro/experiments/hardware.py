@@ -17,13 +17,11 @@ paper leaves open:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..analysis.report import render_table
+from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
-from ..core.evaluation import evaluate_trace
-from ..protocol.messages import Role
-from ..core.predictor import CosmosPredictor
 from ..trace.events import TraceEvent
 from .common import get_trace
 
@@ -96,20 +94,16 @@ def _run_bank(
     events: Iterable[TraceEvent], config: CosmosConfig
 ) -> Tuple[int, int, int, int]:
     """(hits, predictions, refs, evictions) over a per-module bank."""
-    predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
+    bank = PredictorBank(config)
     hits = predictions = refs = 0
     for event in events:
-        key = (event.node, event.role)
-        predictor = predictors.get(key)
-        if predictor is None:
-            predictor = CosmosPredictor(config)
-            predictors[key] = predictor
-        observation = predictor.observe(event.block, event.tuple)
+        observation = bank.observe(event)
         refs += 1
         if observation.predicted is not None:
             predictions += 1
             hits += observation.hit
-    evictions = sum(p.evictions_mhr for p in predictors.values())
+    report = bank.memory_report()
+    evictions = report["evictions_mhr"] if report is not None else 0
     return hits, predictions, refs, evictions
 
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import random
 
 from ..analysis.report import render_table
+from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
-from ..core.predictor import CosmosPredictor
 from ..protocol.messages import Role
 from ..protocol.stache import StacheOptions
 from ..sim.machine import Machine
@@ -93,16 +93,9 @@ def evaluate_with_history_loss(
     predictor (directory-side history is unaffected -- directory state is
     persistent, as Section 3.7 notes).
     """
-    config = config if config is not None else CosmosConfig(depth=1)
-    predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
-
-    def predictor_for(node: int, role: Role) -> CosmosPredictor:
-        key = (node, role)
-        predictor = predictors.get(key)
-        if predictor is None:
-            predictor = CosmosPredictor(config)
-            predictors[key] = predictor
-        return predictor
+    bank = PredictorBank(
+        config if config is not None else CosmosConfig(depth=1)
+    )
 
     # Merge the two time-ordered streams (tag 0 = replacement first at a
     # tie: the eviction happens before the next message is handled).
@@ -117,12 +110,9 @@ def evaluate_with_history_loss(
     for _time, tag, payload in timeline:
         if tag == 0:
             node, block = payload
-            predictor_for(node, Role.CACHE).forget(block)
+            bank.predictor_for(node, Role.CACHE).forget(block)
         else:
-            event = payload
-            observation = predictor_for(event.node, event.role).observe(
-                event.block, event.tuple
-            )
+            observation = bank.observe(payload)
             refs += 1
             hits += observation.hit
     return hits / refs if refs else 0.0

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..protocol.messages import MessageType, Role
+from ..protocol.messages import MessageType
 from ..sim.metrics import METRICS, Metrics
 from ..trace.events import TraceEvent
 from .spans import SEGMENT_KINDS, Transaction
@@ -224,27 +224,6 @@ def _walk(
 # ---------------------------------------------------------------------------
 
 
-class ReplayBank:
-    """One :class:`~repro.predictors.base.MessagePredictor` per module.
-
-    The trace-replay twin of :class:`repro.core.bank.PredictorBank` for
-    the baseline predictors: ``factory`` builds a fresh predictor for
-    each ``(node, role)`` the trace touches.
-    """
-
-    def __init__(self, factory) -> None:
-        self._factory = factory
-        self._predictors: Dict[Tuple[int, Role], object] = {}
-
-    def observe(self, event: TraceEvent):
-        key = (event.node, event.role)
-        predictor = self._predictors.get(key)
-        if predictor is None:
-            predictor = self._factory()
-            self._predictors[key] = predictor
-        return predictor.observe(event.block, event.tuple)
-
-
 def request_arrival_index(
     transactions: Mapping[int, Transaction],
 ) -> Dict[Tuple[int, int, int, int, int], List[int]]:
@@ -279,8 +258,8 @@ def replay_outcomes(
 ) -> Dict[int, Optional[str]]:
     """Replay ``bank`` over ``events``; score each transaction's request.
 
-    ``bank`` is anything with ``observe(event) -> Observation``
-    (:class:`repro.core.bank.PredictorBank`, :class:`ReplayBank`).  Every
+    ``bank`` is a :class:`repro.core.bank.PredictorBank` (or anything
+    with ``observe(event) -> Observation``).  Every
     event trains the bank, exactly as the module's predictor would see
     the message stream online; when an event is a request's arrival at
     its home directory, the observation scores that transaction:

@@ -27,11 +27,10 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
-from ..core.predictor import CosmosPredictor
 from ..core.tuples import MessageTuple, unpack_pattern
 from ..protocol.messages import Role
-from ..sim.metrics import METRICS
 from ..trace.events import TraceEvent
 
 #: A PHT-indexing history pattern (the MHR contents, oldest first).
@@ -222,14 +221,10 @@ def explain_trace(
     """
     config = config if config is not None else CosmosConfig()
     report = ForensicsReport(config=config, per_block=per_block)
-    predictors: Dict[Tuple[int, Role], CosmosPredictor] = {}
+    bank = PredictorBank(config)
 
     for event in events:
-        module = (event.node, event.role)
-        predictor = predictors.get(module)
-        if predictor is None:
-            predictor = CosmosPredictor(config)
-            predictors[module] = predictor
+        predictor = bank.predictor_for(event.node, event.role)
         actual = event.tuple
         predicted = predictor.predict(event.block)
 
@@ -274,9 +269,6 @@ def explain_trace(
                     )
                 )
         predictor.update(event.block, actual)
-    # Same end-of-replay fold as core.evaluation: the per-block PHT size
-    # distribution (Table 7's hardware-cost quantity) as a histogram.
-    for predictor in predictors.values():
-        for size in predictor.pht_sizes():
-            METRICS.observe("pred.pht.block_entries", size)
+    # Same end-of-replay fold as core.evaluation.
+    bank.fold_metrics()
     return report

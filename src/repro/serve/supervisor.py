@@ -36,6 +36,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Deque, List, Optional, Tuple
 
@@ -51,6 +52,13 @@ from .worker import worker_main
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: How long a spawned worker may take to import, warm-restore and send
+#: its ready handshake.  Start-up is not an observation, so the hang
+#: budget does not apply; this bound only catches a worker that is alive
+#: but wedged, far above any real start-up (about half a second).  A
+#: worker that dies during start-up fails at once, not after this wait.
+READY_TIMEOUT_S = 60.0
 
 
 class WorkerDown(ServeError):
@@ -178,14 +186,16 @@ class ShardSupervisor:
         )
         proc.start()
         child_conn.close()
-        if not parent_conn.poll(self._budget.wall_clock_s):
+        if not wait([parent_conn, proc.sentinel], READY_TIMEOUT_S):
             proc.kill()
             proc.join(timeout=10)
             raise ServeError(
                 f"shard {index} worker (epoch {epoch}) never became ready "
-                f"within {self._budget.wall_clock_s:g}s"
+                f"within {READY_TIMEOUT_S:g}s"
             )
         try:
+            if not parent_conn.poll():
+                raise EOFError("worker exited without a handshake")
             ready = parent_conn.recv()
         except (EOFError, OSError) as exc:
             proc.join(timeout=10)

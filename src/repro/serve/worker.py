@@ -30,31 +30,12 @@ import signal
 import time
 from typing import Dict
 
-from ..core.memory import estimated_table_bytes
+from ..core.memory import memory_report
 from ..core.predictor import CosmosPredictor
 from ..parallel.seeds import derive_seed
 from ..sim.metrics import METRICS
 from .config import ServeConfig
 from .state import load_latest_shard_state, save_shard_checkpoint
-
-
-def _mem_report(banks: Dict[str, CosmosPredictor], pconfig) -> dict:
-    """This shard's predictor memory, summed over its tenant banks."""
-    mhr = sum(p.mhr_entries for p in banks.values())
-    pht = sum(p.pht_entries for p in banks.values())
-    peak_mhr = sum(p.peak_mhr_entries for p in banks.values())
-    peak_pht = sum(p.peak_pht_entries for p in banks.values())
-    return {
-        "tenants": len(banks),
-        "mhr_live": mhr,
-        "pht_live": pht,
-        "peak_mhr": peak_mhr,
-        "peak_pht": peak_pht,
-        "evictions_mhr": sum(p.evictions_mhr for p in banks.values()),
-        "evictions_pht": sum(p.evictions_pht for p in banks.values()),
-        "bytes_est": estimated_table_bytes(pconfig, mhr, pht),
-        "peak_bytes_est": estimated_table_bytes(pconfig, peak_mhr, peak_pht),
-    }
 
 
 def worker_main(
@@ -95,6 +76,12 @@ def worker_main(
             predictor.enforce_capacity()
         banks[tenant] = predictor
     last_checkpoint = trained
+
+    def memory() -> dict:
+        """This shard's predictor memory, over its tenant banks."""
+        report = memory_report(pconfig, banks.values())
+        return {"tenants": len(banks), **report}
+
     kill_at = set(chaos.get("kill_at", ())) if epoch == 0 else set()
     stall_at = dict(chaos.get("stall_at", {})) if epoch == 0 else {}
 
@@ -113,7 +100,7 @@ def worker_main(
                 {
                     "op": "pong",
                     "trained": trained,
-                    "mem": _mem_report(banks, pconfig),
+                    "mem": memory(),
                 }
             )
             continue
@@ -150,7 +137,7 @@ def worker_main(
         if evicting:
             response["evicting"] = True
         if bounded:
-            response["mem"] = _mem_report(banks, pconfig)
+            response["mem"] = memory()
         conn.send(response)
         if trained in kill_at:
             # The response above is already written into the pipe; this

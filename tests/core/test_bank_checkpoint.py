@@ -46,8 +46,7 @@ class TestRoundTrip:
         restored = PredictorBank(config=CosmosConfig(depth=2))
         restored.restore_state(state)
         assert len(restored) == len(bank)
-        assert restored.mhr_entries == bank.mhr_entries
-        assert restored.pht_entries == bank.pht_entries
+        assert restored.overhead == bank.overhead
         # The restored bank predicts identically on the next observation.
         probe = event(sender=2, mtype=MessageType.INVAL_RO_RESPONSE)
         assert bank.observe(probe) == restored.observe(probe)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.bank import PredictorBank
 from repro.core.config import CosmosConfig
-from repro.core.memory import MemoryOverhead, measure_overhead
+from repro.core.memory import MemoryOverhead, memory_report
+from repro.predictors.last_message import LastMessagePredictor
 from repro.protocol.messages import MessageType, Role
+from repro.sim.metrics import METRICS
 from repro.trace.events import TraceEvent
 
 TUP = (1, MessageType.GET_RO_REQUEST)
@@ -44,8 +46,20 @@ class TestBank:
         for _ in range(3):
             bank.observe(event(node=0, block=0))
             bank.observe(event(node=1, block=0))
-        assert bank.mhr_entries == 2  # one block at two modules
-        assert bank.pht_entries == 2
+        assert bank.overhead.mhr_entries == 2  # one block at two modules
+        assert bank.overhead.pht_entries == 2
+
+    def test_factory_builds_every_module(self):
+        bank = PredictorBank(factory=LastMessagePredictor)
+        bank.observe(event(node=0, role=Role.DIRECTORY))
+        bank.observe(event(node=1, role=Role.CACHE))
+        assert len(bank) == 2
+        assert all(
+            isinstance(p, LastMessagePredictor) for _key, p in bank
+        )
+        # Table 7 storage is only defined for Cosmos predictors.
+        assert bank.memory_report() is None
+        assert bank.overhead is None
 
     def test_config_propagates(self):
         bank = PredictorBank(CosmosConfig(depth=3))
@@ -89,11 +103,57 @@ class TestMemoryOverhead:
             overhead.overhead_percent * 1.28
         )
 
-    def test_measure_overhead_from_bank(self):
+    def test_overhead_from_bank(self):
         bank = PredictorBank(CosmosConfig(depth=1))
+        assert bank.overhead is None  # nothing referenced yet
         for _ in range(3):
             bank.observe(event(node=0, block=0))
-        overhead = measure_overhead(bank)
+        overhead = bank.overhead
         assert overhead.mhr_entries == 1
         assert overhead.pht_entries == 1
         assert overhead.depth == 1
+
+
+class TestMemoryReport:
+    def test_no_predictors_report_zeros(self):
+        report = memory_report(CosmosConfig(), [])
+        assert list(report) == [
+            "mhr_live", "pht_live", "peak_mhr", "peak_pht",
+            "evictions_mhr", "evictions_pht", "bytes_est", "peak_bytes_est",
+        ]
+        assert set(report.values()) == {0}
+
+    def test_bank_totals_every_module(self):
+        config = CosmosConfig(depth=1)
+        bank = PredictorBank(config)
+        for _ in range(3):
+            bank.observe(event(node=0, block=0))
+            bank.observe(event(node=1, block=0))
+            bank.observe(event(node=1, block=1))
+        report = bank.memory_report()
+        assert report == memory_report(config, [p for _key, p in bank])
+        assert (report["mhr_live"], report["pht_live"]) == (3, 3)
+        # An MHR entry is `depth` tuples, a PHT entry `depth + 1`.
+        assert report["bytes_est"] == config.tuple_bytes * (3 * 1 + 3 * 2)
+
+    @pytest.mark.parametrize("capacity", [0, 4])
+    def test_fold_emits_memory_counters_only_when_bounded(self, capacity):
+        bank = PredictorBank(
+            CosmosConfig(depth=1, mhr_capacity=capacity)
+        )
+        for _ in range(3):
+            bank.observe(event(node=0, block=0))
+        METRICS.reset()
+        try:
+            bank.fold_metrics()
+            counters = METRICS.snapshot()["counters"]
+            histogram = METRICS.histogram("pred.pht.block_entries")
+        finally:
+            METRICS.reset()
+        assert histogram.count == 1
+        memory = {
+            name[len("pred.mem."):]: value
+            for name, value in counters.items()
+            if name.startswith("pred.mem.")
+        }
+        assert memory == (bank.memory_report() if capacity else {})

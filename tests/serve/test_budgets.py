@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro.core.memory import memory_report
 from repro.core.predictor import CosmosPredictor
 from repro.core.tuples import pack
 from repro.errors import ConfigError
@@ -129,6 +130,22 @@ class TestBudgetedService:
         assert memory["evictions_mhr"] > 0
         assert memory["bytes_est"] > 0
         assert memory["peak_mhr"] >= memory["mhr_live"]
+
+        # Exactly: the report built over budget-aware mirrors replayed
+        # in admission-ordinal order, key for key and in the same order.
+        pconfig = config.predictor_config()
+        mirrors = {}
+        for result in sorted(report.results, key=lambda r: r.index):
+            mirror = mirrors.get(result.tenant)
+            if mirror is None:
+                mirror = mirrors[result.tenant] = CosmosPredictor(pconfig)
+            mirror.observe_word(result.block, result.word)
+        expected = {
+            "tenants": len(mirrors),
+            **memory_report(pconfig, mirrors.values()),
+        }
+        assert list(memory) == list(expected)
+        assert memory == expected
 
     def test_unbudgeted_mirrors_would_catch_a_budget_mismatch(self):
         # Sanity for the oracle itself: verifying a budgeted run with

@@ -201,3 +201,25 @@ def test_hang_past_budget_is_killed_and_restored(tmp_path):
         assert json.loads(forensics.read_text())["exitcode"] == -9
 
     asyncio.run(main())
+
+
+def test_start_up_is_not_bounded_by_the_hang_budget(tmp_path):
+    async def main():
+        # A spawned worker takes far longer than 50 ms to import and
+        # send its ready handshake; the hang budget covers observations,
+        # not start-up, so the service must still come up and serve.
+        config = ServeConfig(shards=1, deadline_ms=10.0, hang_timeout_ms=50.0)
+        service = PredictionService(config, checkpoint_dir=tmp_path)
+        await service.start()
+        try:
+            async with ServeClient(
+                "127.0.0.1", service.port, "start-up"
+            ) as client:
+                response = await client.observe(
+                    "t", 0, 0, int(MessageType.GET_RO_RESPONSE)
+                )
+                assert response.status == Status.OK
+        finally:
+            await service.stop()
+
+    asyncio.run(main())
