@@ -9,9 +9,8 @@ renames.  A reader (or a resumed run) therefore sees either the complete
 old file, the complete new file, or no file -- never a truncated one,
 no matter when the writing process is killed.
 
-The pattern matches what :mod:`repro.trace.cache` has always done for
-cache entries; this module centralizes it so the other writers stop
-open-coding ``open(path, "w")``.
+Trace-cache entries (:mod:`repro.trace.cache`) are stored the same way;
+this module centralizes the pattern so no writer open-codes it.
 """
 
 from __future__ import annotations

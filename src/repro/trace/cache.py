@@ -13,8 +13,9 @@ pickle frames: a small metadata header (format version, event count,
 SHA-256 of the payload, the human-readable key descriptor) followed by
 the pickled event list.  Loads verify the hash and count; any mismatch,
 truncation, or unpickling error is treated as a miss -- the corrupt file
-is removed and the caller re-simulates.  Writes go through a temp file
-and ``os.replace`` so concurrent workers never observe a half-written
+is removed and the caller re-simulates.  Writes go through
+:func:`repro.ioutil.atomic_write` (a temp file moved into place with
+``os.replace``) so concurrent workers never observe a half-written
 trace.  Bump :data:`FORMAT_VERSION` whenever the event schema or the
 simulator's timing model changes meaning: old entries then simply stop
 matching and are re-simulated.
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..ioutil import atomic_write
 from ..obs.manifest import build_manifest
 from ..sim.metrics import METRICS
 from ..sim.params import SystemParams
@@ -143,7 +143,6 @@ class TraceCache:
     def store(self, key: TraceCacheKey, events: List[TraceEvent]) -> Path:
         """Atomically write ``events`` under ``key``; return the path."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         with METRICS.timer("trace.cache.store"):
             payload = pickle.dumps(
                 list(events), protocol=pickle.HIGHEST_PROTOCOL
@@ -161,19 +160,8 @@ class TraceCache:
                     "trace-cache-store", digest=key.digest
                 ),
             }
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key.digest[:8]}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(header, handle)
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            with atomic_write(path, "wb") as handle:
+                pickle.dump(header, handle)
+                handle.write(payload)
         METRICS.inc("trace.cache.stored")
         return path
