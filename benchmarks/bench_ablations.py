@@ -18,6 +18,7 @@ from repro.analysis.overhead import (
 from repro.core.bank import PredictorBank
 from repro.core.config import CosmosConfig
 from repro.core.evaluation import evaluate_trace
+from repro.core.predictor import CosmosPredictor
 from repro.experiments.common import iterations_for, workload_for
 from repro.predictors.last_message import LastMessagePredictor
 from repro.predictors.most_common import MostCommonPredictor
@@ -137,11 +138,9 @@ def test_ablation_cosmos_vs_baselines(benchmark, quick_traces):
         return hits / refs
 
     def run():
-        from repro.predictors.cosmos_adapter import CosmosAdapter
-
         return {
             "cosmos-d2": bank_accuracy(
-                lambda: CosmosAdapter(CosmosConfig(depth=2))
+                lambda: CosmosPredictor(CosmosConfig(depth=2))
             ),
             "last-message": bank_accuracy(LastMessagePredictor),
             "most-common": bank_accuracy(MostCommonPredictor),

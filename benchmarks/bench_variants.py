@@ -8,7 +8,7 @@ the paper's design could have been simplified, and what each costs.
 from conftest import SEED, once
 
 from repro.core.config import CosmosConfig
-from repro.predictors.cosmos_adapter import CosmosAdapter
+from repro.core.predictor import CosmosPredictor
 from repro.predictors.variants import GlobalHistoryCosmos, TypeOnlyCosmos
 from repro.protocol.messages import Role
 
@@ -31,7 +31,7 @@ def test_variants(benchmark, quick_traces):
     def run():
         results = {}
         for name, factory in (
-            ("cosmos", lambda: CosmosAdapter(config)),
+            ("cosmos", lambda: CosmosPredictor(config)),
             ("type-only", lambda: TypeOnlyCosmos(config)),
             ("global-history", lambda: GlobalHistoryCosmos(config)),
         ):
@@ -74,8 +74,8 @@ def test_hybrid_and_set_extensions(benchmark, quick_traces):
     def run():
         results = {}
         for name, factory in (
-            ("cosmos-d1", lambda: CosmosAdapter(CosmosConfig(depth=1))),
-            ("cosmos-d3", lambda: CosmosAdapter(CosmosConfig(depth=3))),
+            ("cosmos-d1", lambda: CosmosPredictor(CosmosConfig(depth=1))),
+            ("cosmos-d3", lambda: CosmosPredictor(CosmosConfig(depth=3))),
             ("hybrid-d1d3", HybridCosmos),
         ):
             accuracy, _ = _score(events, factory)

@@ -9,9 +9,8 @@ producer-consumer, where even simple predictors do well).
     python examples/predictor_shootout.py
 """
 
-from repro.core import CosmosConfig
+from repro.core import CosmosConfig, CosmosPredictor
 from repro.predictors import (
-    CosmosAdapter,
     DSIPredictor,
     LastMessagePredictor,
     MigratoryPredictor,
@@ -22,8 +21,8 @@ from repro.sim import simulate
 from repro.workloads import make_workload
 
 FACTORIES = {
-    "cosmos-d1": lambda: CosmosAdapter(CosmosConfig(depth=1)),
-    "cosmos-d3": lambda: CosmosAdapter(CosmosConfig(depth=3)),
+    "cosmos-d1": lambda: CosmosPredictor(CosmosConfig(depth=1)),
+    "cosmos-d3": lambda: CosmosPredictor(CosmosConfig(depth=3)),
     "migratory": lambda: MigratoryPredictor(predict_reacquire=True),
     "dsi": DSIPredictor,
     "last-message": LastMessagePredictor,

@@ -11,7 +11,7 @@ Figure 3 -- while it locks onto the pattern.
 
 from repro.analysis import extract_signatures, measure_arcs
 from repro.core import CosmosConfig, CosmosPredictor, format_tuple
-from repro.core.tuples import unpack_pattern
+from repro.core.tuples import format_pattern
 from repro.experiments import ProducerConsumerMicro
 from repro.protocol import Role
 from repro.sim import simulate
@@ -57,10 +57,10 @@ def main() -> None:
 
     # Dump the learned Pattern History Table (Figure 3b).
     print("\nlearned PHT for the block (pattern -> prediction):")
-    pht = predictor.pht_of(workload.block)
-    for pattern, entry in sorted(pht.items(), key=str):
-        shown = " ".join(format_tuple(t) for t in unpack_pattern(pattern))
-        print(f"  {shown:>34s} -> {format_tuple(entry.prediction)}")
+    table = predictor.pattern_table(workload.block)
+    for pattern, (prediction, _counter) in sorted(table.items()):
+        shown = format_pattern(pattern)
+        print(f"  {shown:>34s} -> {format_tuple(prediction)}")
 
     accuracy = predictor.accuracy
     print(f"\ndirectory-side accuracy over the whole run: {accuracy:.1%}")

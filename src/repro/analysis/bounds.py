@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..core.config import CosmosConfig
 from ..core.evaluation import evaluate_trace
-from ..core.mhr import MessageHistoryRegister
+from ..core.tuples import TUPLE_BITS, pack, shift_history
 from ..protocol.messages import Role
 from ..trace.events import TraceEvent
 
@@ -68,20 +68,19 @@ def optimal_table_accuracy(
     per-module Cosmos uses.  References observed before a block's MHR
     fills have no context and count as unavoidable misses.
     """
+    full_at = 1 << (TUPLE_BITS * depth)
     counters: Dict[tuple, Counter] = defaultdict(Counter)
-    mhrs: Dict[tuple, MessageHistoryRegister] = {}
+    #: (node, role, block) -> marker-led packed history word.
+    histories: Dict[tuple, int] = {}
     references = 0
     for event in events:
         references += 1
         key = (event.node, event.role, event.block)
-        mhr = mhrs.get(key)
-        if mhr is None:
-            mhr = MessageHistoryRegister(depth)
-            mhrs[key] = mhr
-        pattern = mhr.pattern()
-        if pattern is not None:
-            counters[key + (pattern,)][event.tuple] += 1
-        mhr.shift(event.tuple)
+        history = histories.get(key, 1)
+        word = pack(event.tuple)
+        if history >= full_at:
+            counters[key + (history,)][word] += 1
+        histories[key] = shift_history(history, word, full_at)
     optimal_hits = sum(
         counter.most_common(1)[0][1] for counter in counters.values()
     )

@@ -10,8 +10,6 @@ from .evaluation import (
     evaluate_trace,
 )
 from .memory import MemoryOverhead
-from .mhr import MessageHistoryRegister
-from .pht import PatternHistoryTable, PHTEntry
 from .predictor import CosmosPredictor, Observation
 from .tuples import MessageTuple, format_tuple, pack, unpack
 
@@ -22,11 +20,8 @@ __all__ = [
     "EvaluationResult",
     "IterationCheckpoint",
     "MemoryOverhead",
-    "MessageHistoryRegister",
     "MessageTuple",
     "Observation",
-    "PHTEntry",
-    "PatternHistoryTable",
     "PredictorBank",
     "Tally",
     "evaluate_trace",

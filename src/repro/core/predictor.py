@@ -23,19 +23,18 @@ stored words themselves; their parity bits live in side tables
 an unarmed predictor carries no parity state.
 
 Snapshots use the readable tuple form for histories, patterns, and
-predictions, so checkpoints stay format-compatible.
+predictions, so checkpoints stay format-compatible; :meth:`history` and
+:meth:`pattern_table` read one block's state back in the same form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import CosmosConfig
 from .corruption import CorruptionInjector, ParityTables, sender_bit
 from .eviction import ClockOrder
-from .mhr import MessageHistoryRegister
-from .pht import PatternHistoryTable
 from .tuples import (
     TUPLE_BITS,
     MessageTuple,
@@ -63,6 +62,26 @@ class Observation:
     def type_hit(self) -> bool:
         """Whether at least the message type matched (diagnostic only)."""
         return self.predicted is not None and self.predicted[1] == self.actual[1]
+
+
+def train_entry(entry: List[int], word: int, max_count: int) -> None:
+    """Train one ``[prediction word, counter]`` PHT entry on ``word``.
+
+    The single-sided saturating noise filter (Section 3.6): a
+    confirmation raises the counter up to ``max_count``, a misprediction
+    lowers it, and only a misprediction at zero replaces the prediction.
+    With ``max_count = 0`` every misprediction replaces it (Table 6's
+    "no filter" column).  :meth:`CosmosPredictor.observe_word` and the
+    replay loop in :mod:`repro.core.evaluation` inline this rule.
+    """
+    stored, counter = entry
+    if stored == word:
+        if counter < max_count:
+            entry[1] = counter + 1
+    elif counter > 0:
+        entry[1] = counter - 1
+    else:
+        entry[0] = word
 
 
 class CosmosPredictor:
@@ -536,26 +555,25 @@ class CosmosPredictor:
         live = self.pht_entries
         return live if live > self._peak_pht else self._peak_pht
 
-    def pht_of(self, block: int) -> Optional[PatternHistoryTable]:
-        """A read-only materialized view of the block's PHT (mutations do
-        not write back)."""
+    def history(self, block: int) -> Optional[Tuple[MessageTuple, ...]]:
+        """The block's MHR contents, oldest first, or ``None`` if it has
+        no MHR.  Fewer than ``depth`` tuples while the register fills."""
+        found = self._mht.get(self._key(block))
+        return unpack_pattern(found) if found is not None else None
+
+    def pattern_table(
+        self, block: int
+    ) -> Optional[Dict[Tuple[MessageTuple, ...], Tuple[MessageTuple, int]]]:
+        """The block's PHT as ``{pattern: (prediction, filter counter)}``
+        in the readable tuple form, or ``None`` before it is allocated.
+        A copy: editing it does not change the predictor."""
         table = self._phts.get(self._key(block))
         if table is None:
             return None
-        view = PatternHistoryTable(self.config.filter_max_count)
-        for pattern, (prediction, counter) in table.items():
-            view.train(pattern, tuple_of_word(prediction))
-            view.entry(pattern).counter = counter
-        return view
-
-    def mhr_of(self, block: int) -> Optional[MessageHistoryRegister]:
-        """A read-only materialized view of the block's MHR."""
-        found = self._mht.get(self._key(block))
-        if found is None:
-            return None
-        view = MessageHistoryRegister(self.config.depth)
-        view._word = found
-        return view
+        return {
+            unpack_pattern(pattern): (tuple_of_word(prediction), counter)
+            for pattern, (prediction, counter) in table.items()
+        }
 
     def pht_sizes(self) -> Tuple[int, ...]:
         """Per-block PHT entry counts (for preallocation analysis)."""

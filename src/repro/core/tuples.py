@@ -15,14 +15,14 @@ depth-``d`` history ``(t_0 .. t_{d-1})`` (oldest first) becomes
 ``1 << 16*d | pack(t_0) << 16*(d-1) | ... | pack(t_{d-1})``.  The leading
 marker bit makes the word self-describing (its bit length encodes how
 many tuples it holds), lets a shift register renormalize with two int
-operations, and keeps the all-zero history distinct from the empty one.
-Pattern words are what :class:`~repro.core.pht.PatternHistoryTable` keys
-on.
+operations (:func:`shift_history`), and keeps the all-zero history
+distinct from the empty one.  Every Cosmos pattern table keys on pattern
+words.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..errors import ConfigError
 from ..protocol.messages import MessageType
@@ -85,6 +85,18 @@ def pack_pattern(tuples: Iterable[MessageTuple]) -> int:
     return word
 
 
+def shift_history(history: int, word: int, full_at: int) -> int:
+    """Shift packed tuple ``word`` into a marker-led ``history``.
+
+    ``full_at`` is ``1 << TUPLE_BITS * depth``: a history at or above it
+    holds ``depth`` tuples, so the oldest drops out and the marker is
+    re-planted.  The empty history is ``1``.
+    """
+    if history >= full_at:
+        return full_at | (((history << TUPLE_BITS) | word) & (full_at - 1))
+    return (history << TUPLE_BITS) | word
+
+
 def pattern_length(word: int) -> int:
     """How many tuples a pattern word holds."""
     if word < 1:
@@ -106,7 +118,17 @@ def unpack_pattern(word: int) -> Tuple[MessageTuple, ...]:
     )
 
 
-def format_tuple(tup: MessageTuple) -> str:
-    """Human-readable ``<P<n>, type>`` rendering, as the paper prints them."""
+def format_tuple(tup: Optional[MessageTuple]) -> str:
+    """Human-readable ``<P<n>, type>`` rendering, as the paper prints them.
+
+    ``None`` (no tuple) renders as ``<none>``.
+    """
+    if tup is None:
+        return "<none>"
     sender, mtype = tup
     return f"<P{sender}, {mtype}>"
+
+
+def format_pattern(pattern: Iterable[MessageTuple]) -> str:
+    """A history pattern as space-separated :func:`format_tuple` tuples."""
+    return " ".join(format_tuple(tup) for tup in pattern)

@@ -17,8 +17,7 @@ from typing import Callable, Dict, Iterable, List, Sequence
 
 from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
-from ..predictors.base import MessagePredictor
-from ..predictors.cosmos_adapter import CosmosAdapter
+from ..core.predictor import CosmosPredictor
 from ..predictors.dsi import DSIPredictor
 from ..predictors.last_message import LastMessagePredictor
 from ..predictors.migratory import MigratoryPredictor
@@ -134,7 +133,7 @@ class Figure8Result:
 
 def _score_predictors(
     events: Sequence[TraceEvent],
-    factories: Dict[str, Callable[[], MessagePredictor]],
+    factories: Dict[str, Callable[[], object]],
 ) -> List[PredictorScore]:
     scores: List[PredictorScore] = []
     for name, factory in factories.items():
@@ -157,11 +156,11 @@ def _score_predictors(
     return scores
 
 
-def default_factories() -> Dict[str, Callable[[], MessagePredictor]]:
+def default_factories() -> Dict[str, Callable[[], object]]:
     """The standard comparison line-up."""
     return {
-        "cosmos-d1": lambda: CosmosAdapter(CosmosConfig(depth=1)),
-        "cosmos-d2": lambda: CosmosAdapter(CosmosConfig(depth=2)),
+        "cosmos-d1": lambda: CosmosPredictor(CosmosConfig(depth=1)),
+        "cosmos-d2": lambda: CosmosPredictor(CosmosConfig(depth=2)),
         "migratory": lambda: MigratoryPredictor(predict_reacquire=True),
         "dsi": lambda: DSIPredictor(),
         "last-message": LastMessagePredictor,

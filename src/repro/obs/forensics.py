@@ -29,7 +29,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
-from ..core.tuples import MessageTuple, unpack_pattern
+from ..core.tuples import MessageTuple, format_pattern, format_tuple
 from ..protocol.messages import Role
 from ..trace.events import TraceEvent
 
@@ -38,18 +38,6 @@ Pattern = Tuple[MessageTuple, ...]
 
 #: Capture-ring key: (node, role, block).
 ModuleBlock = Tuple[int, Role, int]
-
-
-def format_tuple(tup: Optional[MessageTuple]) -> str:
-    """``<P3, get_ro_request>`` -- the paper's tuple notation."""
-    if tup is None:
-        return "<none>"
-    sender, mtype = tup
-    return f"<P{sender}, {mtype}>"
-
-
-def format_pattern(pattern: Iterable[MessageTuple]) -> str:
-    return " ".join(format_tuple(tup) for tup in pattern)
 
 
 @dataclass(frozen=True)
@@ -232,29 +220,19 @@ def explain_trace(
         tally.refs += 1
         report.total_refs += 1
         if predicted is not None:
+            # A prediction means the MHR is full and its pattern has an
+            # entry; records and report keys carry the readable form.
+            pattern = predictor.history(event.block)
             tally.predictions += 1
-            mhr = predictor.mhr_of(event.block)
-            pattern_word = mhr.pattern() if mhr is not None else None
-            # Records and report keys carry the readable tuple form.
-            pattern = (
-                unpack_pattern(pattern_word)
-                if pattern_word is not None
-                else None
-            )
-            if pattern is not None:
-                report.pattern_refs[(event.role, pattern)] += 1
+            report.pattern_refs[(event.role, pattern)] += 1
             if predicted == actual:
                 tally.hits += 1
             else:
                 report.total_mispredicts += 1
-                counter = 0
-                pht = predictor.pht_of(event.block)
-                if pht is not None and pattern is not None:
-                    found = pht.predict_with_confidence(pattern)
-                    if found is not None:
-                        counter = found[1]
-                if pattern is not None:
-                    report.pattern_mispredicts[(event.role, pattern)] += 1
+                report.pattern_mispredicts[(event.role, pattern)] += 1
+                _prediction, counter = predictor.pattern_table(event.block)[
+                    pattern
+                ]
                 report._capture(
                     MispredictRecord(
                         time=event.time,
@@ -262,7 +240,7 @@ def explain_trace(
                         node=event.node,
                         role=event.role,
                         block=event.block,
-                        mhr=pattern if pattern is not None else (),
+                        mhr=pattern,
                         predicted=predicted,
                         actual=actual,
                         counter=counter,

@@ -9,7 +9,6 @@ Cosmos.
 """
 
 from .base import MessagePredictor
-from .cosmos_adapter import CosmosAdapter
 from .dsi import DSIPredictor
 from .last_message import LastMessagePredictor
 from .migratory import MigratoryPredictor
@@ -21,7 +20,6 @@ from .static import StaticSignaturePredictor
 from .variants import GlobalHistoryCosmos, TypeOnlyCosmos
 
 __all__ = [
-    "CosmosAdapter",
     "DSIPredictor",
     "GlobalHistoryCosmos",
     "HybridCosmos",

@@ -14,11 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import CosmosConfig
-from ..core.mhr import MessageHistoryRegister
-from ..core.tuples import MessageTuple
+from ..core.tuples import TUPLE_BITS, MessageTuple, pack, shift_history
 from .base import MessagePredictor
-
-Pattern = Tuple[MessageTuple, ...]
 
 
 class SetCosmos(MessagePredictor):
@@ -36,23 +33,19 @@ class SetCosmos(MessagePredictor):
         self.config = config
         self.set_size = set_size
         self.name = f"cosmos-set{set_size}-d{config.depth}"
-        self._mht: Dict[int, MessageHistoryRegister] = {}
-        #: block -> pattern -> MRU list of successors.
-        self._phts: Dict[int, Dict[Pattern, List[MessageTuple]]] = {}
+        self._full_at = 1 << (TUPLE_BITS * config.depth)
+        #: block -> marker-led packed history word.
+        self._mht: Dict[int, int] = {}
+        #: block -> pattern word -> MRU list of successors.
+        self._phts: Dict[int, Dict[int, List[MessageTuple]]] = {}
         self.set_hits = 0
         self.set_predictions = 0
 
     def _entry(self, block: int) -> Optional[List[MessageTuple]]:
-        mhr = self._mht.get(block)
-        if mhr is None:
+        history = self._mht.get(block, 1)
+        if history < self._full_at:
             return None
-        pattern = mhr.pattern()
-        if pattern is None:
-            return None
-        pht = self._phts.get(block)
-        if pht is None:
-            return None
-        return pht.get(pattern)
+        return self._phts.get(block, {}).get(history)
 
     def predict(self, block: int) -> Optional[MessageTuple]:
         entry = self._entry(block)
@@ -69,19 +62,17 @@ class SetCosmos(MessagePredictor):
             self.set_predictions += 1
             if actual in candidates:
                 self.set_hits += 1
-        mhr = self._mht.get(block)
-        if mhr is None:
-            mhr = MessageHistoryRegister(self.config.depth)
-            self._mht[block] = mhr
-        pattern = mhr.pattern()
-        if pattern is not None:
+        history = self._mht.get(block, 1)
+        if history >= self._full_at:
             pht = self._phts.setdefault(block, {})
-            entry = pht.setdefault(pattern, [])
+            entry = pht.setdefault(history, [])
             if actual in entry:
                 entry.remove(actual)
             entry.insert(0, actual)
             del entry[self.set_size:]
-        mhr.shift(actual)
+        self._mht[block] = shift_history(
+            history, pack(actual), self._full_at
+        )
 
     @property
     def set_accuracy(self) -> float:

@@ -16,23 +16,29 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.config import CosmosConfig
-from ..core.mhr import MessageHistoryRegister
-from ..core.pht import PatternHistoryTable
-from ..core.tuples import MessageTuple
-from ..protocol.messages import MessageType
+from ..core.predictor import CosmosPredictor, train_entry
+from ..core.tuples import (
+    TUPLE_BITS,
+    MessageTuple,
+    pack,
+    shift_history,
+    tuple_of_word,
+)
 from .base import MessagePredictor
 
 
 class TypeOnlyCosmos(MessagePredictor):
     """Cosmos over message types only (senders ignored in the history).
 
-    The type-level tables are indexed and trained purely on message
-    types.  To emit a full ``<sender, type>`` tuple the predictor pairs
-    the predicted type with the block's most recent sender -- exact for
-    Stache caches (one home) and a heuristic at directories.
+    A :class:`CosmosPredictor` is fed type-only words -- the packed
+    encoding of a sender-0 tuple -- so its tables are indexed and trained
+    purely on message types, and its own counters score type
+    predictions.  To emit a full ``<sender, type>`` tuple the predictor
+    pairs the predicted type with the block's most recent sender --
+    exact for Stache caches (one home) and a heuristic at directories.
     """
 
     name = "cosmos-type-only"
@@ -40,55 +46,28 @@ class TypeOnlyCosmos(MessagePredictor):
     def __init__(self, config: Optional[CosmosConfig] = None) -> None:
         super().__init__()
         self.config = config if config is not None else CosmosConfig()
-        self._mht: Dict[int, MessageHistoryRegister] = {}
-        self._phts: Dict[int, PatternHistoryTable] = {}
+        self._types = CosmosPredictor(self.config)
         self._last_sender: Dict[int, int] = {}
-        self.type_hits = 0
-        self.type_predictions = 0
-
-    def _predict_type(self, block: int) -> Optional[MessageType]:
-        mhr = self._mht.get(block)
-        if mhr is None:
-            return None
-        pattern = mhr.pattern()
-        if pattern is None:
-            return None
-        pht = self._phts.get(block)
-        if pht is None:
-            return None
-        return pht.predict(pattern)  # type: ignore[return-value]
 
     def predict(self, block: int) -> Optional[MessageTuple]:
-        mtype = self._predict_type(block)
-        if mtype is None:
-            return None
+        predicted = self._types.predict(block)
         sender = self._last_sender.get(block)
-        if sender is None:
+        if predicted is None or sender is None:
             return None
-        return (sender, mtype)
+        return (sender, predicted[1])
 
     def update(self, block: int, actual: MessageTuple) -> None:
         sender, mtype = actual
-        predicted_type = self._predict_type(block)
-        if predicted_type is not None:
-            self.type_predictions += 1
-            if predicted_type == mtype:
-                self.type_hits += 1
-        mhr = self._mht.get(block)
-        if mhr is None:
-            mhr = MessageHistoryRegister(self.config.depth)
-            self._mht[block] = mhr
-        pattern = mhr.pattern()
-        if pattern is not None:
-            pht = self._phts.get(block)
-            if pht is None:
-                pht = PatternHistoryTable(self.config.filter_max_count)
-                self._phts[block] = pht
-            pht.train(pattern, mtype)  # type: ignore[arg-type]
-        # Shift a sender-less pseudo-tuple: the packed history then
-        # encodes only message types, which is this variant's point.
-        mhr.shift((0, mtype))
+        self._types.observe_word(block, int(mtype))
         self._last_sender[block] = sender
+
+    @property
+    def type_hits(self) -> int:
+        return self._types.hits
+
+    @property
+    def type_predictions(self) -> int:
+        return self._types.predictions
 
     @property
     def type_accuracy(self) -> float:
@@ -99,16 +78,17 @@ class TypeOnlyCosmos(MessagePredictor):
 
     @property
     def pht_entries(self) -> int:
-        return sum(len(pht) for pht in self._phts.values())
+        return self._types.pht_entries
 
 
 class GlobalHistoryCosmos(MessagePredictor):
     """GAp-style variant: one shared history register per module.
 
-    All blocks at the module shift into one MHR; each block still owns a
-    PHT indexed by that global pattern.  Interleaved traffic from many
-    blocks scrambles the global history, which is exactly why the paper
-    builds on the per-address PAp organization instead.
+    All blocks at the module shift into one marker-led history word;
+    each block still owns a PHT, ``{pattern word: [prediction word,
+    counter]}``, indexed by that global pattern.  Interleaved traffic
+    from many blocks scrambles the global history, which is exactly why
+    the paper builds on the per-address PAp organization instead.
     """
 
     name = "cosmos-global-history"
@@ -116,27 +96,27 @@ class GlobalHistoryCosmos(MessagePredictor):
     def __init__(self, config: Optional[CosmosConfig] = None) -> None:
         super().__init__()
         self.config = config if config is not None else CosmosConfig()
-        self._global = MessageHistoryRegister(self.config.depth)
-        self._phts: Dict[int, PatternHistoryTable] = {}
+        self._full_at = 1 << (TUPLE_BITS * self.config.depth)
+        self._history = 1
+        self._phts: Dict[int, Dict[int, List[int]]] = {}
 
     def predict(self, block: int) -> Optional[MessageTuple]:
-        pattern = self._global.pattern()
-        if pattern is None:
+        if self._history < self._full_at:
             return None
-        pht = self._phts.get(block)
-        if pht is None:
-            return None
-        return pht.predict(pattern)
+        entry = self._phts.get(block, {}).get(self._history)
+        return tuple_of_word(entry[0]) if entry is not None else None
 
     def update(self, block: int, actual: MessageTuple) -> None:
-        pattern = self._global.pattern()
-        if pattern is not None:
-            pht = self._phts.get(block)
-            if pht is None:
-                pht = PatternHistoryTable(self.config.filter_max_count)
-                self._phts[block] = pht
-            pht.train(pattern, actual)
-        self._global.shift(actual)
+        word = pack(actual)
+        history = self._history
+        if history >= self._full_at:
+            pht = self._phts.setdefault(block, {})
+            entry = pht.get(history)
+            if entry is None:
+                pht[history] = [word, 0]
+            else:
+                train_entry(entry, word, self.config.filter_max_count)
+        self._history = shift_history(history, word, self._full_at)
 
     @property
     def pht_entries(self) -> int:

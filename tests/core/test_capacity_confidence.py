@@ -39,8 +39,8 @@ class TestBoundedCapacity:
         predictor.update(b[2], A)  # evicts b[0]
         assert predictor.mhr_entries == 2
         assert predictor.evictions_mhr == 1
-        assert predictor.mhr_of(b[0]) is None
-        assert predictor.mhr_of(b[1]) is not None
+        assert predictor.history(b[0]) is None
+        assert predictor.history(b[1]) is not None
 
     def test_recency_updated_on_touch(self):
         predictor = CosmosPredictor(CosmosConfig(mhr_capacity=2))
@@ -49,17 +49,17 @@ class TestBoundedCapacity:
         predictor.update(b[1], A)
         predictor.update(b[0], B)  # b[0] becomes most recent
         predictor.update(b[2], A)  # evicts b[1], not b[0]
-        assert predictor.mhr_of(b[0]) is not None
-        assert predictor.mhr_of(b[1]) is None
+        assert predictor.history(b[0]) is not None
+        assert predictor.history(b[1]) is None
 
     def test_eviction_drops_patterns_too(self):
         predictor = CosmosPredictor(CosmosConfig(depth=1, mhr_capacity=1))
         block_a, block_b = blocks(2)
         for _ in range(4):
             predictor.update(block_a, A)
-        assert predictor.pht_of(block_a) is not None
+        assert predictor.pattern_table(block_a) is not None
         predictor.update(block_b, B)
-        assert predictor.pht_of(block_a) is None
+        assert predictor.pattern_table(block_a) is None
         # Relearning starts cold.
         assert predictor.predict(block_a) is None
 

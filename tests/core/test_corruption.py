@@ -118,12 +118,12 @@ class TestParityStructures:
         predictor.update(0, (4, GET))
         predictor.predict(0)
         assert predictor.corrupt_detected == 0
-        assert predictor.mhr_of(0) is not None
+        assert predictor.history(0) is not None
         # A flip that is not shifted out is caught on the next read.
         predictor.corrupt(0, 1, bit=3)
         assert predictor.predict(0) is None
         assert predictor.corrupt_detected == 1
-        assert predictor.mhr_of(0) is None
+        assert predictor.history(0) is None
 
     def test_pht_entry_detects_a_flip(self):
         predictor = _trained()
@@ -131,7 +131,7 @@ class TestParityStructures:
         predictor.corrupt(0, 1, bit=1)  # slot 0 is the MHR's one tuple
         assert predictor.predict(0) is None
         assert predictor.corrupt_detected == 1
-        assert predictor.pht_of(0).entry(((1, GET),)) is None
+        assert ((1, GET),) not in predictor.pattern_table(0)
 
     def test_pht_entry_self_heals_on_confirmation(self):
         predictor = _trained()
@@ -195,7 +195,7 @@ class TestPredictorDetection:
         # Parity catches the flip on next use: no prediction served...
         assert predictor.predict(0) is None
         assert predictor.corrupt_detected == 1
-        assert predictor.mhr_of(0) is None  # register dropped
+        assert predictor.history(0) is None  # register dropped
         # ...and one observation relearns the history (PHT survived).
         predictor.observe(0, (1, GET))
         assert predictor.predict(0) == (1, GET)
@@ -206,7 +206,7 @@ class TestPredictorDetection:
         predictor.corrupt(0, 1, bit=0)
         assert predictor.predict(0) is None
         assert predictor.corrupt_detected == 1
-        assert predictor.pht_of(0).entry(pattern) is None
+        assert pattern not in predictor.pattern_table(0)
         observation = predictor.observe(0, (1, GET))
         assert observation.predicted is None  # still relearning
         assert predictor.predict(0) == (1, GET)  # relearned

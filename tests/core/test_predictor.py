@@ -177,19 +177,13 @@ class TestDefaultConfigIsolation:
 
     def test_default_constructed_helpers_do_not_alias(self):
         from repro.core.bank import PredictorBank
-        from repro.predictors.cosmos_adapter import CosmosAdapter
         from repro.predictors.set_predictor import SetCosmos
         from repro.predictors.variants import GlobalHistoryCosmos, TypeOnlyCosmos
 
-        for cls in (PredictorBank, CosmosAdapter, SetCosmos,
+        for cls in (PredictorBank, SetCosmos,
                     TypeOnlyCosmos, GlobalHistoryCosmos):
             first, second = cls(), cls()
-            config_of = (
-                lambda obj: obj._cosmos.config
-                if isinstance(obj, CosmosAdapter)
-                else obj.config
-            )
-            assert config_of(first) is not config_of(second), cls.__name__
+            assert first.config is not second.config, cls.__name__
 
     def test_explicit_config_still_honoured(self):
         config = CosmosConfig(depth=3)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CosmosConfig
-from repro.predictors.cosmos_adapter import CosmosAdapter
+from repro.core.predictor import CosmosPredictor
 from repro.predictors.dsi import DSIPredictor
 from repro.predictors.migratory import MigratoryPredictor
 from repro.protocol.messages import MessageType
@@ -85,7 +85,7 @@ class TestCosmosSubsumesDirected:
     """Section 7: Cosmos captures the directed predictors' signatures."""
 
     def test_cosmos_learns_migratory_signature(self):
-        cosmos = CosmosAdapter(CosmosConfig(depth=1))
+        cosmos = CosmosPredictor(CosmosConfig(depth=1))
         cycle = [GET_RO, UPGRADE, INVAL_RW]
         for _ in range(2):
             for tup in cycle:
@@ -95,7 +95,7 @@ class TestCosmosSubsumesDirected:
         assert cosmos.predict(BLOCK) == INVAL_RW
 
     def test_cosmos_learns_dsi_signature(self):
-        cosmos = CosmosAdapter(CosmosConfig(depth=1))
+        cosmos = CosmosPredictor(CosmosConfig(depth=1))
         cycle = [GET_RW, INVAL_RW]
         for _ in range(2):
             for tup in cycle:
@@ -103,19 +103,12 @@ class TestCosmosSubsumesDirected:
         cosmos.update(BLOCK, GET_RW)
         assert cosmos.predict(BLOCK) == INVAL_RW
 
-    def test_adapter_name_encodes_config(self):
-        assert CosmosAdapter(CosmosConfig(depth=3)).name == "cosmos-d3"
-        assert (
-            CosmosAdapter(CosmosConfig(depth=2, filter_max_count=1)).name
-            == "cosmos-d2-f1"
-        )
-
-    def test_adapter_statistics(self):
-        adapter = CosmosAdapter(CosmosConfig(depth=1))
+    def test_cosmos_statistics(self):
+        cosmos = CosmosPredictor(CosmosConfig(depth=1))
         for _ in range(5):
-            adapter.observe(BLOCK, GET_RO)
+            cosmos.observe(BLOCK, GET_RO)
         # First two references give no prediction (cold MHR, cold PHT);
         # the remaining three hit.
-        assert adapter.no_prediction == 2
-        assert adapter.hits == 3
-        assert adapter.accuracy == pytest.approx(3 / 5)
+        assert cosmos.no_prediction == 2
+        assert cosmos.hits == 3
+        assert cosmos.accuracy == pytest.approx(3 / 5)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CosmosConfig
-from repro.predictors.cosmos_adapter import CosmosAdapter
+from repro.core.predictor import CosmosPredictor
 from repro.predictors.hybrid import HybridCosmos
 from repro.predictors.set_predictor import SetCosmos
 from repro.protocol.messages import MessageType, Role
@@ -35,7 +35,7 @@ class TestHybrid:
 
     def test_simple_cycle_matches_shallow(self):
         hybrid = HybridCosmos()
-        shallow = CosmosAdapter(CosmosConfig(depth=1))
+        shallow = CosmosPredictor(CosmosConfig(depth=1))
         for _ in range(12):
             for tup in (A, B):
                 hybrid.observe(BLOCK, tup)
@@ -63,10 +63,10 @@ class TestHybrid:
             seed=2,
         ).events
         shallow = score_on_trace(
-            trace, lambda: CosmosAdapter(CosmosConfig(depth=1))
+            trace, lambda: CosmosPredictor(CosmosConfig(depth=1))
         )
         deep = score_on_trace(
-            trace, lambda: CosmosAdapter(CosmosConfig(depth=3))
+            trace, lambda: CosmosPredictor(CosmosConfig(depth=3))
         )
         hybrid = score_on_trace(trace, HybridCosmos)
         # The tournament lands near (or above) the better fixed depth.

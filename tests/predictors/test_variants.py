@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CosmosConfig
-from repro.predictors.cosmos_adapter import CosmosAdapter
+from repro.core.predictor import CosmosPredictor
 from repro.predictors.variants import GlobalHistoryCosmos, TypeOnlyCosmos
 from repro.protocol.messages import MessageType, Role
 from repro.sim.machine import simulate
@@ -36,14 +36,14 @@ class TestTypeOnly:
         assert predictor.type_accuracy > 0.9
 
     def test_shares_tables_across_senders(self):
-        full = CosmosAdapter(CosmosConfig(depth=1))
+        full = CosmosPredictor(CosmosConfig(depth=1))
         typed = TypeOnlyCosmos(CosmosConfig(depth=1))
         stream = [A1, B1, A2, B1] * 5
         for tup in stream:
             full.update(BLOCK, tup)
             typed.update(BLOCK, tup)
         # The type-only tables collapse A1/A2 into one pattern.
-        assert typed.pht_entries < full.cosmos.pht_entries
+        assert typed.pht_entries < full.pht_entries
 
     def test_silent_before_history(self):
         predictor = TypeOnlyCosmos()
@@ -53,7 +53,7 @@ class TestTypeOnly:
 class TestGlobalHistory:
     def test_single_block_behaves_like_cosmos(self):
         global_variant = GlobalHistoryCosmos(CosmosConfig(depth=1))
-        cosmos = CosmosAdapter(CosmosConfig(depth=1))
+        cosmos = CosmosPredictor(CosmosConfig(depth=1))
         stream = [A1, B1] * 10
         for tup in stream:
             global_variant.observe(BLOCK, tup)
@@ -68,7 +68,7 @@ class TestGlobalHistory:
 
         rng = random.Random(0)
         global_variant = GlobalHistoryCosmos(CosmosConfig(depth=2))
-        per_block = CosmosAdapter(CosmosConfig(depth=2))
+        per_block = CosmosPredictor(CosmosConfig(depth=2))
         blocks = [0x40, 0x80, 0xC0, 0x100]
         cycles = {b: [(i, MessageType.GET_RO_REQUEST), (i, MessageType.UPGRADE_REQUEST)]
                   for i, b in enumerate(blocks)}
@@ -89,7 +89,7 @@ class TestGlobalHistory:
         )
         scores = {}
         for name, factory in (
-            ("per-block", lambda: CosmosAdapter(CosmosConfig(depth=2))),
+            ("per-block", lambda: CosmosPredictor(CosmosConfig(depth=2))),
             ("global", lambda: GlobalHistoryCosmos(CosmosConfig(depth=2))),
         ):
             modules = {}
