@@ -43,3 +43,36 @@ def current(regenerate):
 )
 def test_matches_golden(section, golden, current):
     assert current[section] == golden[section]
+
+
+def test_evaluate_corrupt_output(regenerate, tmp_path, capsys):
+    """``repro-trace evaluate --corrupt`` on the golden moldyn trace."""
+    from repro.cli import main
+    from repro.trace.io import save_trace
+
+    trace = tmp_path / "moldyn.jsonl"
+    save_trace(regenerate._golden_events(regenerate.CORRUPTION_APP), trace)
+    code = main([
+        "evaluate", str(trace), "--depth", "2",
+        "--corrupt", "flip=0.05,loss=0.01", "--corrupt-seed", "3",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = dict(
+        line.split() for line in out.splitlines()
+        if line.split()[:1] in (["cache"], ["directory"], ["overall"])
+    )
+    assert rows == {"cache": "67.6%", "directory": "64.1%", "overall": "65.9%"}
+    assert (
+        "504 bit flips, 104 entry losses injected; 221 caught by parity"
+        in out
+    )
+
+
+def test_serve_fingerprint_is_stable():
+    """Shard checkpoints written by earlier releases still restore."""
+    from repro.serve.config import ServeConfig
+
+    assert ServeConfig().fingerprint() == (
+        "4efedaa6912dd4f2d1c7ef6c9b25ba47f22ec017d6c5af91fb82da6b62c38471"
+    )
