@@ -47,10 +47,10 @@ from .analysis.report import render_table
 from .analysis.signatures import extract_signatures
 from .analysis.traffic import summarize_traffic
 from .core.config import CosmosConfig
-from .core.corruption import CorruptionInjector, CorruptionProfile
+from .core.corruption import CorruptionProfile
 from .core.evaluation import evaluate_trace
 from .core.eviction import EVICTION_POLICIES
-from .core.predictor import CosmosPredictor
+from .core.predictor import CosmosPredictor, armed_factory
 from .errors import ReproError
 from .ioutil import atomic_write_text
 from .obs import (
@@ -60,7 +60,6 @@ from .obs import (
     export_trace_events,
     format_pattern,
     save_trace_events,
-    validate_trace_events,
 )
 from .protocol.messages import Role
 from .protocol.stache import StacheOptions
@@ -200,11 +199,6 @@ def _export_timeline(args: argparse.Namespace) -> None:
         manifest=manifest,
         dropped=OBS.dropped,
     )
-    errors = validate_trace_events(document)
-    if errors:
-        raise ReproError(
-            "timeline export failed validation: " + "; ".join(errors[:5])
-        )
     save_trace_events(document, args.trace_events)
     print(
         f"wrote {document['otherData']['events']} timeline events to "
@@ -243,24 +237,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 "--corrupt needs a flip= and/or loss= rate, e.g. "
                 "'flip=0.01,loss=0.002'"
             )
-    created: List[CosmosPredictor] = []
+    armed: List[CosmosPredictor] = []
+    factory = None
     if corruption is not None:
-        # One independent error stream per predictor module, seeded in
-        # first-reference order (deterministic: the trace fixes it).
-        def factory() -> CosmosPredictor:
-            injector = CorruptionInjector(
-                corruption,
-                seed=args.corrupt_seed * 1_000_003 + len(created),
-            )
-            predictor = CosmosPredictor(config, corruption=injector)
-            created.append(predictor)
-            return predictor
-
-        result = evaluate_trace(
-            events, config, predictor_factory=factory, track_arcs=False
-        )
-    else:
-        result = evaluate_trace(events, config, track_arcs=False)
+        factory, armed = armed_factory(config, corruption, args.corrupt_seed)
+    result = evaluate_trace(
+        events, config, predictor_factory=factory, track_arcs=False
+    )
     print(f"{config.describe()} over {result.overall.refs} events:")
     print(f"  cache     {result.cache_accuracy:7.1%}")
     print(f"  directory {result.directory_accuracy:7.1%}")
@@ -281,10 +264,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"{METRICS.counter('pred.mem.evictions_pht')} PHT, "
             f"~{METRICS.counter('pred.mem.bytes_est')} bytes est"
         )
-    if created:
-        flips = sum(p.corrupt_flips for p in created)
-        losses = sum(p.corrupt_losses for p in created)
-        detected = sum(p.corrupt_detected for p in created)
+    if armed:
+        flips = sum(p.corrupt_flips for p in armed)
+        losses = sum(p.corrupt_losses for p in armed)
+        detected = sum(p.corrupt_detected for p in armed)
         print(
             f"  corruption: {flips} bit flips, {losses} entry losses "
             f"injected; {detected} caught by parity and relearned"
@@ -476,12 +459,6 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
             dropped=obs_dropped,
             spans=transactions.values(),
         )
-        errors = validate_trace_events(document)
-        if errors:
-            raise ReproError(
-                "timeline export failed validation: "
-                + "; ".join(errors[:5])
-            )
         save_trace_events(document, args.trace_events)
         print(
             f"\nwrote {document['otherData']['events']} timeline events "

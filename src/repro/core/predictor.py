@@ -30,10 +30,15 @@ predictions, so checkpoints stay format-compatible; :meth:`history` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .config import CosmosConfig
-from .corruption import CorruptionInjector, ParityTables, sender_bit
+from .corruption import (
+    CorruptionInjector,
+    CorruptionProfile,
+    ParityTables,
+    sender_bit,
+)
 from .eviction import ClockOrder
 from .tuples import (
     TUPLE_BITS,
@@ -725,3 +730,26 @@ class CosmosPredictor:
                 self._pht_clock.restore(recorded)
             else:
                 self._pht_clock.seed(seeded)
+
+
+def armed_factory(
+    config: CosmosConfig, profile: CorruptionProfile, seed: int
+) -> Tuple[Callable[[], CosmosPredictor], List[CosmosPredictor]]:
+    """A factory of corruption-armed predictors, plus the list it fills.
+
+    Each module gets its own error stream, seeded in first-reference
+    order; the trace fixes that order, so the streams are deterministic.
+    The list collects every predictor built, for the injected and
+    detected totals.
+    """
+    armed: List[CosmosPredictor] = []
+
+    def factory() -> CosmosPredictor:
+        injector = CorruptionInjector(
+            profile, seed=seed * 1_000_003 + len(armed)
+        )
+        predictor = CosmosPredictor(config, corruption=injector)
+        armed.append(predictor)
+        return predictor
+
+    return factory, armed

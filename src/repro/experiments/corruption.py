@@ -21,13 +21,13 @@ corruption cost in accuracy points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..analysis.report import render_table
 from ..core.config import CosmosConfig
-from ..core.corruption import CorruptionInjector, CorruptionProfile
+from ..core.corruption import CorruptionProfile
 from ..core.evaluation import evaluate_trace
-from ..core.predictor import CosmosPredictor
+from ..core.predictor import CosmosPredictor, armed_factory
 from ..workloads.registry import BENCHMARK_NAMES
 from .common import get_trace
 
@@ -141,47 +141,25 @@ def run_corruption_study(
     for app in apps:
         events = get_trace(app, seed=seed, quick=quick)
         for rate in rates:
-            profile: Optional[CorruptionProfile] = None
+            armed: List[CosmosPredictor] = []
+            factory = None
             if rate:
-                profile = CorruptionProfile(
-                    flip=rate, loss=rate * LOSS_RATIO
+                factory, armed = armed_factory(
+                    config,
+                    CorruptionProfile(flip=rate, loss=rate * LOSS_RATIO),
+                    corruption_seed,
                 )
-            created: List[CosmosPredictor] = []
-            if profile is not None:
-                # Module seeds count up in first-reference order, which
-                # the deterministic trace makes deterministic; a distinct
-                # stream per module keeps one module's error schedule
-                # independent of another's traffic.
-                def factory(
-                    profile: CorruptionProfile = profile,
-                    created: List[CosmosPredictor] = created,
-                ) -> CosmosPredictor:
-                    injector = CorruptionInjector(
-                        profile,
-                        seed=corruption_seed * 1_000_003 + len(created),
-                    )
-                    predictor = CosmosPredictor(config, corruption=injector)
-                    created.append(predictor)
-                    return predictor
-
-                result = evaluate_trace(
-                    events, config, predictor_factory=factory,
-                    track_arcs=False,
-                )
-            else:
-                result = evaluate_trace(events, config, track_arcs=False)
+            result = evaluate_trace(
+                events, config, predictor_factory=factory, track_arcs=False
+            )
             rows.append(
                 CorruptionRow(
                     app=app,
                     rate=rate,
                     events=len(events),
-                    injected_flips=sum(
-                        p.corrupt_flips for p in created
-                    ),
-                    injected_losses=sum(
-                        p.corrupt_losses for p in created
-                    ),
-                    detected=sum(p.corrupt_detected for p in created),
+                    injected_flips=sum(p.corrupt_flips for p in armed),
+                    injected_losses=sum(p.corrupt_losses for p in armed),
+                    detected=sum(p.corrupt_detected for p in armed),
                     cache_accuracy=result.cache_accuracy,
                     directory_accuracy=result.directory_accuracy,
                     overall_accuracy=result.overall_accuracy,

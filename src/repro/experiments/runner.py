@@ -40,7 +40,6 @@ from ..obs import (
     build_manifest,
     export_trace_events,
     save_trace_events,
-    validate_trace_events,
 )
 from ..protocol.messages import format_table1
 from ..sim.metrics import METRICS, dump_metrics_json
@@ -607,15 +606,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 manifest=manifest,
                 dropped=OBS.dropped,
             )
-            errors = validate_trace_events(document)
-            if errors:
-                print(
-                    "timeline export failed validation: "
-                    + "; ".join(errors[:5]),
-                    file=sys.stderr,
-                )
+            try:
+                save_trace_events(document, args.trace_events)
+            except ReproError as exc:
+                print(exc, file=sys.stderr)
                 return 1
-            save_trace_events(document, args.trace_events)
             print(
                 f"\nwrote {document['otherData']['events']} timeline "
                 f"events to {args.trace_events} ({OBS.dropped} dropped)"

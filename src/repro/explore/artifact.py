@@ -25,18 +25,17 @@ security -- a truncated download should fail loudly, like a checkpoint).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
 from ..errors import TraceError
-from ..ioutil import atomic_write
+from ..ioutil import atomic_write, canonical_digest
 from ..obs.manifest import build_manifest
 
 #: Bump when the artifact schema changes; old artifacts refuse to load.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _KIND = "repro-explore-artifact"
 
@@ -105,15 +104,13 @@ class ExploreArtifact:
 def _digest(document: dict) -> str:
     """SHA-256 over the canonical JSON, excluding the digest itself and
     the manifest (attribution only, varies per host)."""
-    payload = {
-        key: value
-        for key, value in document.items()
-        if key not in ("sha256", "manifest")
-    }
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
+    return canonical_digest(
+        {
+            key: value
+            for key, value in document.items()
+            if key not in ("sha256", "manifest")
+        }
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def save_artifact(

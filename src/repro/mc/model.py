@@ -146,8 +146,6 @@ class MCConfig:
     faults: bool = False
     #: Multiplicity cap of the counter abstraction (the cap means ">=").
     dup_cap: int = 2
-    #: Nodes allowed to issue accesses (None = all).
-    issuers: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -171,14 +169,6 @@ class MCConfig:
                 "pending_msg verbatim), which the 1-bit staleness quotient "
                 "does not capture yet"
             )
-        if self.issuers is not None:
-            if not self.issuers:
-                raise ConfigError("issuers must name at least one node")
-            for node in self.issuers:
-                if not 0 <= node < self.n_nodes:
-                    raise ConfigError(
-                        f"issuer {node} is outside 0..{self.n_nodes - 1}"
-                    )
 
     @property
     def n_blocks(self) -> int:
@@ -303,11 +293,6 @@ class Model:
             )
         self.config = config
         self.mutation = mutation
-        self.issuers = (
-            tuple(config.issuers)
-            if config.issuers is not None
-            else tuple(range(config.n_nodes))
-        )
 
     # ------------------------------------------------------------------
     # network abstraction knobs
@@ -374,7 +359,7 @@ class Model:
         cfg = self.config
         caches, txns, dirs, net = state
         out: List[tuple] = []
-        for node in self.issuers:
+        for node in range(cfg.n_nodes):
             for block in range(cfg.n_blocks):
                 home = cfg.homes[block]
                 if home == node:

@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..errors import ReproError
 from .log import ObsEvent
 from .spans import Transaction
 
@@ -324,13 +325,21 @@ def validate_trace_events(payload: object) -> List[str]:
 def save_trace_events(
     payload: dict, path: Union[str, Path]
 ) -> Path:
-    """Atomically write a timeline document as JSON.
+    """Validate, then atomically write a timeline document as JSON.
 
-    Parent directories are created as needed; a crash mid-write leaves
-    the previous file (or no file), never a truncated document.
+    A document that fails :func:`validate_trace_events` raises
+    :class:`~repro.errors.ReproError` naming the first five problems,
+    and nothing is written.  Parent directories are created as needed; a
+    crash mid-write leaves the previous file (or no file), never a
+    truncated document.
     """
     from ..ioutil import atomic_write
 
+    errors = validate_trace_events(payload)
+    if errors:
+        raise ReproError(
+            "timeline export failed validation: " + "; ".join(errors[:5])
+        )
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import IO, Dict, Optional, Union
 
 from ..errors import ReproError
-from ..ioutil import atomic_write_text, fsync_append
+from ..ioutil import atomic_write_text, canonical_digest, fsync_append
 from ..sim.metrics import METRICS
 from .plan import ExperimentShard, Plan, TraceShard
 
@@ -54,12 +54,9 @@ def shard_digest(shard: Union[TraceShard, ExperimentShard]) -> str:
     Canonical JSON over the dataclass fields plus the shard type, so two
     shards collide only when they would do byte-identical work.
     """
-    import hashlib
-
     record = dataclasses.asdict(shard)
     record["__kind__"] = type(shard).__name__
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_digest(record)
 
 
 def _plan_record(plan: Plan, meta: dict) -> dict:

@@ -475,8 +475,7 @@ class CacheController:
             if state is not CacheState.SHARED:
                 self.duplicate_invals_acked += 1
         elif (
-            self._options.check_invariants
-            and state is not CacheState.SHARED
+            state is not CacheState.SHARED
             # A finite cache may have silently replaced the copy; the
             # directory still expects (and gets) the acknowledgment.
             and not (self._n_sets is not None and state is CacheState.INVALID)
@@ -494,10 +493,7 @@ class CacheController:
         if self._recovery is not None:
             if state is not CacheState.EXCLUSIVE:
                 self.duplicate_invals_acked += 1
-        elif (
-            self._options.check_invariants
-            and state is not CacheState.EXCLUSIVE
-        ):
+        elif state is not CacheState.EXCLUSIVE:
             raise ProtocolError(
                 f"node {self.node_id} got inval_rw_request for block "
                 f"0x{msg.block:x} in state {state}"
@@ -518,10 +514,7 @@ class CacheController:
                 self._ack(msg, MessageType.DOWNGRADE_RESPONSE)
                 self._poison_outstanding(msg.block)
                 return
-        elif (
-            self._options.check_invariants
-            and state is not CacheState.EXCLUSIVE
-        ):
+        elif state is not CacheState.EXCLUSIVE:
             raise ProtocolError(
                 f"node {self.node_id} got downgrade_request for block "
                 f"0x{msg.block:x} in state {state}"
@@ -573,7 +566,7 @@ class CacheController:
             self._respond_forwarded(msg, MessageType.GET_RO_RESPONSE)
             self._poison_outstanding(msg.block)
             return
-        if self._options.check_invariants and state is not CacheState.EXCLUSIVE:
+        if state is not CacheState.EXCLUSIVE:
             raise ProtocolError(
                 f"node {self.node_id} got fwd_get_ro_request for block "
                 f"0x{msg.block:x} in state {state}"
@@ -590,7 +583,7 @@ class CacheController:
             self._respond_forwarded(msg, MessageType.GET_RW_RESPONSE)
             self._poison_outstanding(msg.block)
             return
-        if self._options.check_invariants and state is not CacheState.EXCLUSIVE:
+        if state is not CacheState.EXCLUSIVE:
             raise ProtocolError(
                 f"node {self.node_id} got fwd_get_rw_request for block "
                 f"0x{msg.block:x} in state {state}"

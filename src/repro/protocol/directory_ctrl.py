@@ -348,8 +348,7 @@ class DirectoryController:
             SPANS.start(request.txn, self.node_id)
         self.transactions += 1
         entry = self.entry_of(block)
-        if self._options.check_invariants:
-            entry.check_invariants()
+        entry.check_invariants()
 
         if self._recovery is not None:
             txn = self._regrant(block, entry, request)
@@ -425,7 +424,7 @@ class DirectoryController:
         self, block: int, entry: DirEntry, request: _Request
     ) -> _Txn:
         requester = request.requester
-        if self._options.check_invariants and entry.owner == requester:
+        if entry.owner == requester:
             raise ProtocolError(
                 f"read request for block 0x{block:x} from P{requester}, "
                 "which already owns it"
@@ -435,11 +434,10 @@ class DirectoryController:
             and not self._options.finite_caches
             and self._recovery is None
         ):
-            if self._options.check_invariants:
-                raise ProtocolError(
-                    f"read request for block 0x{block:x} from P{requester}, "
-                    "which already holds a copy"
-                )
+            raise ProtocolError(
+                f"read request for block 0x{block:x} from P{requester}, "
+                "which already holds a copy"
+            )
         # With finite caches, a listed sharer may have silently replaced
         # its copy; re-granting it is harmless.
         txn = _Txn(
@@ -473,7 +471,7 @@ class DirectoryController:
         self, block: int, entry: DirEntry, request: _Request
     ) -> _Txn:
         requester = request.requester
-        if self._options.check_invariants and entry.owner == requester:
+        if entry.owner == requester:
             raise ProtocolError(
                 f"write request for block 0x{block:x} from P{requester}, "
                 "which already owns it"
@@ -608,8 +606,7 @@ class DirectoryController:
                 )
         entry.owner = txn.final_owner
         entry.sharers = txn.final_sharers
-        if self._options.check_invariants:
-            entry.check_invariants()
+        entry.check_invariants()
         if SPANS.enabled and txn.request.txn is not None:
             SPANS.finish(txn.request.txn, self.node_id)
         if txn.request.is_local:

@@ -29,10 +29,6 @@ class StacheOptions:
     #: node misses on the block.
     half_migratory: bool = True
 
-    #: Check protocol invariants on every transition (slower; on by default
-    #: because the simulator is the substrate for everything else).
-    check_invariants: bool = True
-
     #: Serve remote-owner misses with Origin-style three-hop forwarding
     #: instead of Stache's four-message recall
     #: (see :mod:`repro.protocol.origin`).

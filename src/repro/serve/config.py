@@ -12,13 +12,13 @@ blocks to predictors that never saw them.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..core.config import CosmosConfig
 from ..core.eviction import EVICTION_POLICIES
 from ..errors import ConfigError
+from ..ioutil import canonical_digest
+from .hashring import VNODES
 
 #: Bump when the shard-checkpoint schema changes.
 STATE_FORMAT = 1
@@ -30,16 +30,11 @@ class ServeConfig:
 
     #: Worker processes; each owns one shard of every tenant's blocks.
     shards: int = 2
-    #: Virtual nodes per shard on the consistent-hash ring.
-    vnodes: int = 64
     #: Bind address for the TCP front-end (port 0 = ephemeral).
     host: str = "127.0.0.1"
     port: int = 0
     #: In-flight observations per shard before admission sheds load.
     queue_depth: int = 32
-    #: Admitted-but-unshipped observations tolerated while a shard is
-    #: down (the replay outbox); beyond this, admission sheds load.
-    max_backlog: int = 512
     #: Per-request deadline: past it the front-end answers degraded.
     deadline_ms: float = 250.0
     #: Supervisor hang budget: a worker silent this long after being
@@ -51,11 +46,6 @@ class ServeConfig:
     #: A shard checkpoints its predictor banks every this many trained
     #: observations (count-based, so cadence is deterministic).
     checkpoint_every: int = 64
-    #: Consecutive successful responses a restored shard must serve in
-    #: HALF_OPEN before the circuit breaker closes again.
-    probe_requests: int = 4
-    #: ``(client, seq)`` response cache entries kept for idempotency.
-    dedupe_capacity: int = 4_096
     #: Base seed; per-shard worker seeds derive from it via
     #: :func:`~repro.parallel.seeds.derive_seed`.
     seed: int = 0
@@ -72,15 +62,7 @@ class ServeConfig:
     eviction: str = "lru"
 
     def __post_init__(self) -> None:
-        for name in (
-            "shards",
-            "vnodes",
-            "queue_depth",
-            "max_backlog",
-            "checkpoint_every",
-            "probe_requests",
-            "dedupe_capacity",
-        ):
+        for name in ("shards", "queue_depth", "checkpoint_every"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(
@@ -133,15 +115,12 @@ class ServeConfig:
         restored state (the worker re-enforces it on warm restore), not
         throw it all away.
         """
-        fields = asdict(self)
-        descriptor = {
-            "format": STATE_FORMAT,
-            "shards": fields["shards"],
-            "vnodes": fields["vnodes"],
-            "checkpoint_every": fields["checkpoint_every"],
-            "seed": fields["seed"],
-        }
-        canonical = json.dumps(
-            descriptor, sort_keys=True, separators=(",", ":")
+        return canonical_digest(
+            {
+                "format": STATE_FORMAT,
+                "shards": self.shards,
+                "vnodes": VNODES,
+                "checkpoint_every": self.checkpoint_every,
+                "seed": self.seed,
+            }
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

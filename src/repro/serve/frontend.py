@@ -40,6 +40,9 @@ from .hashring import HashRing
 from .protocol import Response, Status, decode_request
 from .supervisor import Backpressure, ShardSupervisor, WorkerDown
 
+#: ``(client, seq)`` response cache entries kept for idempotency.
+DEDUPE_CAPACITY = 4_096
+
 
 class PredictionService:
     """The service: listener + ring + supervisor + fallback."""
@@ -51,7 +54,7 @@ class PredictionService:
         checkpoint_dir=None,
     ) -> None:
         self.config = config
-        self.ring = HashRing(config.shards, config.vnodes)
+        self.ring = HashRing(config.shards)
         self.supervisor = ShardSupervisor(
             config, chaos=chaos, checkpoint_dir=checkpoint_dir
         )
@@ -218,7 +221,7 @@ class PredictionService:
                     seq, fallback, shard, ordinal, start
                 )
         self._dedupe[key] = response
-        while len(self._dedupe) > self.config.dedupe_capacity:
+        while len(self._dedupe) > DEDUPE_CAPACITY:
             self._dedupe.popitem(last=False)
         return response
 

@@ -19,6 +19,10 @@ import bisect
 import hashlib
 from typing import List, Tuple
 
+#: Virtual nodes per shard.  Part of the serve fingerprint: changing it
+#: moves blocks between shards, so shard checkpoints would not restore.
+VNODES = 64
+
 
 def _point(material: str) -> int:
     digest = hashlib.sha256(material.encode("utf-8")).digest()
@@ -28,7 +32,7 @@ def _point(material: str) -> int:
 class HashRing:
     """A fixed ring of ``shards * vnodes`` points."""
 
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
+    def __init__(self, shards: int, vnodes: int = VNODES) -> None:
         points: List[Tuple[int, int]] = []
         for shard in range(shards):
             for vnode in range(vnodes):

@@ -1,12 +1,12 @@
 """Shard predictor-state checkpoints for warm restores.
 
 A shard worker checkpoints its per-tenant predictor banks every
-``checkpoint_every`` trained observations, in the exact two-frame
-format of :mod:`repro.sim.checkpoint` (pickled header with CRC-32 and a
+``checkpoint_every`` trained observations, in the two-frame format of
+:func:`repro.ioutil.write_framed` (pickled header with CRC-32 and a
 config fingerprint, atomic rename) under its own magic string.  The
 supervisor restores a replacement worker from the newest checkpoint
 that verifies cleanly -- a torn newest file falls back one frame via
-:func:`~repro.sim.checkpoint.load_newest_valid` -- and replays the
+:func:`~repro.ioutil.load_newest_valid` -- and replays the
 admitted observations past that point from its outbox, so a SIGKILLed
 shard loses no admitted learning and at most one checkpoint interval
 has to be replayed.
@@ -24,7 +24,8 @@ import pickle
 
 from ..core.predictor import CosmosPredictor
 from ..errors import CheckpointError
-from ..sim.checkpoint import load_newest_valid, read_framed, write_framed
+from ..ioutil import load_newest_valid, read_framed, write_framed
+from .config import STATE_FORMAT
 
 #: Magic string of shard checkpoint headers (distinct from simulation
 #: checkpoints so neither loader ever resumes from the other's files).
@@ -59,9 +60,10 @@ def save_shard_checkpoint(
     payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
     path = write_framed(
         shard_checkpoint_path(directory, shard, trained),
+        SHARD_MAGIC,
+        STATE_FORMAT,
         {"fingerprint": fingerprint, "shard": shard, "trained": trained},
         payload,
-        magic=SHARD_MAGIC,
     )
     for stale in shard_checkpoints(directory, shard)[:-KEEP_CHECKPOINTS]:
         stale.unlink(missing_ok=True)
@@ -82,7 +84,7 @@ def load_shard_checkpoint(
     failure is a :class:`~repro.errors.CheckpointError` with a named
     cause, so :func:`load_newest_valid` can fall back past it.
     """
-    header, payload = read_framed(path, magic=SHARD_MAGIC)
+    header, payload = read_framed(path, SHARD_MAGIC, STATE_FORMAT)
     if header.get("fingerprint") != fingerprint:
         raise CheckpointError(
             f"serve config fingerprint mismatch in {path}: the checkpoint "

@@ -14,7 +14,7 @@ training order), and a circuit breaker:
   restores it from the newest valid checkpoint, and replays the outbox
   tail so no admitted learning is lost.
 * **HALF_OPEN** -- the restored worker is caught up; the next
-  ``probe_requests`` successful round trips (real observations, or
+  :data:`PROBE_REQUESTS` successful round trips (real observations, or
   ping probes enqueued by :meth:`ShardSupervisor.probe_half_open`
   whenever a ``stat`` poll finds the shard half-open) close the
   breaker and re-admit the shard.  Any failure: back to OPEN.
@@ -59,6 +59,14 @@ HALF_OPEN = "half_open"
 #: but wedged, far above any real start-up (about half a second).  A
 #: worker that dies during start-up fails at once, not after this wait.
 READY_TIMEOUT_S = 60.0
+
+#: Admitted-but-unshipped observations tolerated while a shard is down
+#: (the replay outbox); beyond this, admission sheds load.
+MAX_BACKLOG = 512
+
+#: Consecutive successful responses a restored shard must serve in
+#: HALF_OPEN before the circuit breaker closes again.
+PROBE_REQUESTS = 4
 
 
 class WorkerDown(ServeError):
@@ -224,7 +232,7 @@ class ShardSupervisor:
         """
         shard = self._shards[index]
         with shard.lock:
-            if len(shard.outbox) >= self.config.max_backlog:
+            if len(shard.outbox) >= MAX_BACKLOG:
                 METRICS.inc("serve.shed.backlog")
                 raise Backpressure(f"shard {index} backlog full")
             if shard.state == OPEN:
@@ -455,7 +463,7 @@ class ShardSupervisor:
                         shard.proc, shard.conn = proc, conn
                         shard.trained = replayed
                         shard.state = HALF_OPEN
-                        shard.probes_left = self.config.probe_requests
+                        shard.probes_left = PROBE_REQUESTS
                         METRICS.inc("serve.breaker.half_open")
                         self._start_pump(shard, proc, conn, epoch)
                         return

@@ -11,9 +11,10 @@ think-time/fault RNG streams.  :func:`capture` gathers that into a
 checkpoint N produces byte-identical traces and (deterministic) metrics
 to an uninterrupted run.
 
-On disk a checkpoint is two pickle frames, following the layout of
-:mod:`repro.trace.cache`: a small header (format version, a CRC-32 of
-the payload, a configuration fingerprint) and the pickled body.  Writes
+On disk a checkpoint is two pickle frames
+(:func:`repro.ioutil.write_framed`): a small header (format version, a
+CRC-32 of the payload, a configuration fingerprint) and the pickled
+body.  Writes
 are atomic (temp file + ``os.replace``), so a checkpoint either
 exists completely or not at all; loads verify the checksum and raise
 :class:`~repro.errors.CheckpointError` on any mismatch -- a restored run
@@ -28,17 +29,18 @@ CLI: ``repro-trace simulate --checkpoint-dir DIR`` and
 
 from __future__ import annotations
 
-import hashlib
-import json
 import pickle
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..errors import CheckpointError
-from ..ioutil import atomic_write
-from ..obs.manifest import build_manifest
+from ..ioutil import (
+    canonical_digest,
+    load_newest_valid,
+    read_framed,
+    write_framed,
+)
 from ..protocol.stache import DEFAULT_OPTIONS, StacheOptions
 from ..trace.collector import TraceCollector
 from ..workloads.base import Workload
@@ -51,7 +53,7 @@ from .params import PAPER_PARAMS, SystemParams
 #: old checkpoints then refuse to load instead of resuming wrongly.
 FORMAT_VERSION = 1
 
-_HEADER_MAGIC = "repro-checkpoint"
+CHECKPOINT_MAGIC = "repro-checkpoint"
 
 
 def config_fingerprint(
@@ -75,8 +77,7 @@ def config_fingerprint(
         "faults": faults.spec() if faults is not None else None,
         "fault_seed": fault_seed,
     }
-    canonical = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(descriptor)
 
 
 @dataclass
@@ -163,112 +164,8 @@ def restore(
 
 
 # ----------------------------------------------------------------------
-# on-disk format: two-frame files shared with the serving layer
+# on-disk format
 # ----------------------------------------------------------------------
-
-
-def write_framed(
-    path: Union[str, Path],
-    header_extra: dict,
-    payload: bytes,
-    magic: str = _HEADER_MAGIC,
-) -> Path:
-    """Atomically write a two-frame checkpoint file.
-
-    Frame one is a small pickled header -- ``magic``, format version,
-    a CRC-32 of the payload, the payload length, and the caller's
-    ``header_extra`` fields (fingerprint, iteration bounds, ...); frame
-    two is the raw ``payload`` bytes.  The recorded length is what lets
-    :func:`read_framed` distinguish a *truncated* second frame from bit
-    rot and report a named cause.
-
-    No fsync: atomic rename keeps every crash of the *process* safe
-    (the page cache survives kill -9), and the checksum turns an
-    OS-crash torn write into a clean load error rather than a silent
-    bad resume.  The run journal, whose records are acknowledgments,
-    does fsync (see :mod:`repro.parallel.journal`).
-    """
-    header = {
-        "magic": magic,
-        "format": FORMAT_VERSION,
-        # CRC-32, not a cryptographic hash: the threat model is
-        # truncation and bit rot, and sha256 over a multi-MiB
-        # payload would dominate the cost of saving a checkpoint.
-        "checksum": f"crc32:{zlib.crc32(payload):08x}",
-        "payload_bytes": len(payload),
-        # Attribution only; never participates in validation.
-        "manifest": build_manifest("checkpoint-save"),
-    }
-    header.update(header_extra)
-    with atomic_write(path, "wb") as handle:
-        pickle.dump(header, handle)
-        handle.write(payload)
-    return Path(path)
-
-
-def read_framed(
-    path: Union[str, Path],
-    magic: str = _HEADER_MAGIC,
-    expected_format: Optional[int] = FORMAT_VERSION,
-) -> Tuple[dict, bytes]:
-    """Read and verify a two-frame file written by :func:`write_framed`.
-
-    Every failure mode raises :class:`~repro.errors.CheckpointError`
-    naming the file *and* carrying a machine-readable ``cause``:
-    ``missing``, ``truncated-header``, ``unreadable-header``,
-    ``bad-magic``, ``version-mismatch``, ``truncated-payload``, or
-    ``checksum-mismatch``.  A truncated second frame (the classic torn
-    write at the frame boundary) is told apart from bit rot by the
-    header's recorded payload length; headers written before the length
-    field existed fall through to the checksum check.
-    """
-    target = Path(path)
-    if not target.exists():
-        raise CheckpointError(f"no checkpoint at {target}", cause="missing")
-    try:
-        with open(target, "rb") as handle:
-            header = pickle.load(handle)
-            payload = handle.read()
-    except EOFError as exc:
-        raise CheckpointError(
-            f"truncated checkpoint header in {target}: the file ends "
-            f"inside the header frame ({exc})",
-            cause="truncated-header",
-        ) from exc
-    except Exception as exc:
-        raise CheckpointError(
-            f"unreadable checkpoint header in {target}: {exc}",
-            cause="unreadable-header",
-        ) from exc
-    if not isinstance(header, dict) or header.get("magic") != magic:
-        raise CheckpointError(
-            f"{target} is not a {magic!r} checkpoint", cause="bad-magic"
-        )
-    if (
-        expected_format is not None
-        and header.get("format") != expected_format
-    ):
-        raise CheckpointError(
-            f"{target} has checkpoint format {header.get('format')}; "
-            f"this build reads format {expected_format}",
-            cause="version-mismatch",
-        )
-    expected_bytes = header.get("payload_bytes")
-    if expected_bytes is not None and len(payload) < expected_bytes:
-        raise CheckpointError(
-            f"truncated checkpoint payload in {target}: header promises "
-            f"{expected_bytes} bytes but only {len(payload)} follow the "
-            "frame boundary (torn write)",
-            cause="truncated-payload",
-        )
-    if f"crc32:{zlib.crc32(payload):08x}" != header.get("checksum"):
-        raise CheckpointError(
-            f"checksum mismatch in {target}: the checkpoint is "
-            "corrupt (truncated write or bit rot); re-run from an "
-            "earlier checkpoint or from scratch",
-            cause="checksum-mismatch",
-        )
-    return header, payload
 
 
 def save_checkpoint(
@@ -291,6 +188,8 @@ def save_checkpoint(
         payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
         write_framed(
             path,
+            CHECKPOINT_MAGIC,
+            FORMAT_VERSION,
             {
                 "fingerprint": checkpoint.fingerprint,
                 "next_iteration": checkpoint.next_iteration,
@@ -300,27 +199,6 @@ def save_checkpoint(
         )
     METRICS.inc("checkpoint.saved")
     return Path(path)
-
-
-def read_checkpoint_header(path: Union[str, Path]) -> dict:
-    """The header frame alone (cheap: does not load the machine state)."""
-    target = Path(path)
-    if not target.exists():
-        raise CheckpointError(f"no checkpoint at {target}", cause="missing")
-    try:
-        with open(target, "rb") as handle:
-            header = pickle.load(handle)
-    except Exception as exc:
-        raise CheckpointError(
-            f"unreadable checkpoint header in {target}: {exc}",
-            cause="truncated-header" if isinstance(exc, EOFError)
-            else "unreadable-header",
-        ) from exc
-    if not isinstance(header, dict) or header.get("magic") != _HEADER_MAGIC:
-        raise CheckpointError(
-            f"{target} is not a repro checkpoint", cause="bad-magic"
-        )
-    return header
 
 
 def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
@@ -337,7 +215,9 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
     """
     target = Path(path)
     with METRICS.timer("checkpoint.load"):
-        header, payload = read_framed(target)
+        header, payload = read_framed(
+            target, CHECKPOINT_MAGIC, FORMAT_VERSION
+        )
         try:
             body = pickle.loads(payload)
         except Exception as exc:
@@ -377,47 +257,6 @@ def latest_checkpoint(directory: Union[str, Path]) -> Optional[Path]:
     """The newest checkpoint in ``directory`` (by iteration number)."""
     candidates = sorted(Path(directory).glob("checkpoint-*.ckpt"))
     return candidates[-1] if candidates else None
-
-
-def load_newest_valid(
-    paths: Iterable[Union[str, Path]],
-    loader: Callable[[Union[str, Path]], object],
-) -> Tuple[object, Path, Tuple[Tuple[Path, CheckpointError], ...]]:
-    """Load the first of ``paths`` (newest first) that verifies cleanly.
-
-    The fallback discipline shared by simulation resume and the serving
-    layer's warm-restore: a torn or corrupt newer checkpoint must not
-    strand the run when an older valid one exists.  Returns ``(loaded,
-    path, skipped)`` where ``skipped`` records each newer file that was
-    passed over together with its named :class:`CheckpointError`.
-    Raises a ``no-valid-checkpoint`` :class:`CheckpointError` listing
-    every candidate's cause when nothing loads.
-    """
-    skipped: List[Tuple[Path, CheckpointError]] = []
-    candidates = [Path(path) for path in paths]
-    for path in candidates:
-        try:
-            loaded = loader(path)
-        except CheckpointError as exc:
-            skipped.append((path, exc))
-            METRICS.inc("checkpoint.fallback.skipped")
-            continue
-        if skipped:
-            METRICS.inc("checkpoint.fallback.used")
-        return loaded, path, tuple(skipped)
-    if not candidates:
-        raise CheckpointError(
-            "no checkpoint candidates to load", cause="no-valid-checkpoint"
-        )
-    reasons = "; ".join(
-        f"{path.name}: {exc.cause or 'error'} ({exc})"
-        for path, exc in skipped
-    )
-    raise CheckpointError(
-        f"no valid checkpoint among {len(candidates)} candidate(s): "
-        f"{reasons}",
-        cause="no-valid-checkpoint",
-    )
 
 
 def load_latest_checkpoint(

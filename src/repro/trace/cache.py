@@ -8,15 +8,15 @@ predictor sweeps (figures 6/7, sensitivity, ablations) replay traces from
 disk instead of re-running the simulator -- across processes, including
 the parallel runner's worker pool.
 
-Layout: ``<root>/<digest[:2]>/<digest>.trace``.  Each file holds two
-pickle frames: a small metadata header (format version, event count,
-SHA-256 of the payload, the human-readable key descriptor) followed by
-the pickled event list.  Loads verify the hash and count; any mismatch,
-truncation, or unpickling error is treated as a miss -- the corrupt file
-is removed and the caller re-simulates.  Writes go through
-:func:`repro.ioutil.atomic_write` (a temp file moved into place with
-``os.replace``) so concurrent workers never observe a half-written
-trace.  Bump :data:`FORMAT_VERSION` whenever the event schema or the
+Layout: ``<root>/<digest[:2]>/<digest>.trace``.  Each file is a
+two-frame file (:func:`repro.ioutil.write_framed`): a small metadata
+header (format version, CRC-32, event count, SHA-256 of the payload, the
+human-readable key descriptor) followed by the pickled event list.
+Loads verify the checksums and count; any mismatch, truncation, or
+unpickling error is treated as a miss -- the corrupt file is removed and
+the caller re-simulates.  Writes are atomic (a temp file moved into
+place with ``os.replace``) so concurrent workers never observe a
+half-written trace.  Bump :data:`FORMAT_VERSION` whenever the event schema or the
 simulator's timing model changes meaning: old entries then simply stop
 matching and are re-simulated.
 """
@@ -24,14 +24,12 @@ matching and are re-simulated.
 from __future__ import annotations
 
 import hashlib
-import json
 import pickle
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..ioutil import atomic_write
-from ..obs.manifest import build_manifest
+from ..ioutil import canonical_digest, read_framed, write_framed
 from ..sim.metrics import METRICS
 from ..sim.params import SystemParams
 from ..protocol.stache import StacheOptions
@@ -81,9 +79,9 @@ def trace_key(
     }
     if faults is not None:
         descriptor["faults"] = {"spec": faults, "seed": fault_seed}
-    canonical = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return TraceCacheKey(digest=digest, descriptor=descriptor)
+    return TraceCacheKey(
+        digest=canonical_digest(descriptor), descriptor=descriptor
+    )
 
 
 class TraceCache:
@@ -109,17 +107,12 @@ class TraceCache:
             METRICS.inc("trace.cache.miss")
             return None
         try:
-            with METRICS.timer("trace.cache.load"), open(path, "rb") as handle:
-                header = pickle.load(handle)
-                payload = handle.read()
-                if (
-                    not isinstance(header, dict)
-                    or header.get("magic") != _HEADER_MAGIC
-                    or header.get("format") != FORMAT_VERSION
-                    or header.get("sha256")
-                    != hashlib.sha256(payload).hexdigest()
-                ):
-                    raise ValueError("header/payload mismatch")
+            with METRICS.timer("trace.cache.load"):
+                header, payload = read_framed(
+                    path, _HEADER_MAGIC, FORMAT_VERSION
+                )
+                if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+                    raise ValueError("payload hash mismatch")
                 events = pickle.loads(payload)
                 if (
                     not isinstance(events, list)
@@ -147,21 +140,16 @@ class TraceCache:
             payload = pickle.dumps(
                 list(events), protocol=pickle.HIGHEST_PROTOCOL
             )
-            header = {
-                "magic": _HEADER_MAGIC,
-                "format": FORMAT_VERSION,
-                "count": len(events),
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "descriptor": key.descriptor,
-                # Attribution only: the cache key is derived from the
-                # descriptor alone, so adding/changing the manifest never
-                # invalidates (or fails to invalidate) an entry.
-                "manifest": build_manifest(
-                    "trace-cache-store", digest=key.digest
-                ),
-            }
-            with atomic_write(path, "wb") as handle:
-                pickle.dump(header, handle)
-                handle.write(payload)
+            write_framed(
+                path,
+                _HEADER_MAGIC,
+                FORMAT_VERSION,
+                {
+                    "count": len(events),
+                    "sha256": hashlib.sha256(payload).hexdigest(),
+                    "descriptor": key.descriptor,
+                },
+                payload,
+            )
         METRICS.inc("trace.cache.stored")
         return path

@@ -64,20 +64,31 @@ def _module_states(armed: bool) -> dict:
     its readable statistics plus a digest of the whole canonical state
     (tables, parity bits, injector RNG).
     """
-    from repro.core.bank import PredictorBank
     from repro.core.config import CosmosConfig
-    from repro.core.corruption import CorruptionProfile
+    from repro.core.corruption import CorruptionInjector, CorruptionProfile
+    from repro.core.predictor import CosmosPredictor
+    from repro.protocol.messages import Role
 
-    events = _golden_events(CORRUPTION_APP)
-    bank = PredictorBank(
-        CosmosConfig(depth=2),
-        corruption=CorruptionProfile(**CORRUPTION_RATES) if armed else None,
-        corruption_seed=0,
-    )
-    for event in events:
-        bank.observe(event)
+    config = CosmosConfig(depth=2)
+    profile = CorruptionProfile(**CORRUPTION_RATES)
+    predictors = {}
+    for event in _golden_events(CORRUPTION_APP):
+        key = (event.node, event.role)
+        predictor = predictors.get(key)
+        if predictor is None:
+            # Each module's error stream is seeded by its identity, so
+            # it does not depend on which module the trace touches first.
+            injector = None
+            if armed:
+                role_bit = 0 if event.role is Role.CACHE else 1
+                injector = CorruptionInjector(
+                    profile, event.node * 16 + role_bit
+                )
+            predictor = CosmosPredictor(config, corruption=injector)
+            predictors[key] = predictor
+        predictor.observe(event.block, event.tuple)
     modules = {}
-    for (node, role), predictor in bank:
+    for (node, role), predictor in predictors.items():
         state = _plain(predictor.snapshot_state())
         # Retired counter: absent from newer snapshots, so never pinned.
         state["stats"].pop("capacity_evictions", None)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import SimulationError, TraceError
+from repro.ioutil import canonical_digest
 from repro.explore.artifact import (
     ExploreArtifact,
     load_artifact,
@@ -114,6 +115,23 @@ class TestViolationArtifacts:
         document["decisions"] = document["decisions"][:-1]
         path.write_text(json.dumps(document))
         with pytest.raises(TraceError, match="integrity"):
+            load_artifact(path)
+
+    def test_format_1_artifact_refused(self, violation_artifact, tmp_path):
+        # Format-1 artifacts carry the retired check_invariants option.
+        document = json.loads(json.dumps(violation_artifact.to_document()))
+        document["format"] = 1
+        document["config"]["options"]["check_invariants"] = True
+        document["sha256"] = canonical_digest(
+            {
+                key: value
+                for key, value in document.items()
+                if key not in ("sha256", "manifest")
+            }
+        )
+        path = tmp_path / "old.repro"
+        path.write_text(json.dumps(document))
+        with pytest.raises(TraceError, match="artifact format 1"):
             load_artifact(path)
 
     def test_wrong_kind_refused(self, tmp_path):

@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.errors import ReproError
 from repro.obs.schema import load_schema, validate
 from repro.obs.timeline import (
     TID_CACHE,
@@ -249,6 +252,15 @@ class TestSave:
         written = save_trace_events(doc, path)
         assert written == path
         assert json.loads(path.read_text()) == doc
+
+    def test_invalid_document_writes_nothing(self, tmp_path):
+        path = tmp_path / "timeline.json"
+        with pytest.raises(ReproError, match="failed validation") as info:
+            save_trace_events({"traceEvents": [{"ph": "?"}] * 10}, path)
+        # Only the first five problems are named.
+        assert str(info.value).count("traceEvents[") <= 5
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSpanExport:

@@ -23,6 +23,7 @@ from repro.serve.loadgen import (
     verify_predictions,
 )
 from repro.serve.protocol import Status
+from repro.serve.supervisor import PROBE_REQUESTS
 
 from .common import synthetic_events
 
@@ -31,7 +32,7 @@ KILL_AT = 30
 
 def _victim_shard(events, config):
     """The shard that receives enough traffic to hit the kill ordinal."""
-    ring = HashRing(config.shards, config.vnodes)
+    ring = HashRing(config.shards)
     counts = [0] * config.shards
     for event in events:
         counts[ring.shard_for(tenant_of(event), event.block)] += 1
@@ -186,7 +187,7 @@ def test_hang_past_budget_is_killed_and_restored(tmp_path):
                 # worker: no admitted learning lost.
                 assert stat["shards"][0]["trained"] == 3
                 # Drive the probe window shut with fresh traffic.
-                for seq in range(3, 3 + config.probe_requests):
+                for seq in range(3, 3 + PROBE_REQUESTS):
                     response = await client.observe("t", 64 * seq, 0, mtype)
                     assert response.status == Status.OK
                     assert not response.degraded

@@ -20,15 +20,16 @@ from repro.core.corruption import CorruptionInjector, CorruptionProfile
 from repro.core.predictor import CosmosPredictor
 from repro.errors import CheckpointError
 from repro.experiments.common import workload_for
+from repro.ioutil import canonical_digest, read_framed, write_framed
 from repro.protocol.messages import MessageType
 from repro.sim.checkpoint import (
+    CHECKPOINT_MAGIC,
     FORMAT_VERSION,
     capture,
     checkpoint_path,
     config_fingerprint,
     latest_checkpoint,
     load_checkpoint,
-    read_checkpoint_header,
     restore,
     resume_simulation,
     save_checkpoint,
@@ -130,7 +131,9 @@ class TestOnDiskFormat:
 
     def test_header_and_roundtrip(self, tmp_path):
         checkpoint, path = self._one_checkpoint(tmp_path)
-        header = read_checkpoint_header(path)
+        header, _payload = read_framed(
+            path, CHECKPOINT_MAGIC, FORMAT_VERSION
+        )
         assert header["format"] == FORMAT_VERSION
         assert header["next_iteration"] == 2
         assert header["fingerprint"] == checkpoint.fingerprint
@@ -146,7 +149,7 @@ class TestOnDiskFormat:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"definitely not a pickle header")
         with pytest.raises(CheckpointError, match="unreadable|not a repro"):
-            read_checkpoint_header(path)
+            read_framed(path, CHECKPOINT_MAGIC, FORMAT_VERSION)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -161,6 +164,31 @@ class TestOnDiskFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(path)
+
+    def test_checkpoint_from_before_check_invariants_removal_refused(
+        self, tmp_path
+    ):
+        # Older builds hashed StacheOptions with a check_invariants field;
+        # their checkpoints no longer match and fail loudly.
+        from dataclasses import asdict
+
+        checkpoint, path = self._one_checkpoint(tmp_path)
+        header, payload = read_framed(path, CHECKPOINT_MAGIC, FORMAT_VERSION)
+        old_options = {**asdict(checkpoint.options), "check_invariants": True}
+        header["fingerprint"] = canonical_digest(
+            {
+                "format": FORMAT_VERSION,
+                "params": asdict(checkpoint.params),
+                "options": old_options,
+                "seed": checkpoint.seed,
+                "faults": None,
+                "fault_seed": 0,
+            }
+        )
+        write_framed(path, CHECKPOINT_MAGIC, FORMAT_VERSION, header, payload)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert info.value.cause == "fingerprint-mismatch"
 
     def test_fingerprint_separates_configurations(self):
         from repro.protocol.stache import DEFAULT_OPTIONS, StacheOptions
