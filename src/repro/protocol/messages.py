@@ -126,9 +126,21 @@ TABLE1_TYPES = frozenset(MessageType) - {
 }
 
 
+#: The receiving module of each message type as a bit, indexed by the
+#: type's value: 1 for a directory, 0 for a cache.  The simulator's
+#: delivery path routes on it and the trace collector stores it as is.
+#: A tuple lookup needs the values to be dense from 0, which they are.
+RECEIVER_BIT = tuple(
+    1 if mtype in DIRECTORY_BOUND else 0 for mtype in MessageType
+)
+
+#: The module a receiver bit names: ``ROLE_OF_BIT[RECEIVER_BIT[t]]``.
+ROLE_OF_BIT = (Role.CACHE, Role.DIRECTORY)
+
+
 def receiver_role(mtype: MessageType) -> Role:
     """Return which module (cache or directory) receives messages of ``mtype``."""
-    return Role.DIRECTORY if mtype in DIRECTORY_BOUND else Role.CACHE
+    return ROLE_OF_BIT[RECEIVER_BIT[mtype]]
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,6 @@ class Engine:
         """Total number of events the engine has dispatched."""
         return self._events_processed
 
-    def _take_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     def schedule(
         self, delay: int, callback: Callable[..., None], *args: Any
     ) -> None:
@@ -86,9 +81,9 @@ class Engine:
             )
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        heapq.heappush(
-            self._queue, (self._now + delay, self._take_seq(), callback, args)
-        )
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, (self._now + delay, seq, callback, args))
 
     def schedule_at(
         self, time: int, callback: Callable[..., None], *args: Any
@@ -104,7 +99,9 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        heapq.heappush(self._queue, (time, self._take_seq(), callback, args))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, callback, args))
 
     def schedule_fifo(
         self, delay: int, callback: Callable[..., None], *args: Any
@@ -126,12 +123,12 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         fifo = self._fifo
         time = self._now + delay
+        seq = self._next_seq
+        self._next_seq = seq + 1
         if not fifo or time >= fifo[-1][0]:
-            fifo.append((time, self._take_seq(), callback, args))
+            fifo.append((time, seq, callback, args))
         else:
-            heapq.heappush(
-                self._queue, (time, self._take_seq(), callback, args)
-            )
+            heapq.heappush(self._queue, (time, seq, callback, args))
 
     def run(
         self,

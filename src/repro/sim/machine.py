@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import chain
+from collections import Counter
+from functools import partial
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..errors import ProtocolError, SimulationError
 from ..obs.log import OBS
 from ..obs.spans import SPANS
-from ..protocol.messages import Message, Role
+from ..protocol.messages import RECEIVER_BIT, ROLE_OF_BIT, Message
 from ..protocol.recovery import RecoveryConfig
 from ..protocol.stache import DEFAULT_OPTIONS, StacheOptions
 from ..protocol.state import CacheState
@@ -145,9 +147,16 @@ class Machine:
         self._cursor: List[int] = []
         self._issue_time: List[int] = [0] * params.n_nodes
         self._was_miss: List[bool] = [False] * params.n_nodes
+        #: Each processor's access-completion callback, built once.
+        self._done = [
+            partial(self._completed, proc) for proc in range(params.n_nodes)
+        ]
         self.accesses_issued = 0
         #: (latency_ns, was_coherence_miss) per completed shared access.
         self.access_latencies: List[tuple] = []
+        #: Samples already folded into ``sim.access.latency_ns`` by
+        #: :meth:`finish_workload`.
+        self._folded_latencies = 0
         self.watchdog = watchdog
         if watchdog is not None:
             watchdog.attach(self)
@@ -168,17 +177,20 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _deliver(self, msg: Message) -> None:
+        now = self.engine.now
+        mtype = msg.mtype
+        to_directory = RECEIVER_BIT[mtype]
         if OBS.msg:
             OBS.emit(
-                self.engine.now,
+                now,
                 "net",
                 "deliver",
                 msg.dst,
                 msg.block,
                 {
                     "src": msg.src,
-                    "mtype": msg.mtype.name,
-                    "role": str(msg.role_at_receiver),
+                    "mtype": mtype.name,
+                    "role": ROLE_OF_BIT[to_directory].value,
                 },
             )
             # Deliberately OBS-gated (unlike the latency histograms):
@@ -187,16 +199,18 @@ class Machine:
             # there is no end-of-run fold that could reconstruct it.
             METRICS.observe("sim.queue.depth", self.engine.pending())
         self.collector.record(
-            self.engine.now,
-            msg.dst,
-            msg.role_at_receiver,
-            msg.block,
-            msg.src,
-            msg.mtype,
+            now, msg.dst, to_directory, msg.block, msg.src, mtype
         )
         if self.watchdog is not None:
             self.watchdog.note_delivery(msg.block)
-        self.nodes[msg.dst].receive(msg)
+        # The controller is looked up per delivery, not bound once:
+        # subclasses (the predictive machine) swap directories in after
+        # construction.
+        node = self.nodes[msg.dst]
+        if to_directory:
+            node.directory.handle_message(msg)
+        else:
+            node.cache.handle_message(msg)
         if self.recovery is not None:
             self._check_coherence(msg.block)
         if self.deliver_hooks:
@@ -384,7 +398,7 @@ class Machine:
         node = self.nodes[proc]
         if home == proc:
             hit = node.directory.local_access(
-                access.block, access.is_write, lambda: self._completed(proc)
+                access.block, access.is_write, self._done[proc]
             )
             if hit:
                 self._was_miss[proc] = False
@@ -393,10 +407,7 @@ class Machine:
                 )
         else:
             hit = node.cache.access(
-                access.block,
-                home,
-                access.is_write,
-                lambda: self._completed(proc),
+                access.block, home, access.is_write, self._done[proc]
             )
             if hit:
                 self._was_miss[proc] = False
@@ -465,8 +476,17 @@ class Machine:
             self._fold_fault_metrics()
         # One end-of-run fold, not a hot-path hook: the access-latency
         # distribution goes to ``--metrics-json`` even with OBS off.
-        for latency_ns, _was_miss in self.access_latencies:
-            METRICS.observe("sim.access.latency_ns", latency_ns)
+        # Latencies repeat heavily, so each distinct value is one bulk
+        # update; the cursor makes a second call fold nothing.
+        unfolded = Counter(
+            latency_ns
+            for latency_ns, _was_miss in islice(
+                self.access_latencies, self._folded_latencies, None
+            )
+        )
+        for latency_ns, count in unfolded.items():
+            METRICS.observe_many("sim.access.latency_ns", latency_ns, count)
+        self._folded_latencies = len(self.access_latencies)
         # Same for the network's deferred per-send latency samples
         # (custom interconnects may not batch and need no flush).
         flush = getattr(self.network, "flush_metrics", None)
@@ -549,6 +569,9 @@ class Machine:
             (flat_latencies[base], bool(flat_latencies[base + 1]))
             for base in range(0, len(flat_latencies), 2)
         ]
+        # The end-of-run fold covers the whole run, pre-checkpoint segment
+        # included (as the network's flush does).
+        self._folded_latencies = 0
         self.accesses_issued = state["accesses_issued"]
         self.invariant_checks = state["invariant_checks"]
         if self.watchdog is not None:

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 from ..protocol.cache_ctrl import CacheController
 from ..protocol.directory_ctrl import DirectoryController
-from ..protocol.messages import Message, Role
+from ..protocol.messages import Message
 from ..protocol.origin import OriginDirectoryController
 from ..protocol.recovery import RecoveryConfig, Scheduler
 from ..protocol.stache import StacheOptions
@@ -35,10 +35,3 @@ class Node:
         self.directory = directory_cls(
             node_id, send, options, recovery=recovery, schedule=schedule
         )
-
-    def receive(self, msg: Message) -> None:
-        """Dispatch a delivered message to the cache or directory module."""
-        if msg.role_at_receiver is Role.DIRECTORY:
-            self.directory.handle_message(msg)
-        else:
-            self.cache.handle_message(msg)

@@ -9,13 +9,16 @@ from its traces).
 
 The primary store is a flat ``array('q')`` of 7 ints per event: the
 record hot path (once per simulated message delivery) is a single
-``array.extend`` -- no :class:`TraceEvent` allocation, no enum boxing --
+``array.extend`` of ints the caller already holds -- the role arrives as
+its receiver bit (:data:`repro.protocol.messages.RECEIVER_BIT`), so there
+is no :class:`TraceEvent` allocation, no enum boxing and no lookup --
 and a checkpoint snapshot is a memcpy of one buffer (pickling ~100k
 frozen dataclasses of enums cost ~100ms *per checkpoint*, which made
 per-iteration checkpointing quadratic in trace length).  The
 :class:`TraceEvent` objects every analysis consumes are materialized
-lazily, once, on first access via :attr:`events` / :attr:`all_events`;
-a simulation that only ever checkpoints never builds them at all.
+lazily, once, on first access via :attr:`events` / :attr:`all_events`,
+column by column (:func:`repro.trace.events.events_from_flat`); a
+simulation that only ever checkpoints never builds them at all.
 """
 
 from __future__ import annotations
@@ -23,14 +26,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, List, Optional
 
-from ..protocol.messages import MessageType, Role
-from .events import TraceEvent
-
-#: Ints per event in the flat encoding, in :data:`repro.trace.io.FIELDS`
-#: order (role as 0/1).
-_EVENT_WIDTH = 7
-_ROLE_CODE = {Role.CACHE: 0, Role.DIRECTORY: 1}
-_CODE_ROLE = (Role.CACHE, Role.DIRECTORY)
+from ..protocol.messages import MessageType
+from .events import EVENT_WIDTH, TraceEvent, events_from_flat
 
 
 class TraceCollector:
@@ -49,49 +46,31 @@ class TraceCollector:
         self,
         time: int,
         node: int,
-        role: Role,
+        role_bit: int,
         block: int,
         sender: int,
         mtype: MessageType,
     ) -> None:
-        """Record one message reception at the current iteration."""
+        """Record one message reception at the current iteration.
+
+        ``role_bit`` is the receiving module as a
+        :data:`~repro.protocol.messages.RECEIVER_BIT` (1 for a directory,
+        0 for a cache).
+        """
         self._flat.extend(
-            (
-                time,
-                self.iteration,
-                node,
-                _ROLE_CODE[role],
-                block,
-                sender,
-                int(mtype),
-            )
+            (time, self.iteration, node, role_bit, block, sender, mtype)
         )
 
     def mark_startup_complete(self) -> None:
         """Everything recorded so far belongs to the start-up phase."""
-        self._startup_boundary = len(self._flat) // _EVENT_WIDTH
+        self._startup_boundary = len(self._flat) // EVENT_WIDTH
 
     def _materialized(self) -> List[TraceEvent]:
         """The full event list, building only the unmaterialized tail."""
-        flat = self._flat
         events = self._events
-        total = len(flat) // _EVENT_WIDTH
-        if len(events) < total:
-            append = events.append
-            for base in range(
-                len(events) * _EVENT_WIDTH, total * _EVENT_WIDTH, _EVENT_WIDTH
-            ):
-                append(
-                    TraceEvent(
-                        time=flat[base],
-                        iteration=flat[base + 1],
-                        node=flat[base + 2],
-                        role=_CODE_ROLE[flat[base + 3]],
-                        block=flat[base + 4],
-                        sender=flat[base + 5],
-                        mtype=MessageType(flat[base + 6]),
-                    )
-                )
+        start = len(events) * EVENT_WIDTH
+        if start < len(self._flat):
+            events.extend(events_from_flat(self._flat[start:]))
         return events
 
     @property
@@ -108,7 +87,7 @@ class TraceCollector:
         return list(self._materialized())
 
     def __len__(self) -> int:
-        total = len(self._flat) // _EVENT_WIDTH
+        total = len(self._flat) // EVENT_WIDTH
         if self._startup_boundary is None:
             return total
         return total - self._startup_boundary

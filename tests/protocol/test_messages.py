@@ -7,6 +7,7 @@ from repro.protocol.messages import (
     CACHE_BOUND,
     DIRECTORY_BOUND,
     MESSAGE_DESCRIPTIONS,
+    RECEIVER_BIT,
     TABLE1_TYPES,
     Message,
     MessageType,
@@ -60,10 +61,18 @@ class TestReceiverRole:
     @pytest.mark.parametrize("mtype", sorted(DIRECTORY_BOUND))
     def test_directory_bound(self, mtype):
         assert receiver_role(mtype) is Role.DIRECTORY
+        assert RECEIVER_BIT[mtype] == 1
 
     @pytest.mark.parametrize("mtype", sorted(CACHE_BOUND))
     def test_cache_bound(self, mtype):
         assert receiver_role(mtype) is Role.CACHE
+        assert RECEIVER_BIT[mtype] == 0
+
+    def test_bit_table_is_indexed_by_dense_values(self):
+        # RECEIVER_BIT (and the trace hand-off's tuple(MessageType))
+        # index by value, which needs the values to be 0..14.
+        assert [int(mtype) for mtype in MessageType] == list(range(15))
+        assert len(RECEIVER_BIT) == len(MessageType)
 
 
 class TestMessage:
