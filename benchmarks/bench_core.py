@@ -1,21 +1,9 @@
 """Microbenchmarks: predictor, evaluation, and simulator throughput.
 
-Runs two ways:
-
-* under pytest-benchmark with the rest of the suite
-  (``pytest benchmarks/bench_core.py``), and
-* as a script emitting the machine-readable throughput report the CI
-  ``bench`` job tracks::
-
-      PYTHONPATH=src python benchmarks/bench_core.py --bench-json BENCH_core.json
-      PYTHONPATH=src python benchmarks/bench_core.py --bench-json out.json \
-          --baseline BENCH_core.json   # exit 1 on >20% events/sec regression
-
-The JSON carries best-of-N events/second figures for the simulator, the
-evaluation replay (with and without arc tracking), the packed-word
-predictor kernel, and peak RSS.  ``docs/performance.md`` explains how to
-read it; the committed ``BENCH_core.json`` at the repo root is the
-baseline the CI gate compares against.
+Run under pytest-benchmark (``pytest benchmarks/bench_core.py``).  The
+two overhead guards are self-relative pass/fail checks CI runs by node
+id; end-to-end throughput is measured and gated by ``perfbench/`` and
+``benchmarks/ab.py`` (see ``docs/performance.md``).
 """
 
 from repro.core.config import CosmosConfig
@@ -237,203 +225,3 @@ def test_bounded_observe_overhead_guard():
         f"({bounded_s * 1e9 / len(stream):.0f} vs "
         f"{base_s * 1e9 / len(stream):.0f} ns/observe; budget 10%)"
     )
-
-
-# ---------------------------------------------------------------------------
-# script mode: the machine-readable throughput report (--bench-json)
-# ---------------------------------------------------------------------------
-
-#: Rates the CI gate enforces; entries are JSON keys of events/second
-#: figures where *lower is worse*.
-GATED_RATES = (
-    "eval_events_per_sec",
-    "eval_events_per_sec_arcs",
-    "observes_per_sec",
-    "sim_events_per_sec",
-)
-#: Allowed relative drop vs the committed baseline before the gate fails.
-REGRESSION_BUDGET = 0.20
-
-
-def _best_rate(work, units, repeats=5):
-    """Best-of-N throughput for ``work()`` processing ``units`` items."""
-    import time
-
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        work()
-        best = min(best, time.perf_counter() - start)
-    return units / best
-
-
-def collect_throughput():
-    """Measure every gated rate; returns a plain JSON-able dict."""
-    import resource
-
-    from repro.core.tuples import pack
-    from repro.experiments.common import get_trace
-
-    events = get_trace("moldyn", seed=0, quick=True)
-    config = CosmosConfig(depth=2)
-
-    report = {
-        "trace": "moldyn/quick/seed0",
-        "events": len(events),
-        "eval_events_per_sec": round(
-            _best_rate(
-                lambda: evaluate_trace(events, config, None, (), False),
-                len(events),
-            )
-        ),
-        "eval_events_per_sec_arcs": round(
-            _best_rate(
-                lambda: evaluate_trace(events, config, None, (2, 4), True),
-                len(events),
-            )
-        ),
-    }
-
-    predictor = CosmosPredictor(config)
-    words = [pack(tup) for tup in CYCLE] * 20_000
-
-    def observe_all():
-        observe_word = predictor.observe_word
-        for word in words:
-            observe_word(0x40, word)
-
-    report["observes_per_sec"] = round(_best_rate(observe_all, len(words)))
-
-    # Bounded-bank rate on a skewed pressure stream, with its unbounded
-    # twin measured back to back; the pytest guard enforces the <=10%
-    # self-relative overhead, the report just records the trajectory.
-    pressure = _pressure_stream()
-    bounded_config = CosmosConfig(depth=2, mhr_capacity=16, eviction="lru")
-    unbounded_rate = _best_rate(
-        lambda: _replay_stream(CosmosConfig(depth=2), pressure),
-        len(pressure),
-    )
-    bounded_rate = _best_rate(
-        lambda: _replay_stream(bounded_config, pressure), len(pressure)
-    )
-    report["bounded_observes_per_sec"] = round(bounded_rate)
-    report["bounded_overhead_pct"] = round(
-        100.0 * (unbounded_rate / bounded_rate - 1.0), 1
-    )
-
-    sim_rate = 0.0
-    for _ in range(3):
-        machine = Machine(seed=1)
-
-        def run_sim(machine=machine):
-            machine.run_workload(
-                MolDyn(force_blocks=8, coord_blocks=8, cold_blocks=0),
-                iterations=5,
-            )
-
-        rate = _best_rate(run_sim, 1, repeats=1)
-        sim_rate = max(sim_rate, rate * machine.engine.events_processed)
-    report["sim_events_per_sec"] = round(sim_rate)
-
-    report["peak_rss_kb"] = resource.getrusage(
-        resource.RUSAGE_SELF
-    ).ru_maxrss
-    return report
-
-
-def compare_to_baseline(report, baseline):
-    """Gated-rate regressions beyond the budget; empty means pass."""
-    failures = []
-    for key in GATED_RATES:
-        recorded = baseline.get(key)
-        if not recorded:
-            continue
-        current = report.get(key, 0)
-        drop = (recorded - current) / recorded
-        if drop > REGRESSION_BUDGET:
-            failures.append(
-                f"{key}: {current:,} is {drop:.1%} below the baseline "
-                f"{recorded:,} (budget {REGRESSION_BUDGET:.0%})"
-            )
-    return failures
-
-
-def pr_snapshot_path(bench_json, pr):
-    """Where the dated per-PR snapshot for ``--pr N`` lands.
-
-    Next to the ``--bench-json`` report, so CI picks both up with one
-    artifact glob and local runs leave the snapshot at the repo root.
-    """
-    import os
-
-    return os.path.join(
-        os.path.dirname(os.path.abspath(bench_json)), f"BENCH_pr{pr}.json"
-    )
-
-
-def main(argv=None):
-    import argparse
-    import datetime
-    import json
-    import sys
-
-    parser = argparse.ArgumentParser(
-        description="Core throughput benchmark with a JSON report."
-    )
-    parser.add_argument(
-        "--bench-json",
-        metavar="PATH",
-        help="write the throughput report to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare against a recorded report; exit 1 on a >"
-        f"{REGRESSION_BUDGET:.0%} events/sec regression",
-    )
-    parser.add_argument(
-        "--pr",
-        type=int,
-        metavar="N",
-        help="also write a dated BENCH_pr<N>.json snapshot next to "
-        "--bench-json, extending the committed throughput trajectory",
-    )
-    args = parser.parse_args(argv)
-    if args.pr is not None and not args.bench_json:
-        parser.error("--pr requires --bench-json")
-
-    report = collect_throughput()
-    for key, value in report.items():
-        print(f"{key}: {value:,}" if isinstance(value, int) else
-              f"{key}: {value}")
-
-    if args.bench_json:
-        with open(args.bench_json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.bench_json}")
-        if args.pr is not None:
-            snapshot = dict(report)
-            snapshot["pr"] = args.pr
-            snapshot["date"] = datetime.date.today().isoformat()
-            path = pr_snapshot_path(args.bench_json, args.pr)
-            with open(path, "w") as handle:
-                json.dump(snapshot, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {path}")
-
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        failures = compare_to_baseline(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"within {REGRESSION_BUDGET:.0%} of baseline for "
-              f"{', '.join(GATED_RATES)}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

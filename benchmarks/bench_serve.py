@@ -1,44 +1,22 @@
-"""Benchmark: online prediction service throughput and chaos recovery.
+"""Benchmark: online prediction service throughput.
 
-Runs two ways:
-
-* under pytest-benchmark with the rest of the suite
-  (``pytest benchmarks/bench_serve.py``), and
-* as a script emitting the machine-readable serving report the CI
-  ``serve`` job tracks::
-
-      PYTHONPATH=src python benchmarks/bench_serve.py --bench-json BENCH_serve.json
-      PYTHONPATH=src python benchmarks/bench_serve.py --bench-json out.json \
-          --baseline BENCH_serve.json   # exit 1 on regression
-
-The report carries the fault-free sequential observation rate (the
-gated figure -- one TCP round trip per observation, so it measures the
-whole front-end/supervisor/worker path), fault-free p50/p99 latency,
-and a full chaos-battery run: throughput under kill+stall+flood+slow,
-degraded counts, restores, and the mirror-oracle verdict (``wrong``
-must be 0 -- the script exits 1 otherwise, so the perf trajectory can
-never accrue an incorrect run).
+Runs under pytest-benchmark with the rest of the suite
+(``pytest benchmarks/bench_serve.py``): one fault-free replay through
+the full front-end/supervisor/worker path, checked against the mirror
+oracle.  The serving throughput gate is perfbench's ``serve`` workload
+under ``benchmarks/ab.py``; the chaos battery is ``repro-serve chaos``.
 """
 
 import asyncio
 
-from repro.serve.chaos import ChaosScript
-from repro.serve.client import RetryPolicy, ServeClient
+from repro.serve.client import RetryPolicy
 from repro.serve.config import ServeConfig
 from repro.serve.frontend import PredictionService
 from repro.serve.loadgen import replay_trace, verify_predictions
-from repro.sim.metrics import METRICS
 
 SEED = 0
 SHARDS = 2
-OBSERVATIONS = 600
-
-#: Rates the CI gate enforces; lower is worse.
-GATED_RATES = ("serve_obs_per_sec",)
-#: Allowed relative drop vs the committed baseline.  Looser than the
-#: core benchmark's 20%: every observation is a loopback TCP round trip,
-#: so shared-runner network jitter lands directly on the figure.
-REGRESSION_BUDGET = 0.25
+OBSERVATIONS = 300
 
 
 def _events():
@@ -47,204 +25,31 @@ def _events():
     return get_trace("moldyn", seed=SEED, quick=True)[:OBSERVATIONS]
 
 
-async def _replay(events, chaos=None, config=None):
+async def _replay(events):
     """One full service lifecycle around a trace replay."""
-    if config is None:
-        config = ServeConfig(shards=SHARDS, seed=SEED)
-    service = PredictionService(config, chaos=chaos)
+    service = PredictionService(ServeConfig(shards=SHARDS, seed=SEED))
     await service.start()
     try:
-        report = await replay_trace(
+        return await replay_trace(
             "127.0.0.1",
             service.port,
             events,
             client_id="bench",
-            chaos_actions=chaos.client_actions() if chaos else (),
             policy=RetryPolicy(base_delay_ms=10.0, max_retries=20),
         )
-        async with ServeClient(
-            "127.0.0.1", service.port, "bench-stat"
-        ) as client:
-            for _ in range(200):
-                stats = (await client.stat())["shards"]
-                if all(s["state"] == "closed" for s in stats):
-                    break
-                await asyncio.sleep(0.05)
     finally:
         await service.stop()
-    return report, stats
 
 
 def test_serve_fault_free_throughput(benchmark):
     """Sequential observation rate through the full service stack."""
-    events = _events()[:300]
+    events = _events()
 
     def run():
         return asyncio.run(_replay(events))
 
-    report, _stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.ok == report.sent == len(events)
     checked, wrong = verify_predictions(report.results)
     assert checked == len(events) and wrong == 0
     benchmark.extra_info["obs_per_sec"] = round(report.throughput)
-
-
-# ---------------------------------------------------------------------------
-# script mode: the machine-readable serving report (--bench-json)
-# ---------------------------------------------------------------------------
-
-
-def _quantile_us(name, q):
-    histogram = METRICS.histogram(name)
-    return round(histogram.quantile(q)) if histogram else 0
-
-
-def collect_serve_report():
-    """Measure the gated rate and the chaos battery; JSON-able dict."""
-    import resource
-
-    events = _events()
-    report = {
-        "trace": f"moldyn/quick/seed{SEED}",
-        "events": len(events),
-        "shards": SHARDS,
-    }
-
-    METRICS.reset()
-    clean, _stats = asyncio.run(_replay(events))
-    checked, wrong = verify_predictions(clean.results)
-    report["serve_obs_per_sec"] = round(clean.throughput)
-    report["serve_latency_ok_p50_us"] = _quantile_us(
-        "serve.latency.ok_us", 0.5
-    )
-    report["serve_latency_ok_p99_us"] = _quantile_us(
-        "serve.latency.ok_us", 0.99
-    )
-    report["serve_ok"] = clean.ok
-    report["serve_wrong"] = wrong
-    assert checked == clean.ok
-
-    chaos = ChaosScript.battery(SEED, SHARDS, len(events))
-    config = ServeConfig(
-        shards=SHARDS,
-        queue_depth=4,
-        deadline_ms=150.0,
-        hang_timeout_ms=1_500.0,
-        checkpoint_every=16,
-        seed=SEED,
-    )
-    METRICS.reset()
-    battered, stats = asyncio.run(_replay(events, chaos, config))
-    _checked, chaos_wrong = verify_predictions(battered.results)
-    report["chaos_script"] = chaos.spec()
-    report["chaos_obs_per_sec"] = round(battered.throughput)
-    report["chaos_ok"] = battered.ok
-    report["chaos_degraded"] = battered.degraded
-    report["chaos_shed"] = METRICS.counter("serve.shed.queue") + \
-        METRICS.counter("serve.shed.backlog")
-    report["chaos_restores"] = sum(s["restores"] for s in stats)
-    report["chaos_recovered"] = all(s["state"] == "closed" for s in stats)
-    report["chaos_wrong"] = chaos_wrong
-
-    report["peak_rss_kb"] = resource.getrusage(
-        resource.RUSAGE_SELF
-    ).ru_maxrss
-    return report
-
-
-def compare_to_baseline(report, baseline):
-    """Gated-rate regressions beyond the budget; empty means pass."""
-    failures = []
-    for key in GATED_RATES:
-        recorded = baseline.get(key)
-        if not recorded:
-            continue
-        current = report.get(key, 0)
-        drop = (recorded - current) / recorded
-        if drop > REGRESSION_BUDGET:
-            failures.append(
-                f"{key}: {current:,} is {drop:.1%} below the baseline "
-                f"{recorded:,} (budget {REGRESSION_BUDGET:.0%})"
-            )
-    return failures
-
-
-def main(argv=None):
-    import argparse
-    import datetime
-    import json
-    import sys
-
-    from bench_core import pr_snapshot_path
-
-    parser = argparse.ArgumentParser(
-        description="Serving benchmark with a JSON report."
-    )
-    parser.add_argument(
-        "--bench-json",
-        metavar="PATH",
-        help="write the serving report to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare against a recorded report; exit 1 on a >"
-        f"{REGRESSION_BUDGET:.0%} obs/sec regression",
-    )
-    parser.add_argument(
-        "--pr",
-        type=int,
-        metavar="N",
-        help="also write a dated BENCH_pr<N>.json snapshot next to "
-        "--bench-json, extending the committed throughput trajectory",
-    )
-    args = parser.parse_args(argv)
-    if args.pr is not None and not args.bench_json:
-        parser.error("--pr requires --bench-json")
-
-    report = collect_serve_report()
-    for key, value in report.items():
-        print(f"{key}: {value:,}" if isinstance(value, int) else
-              f"{key}: {value}")
-
-    failed = False
-    if report["serve_wrong"] or report["chaos_wrong"]:
-        print("REGRESSION mirror oracle found wrong non-degraded answers",
-              file=sys.stderr)
-        failed = True
-    if not report["chaos_recovered"]:
-        print("REGRESSION a killed shard was not re-admitted",
-              file=sys.stderr)
-        failed = True
-
-    if args.bench_json:
-        with open(args.bench_json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.bench_json}")
-        if args.pr is not None:
-            snapshot = dict(report)
-            snapshot["pr"] = args.pr
-            snapshot["date"] = datetime.date.today().isoformat()
-            path = pr_snapshot_path(args.bench_json, args.pr)
-            with open(path, "w") as handle:
-                json.dump(snapshot, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {path}")
-
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        failures = compare_to_baseline(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            failed = True
-        else:
-            print(f"within {REGRESSION_BUDGET:.0%} of baseline for "
-                  f"{', '.join(GATED_RATES)}")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

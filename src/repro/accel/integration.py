@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from ..core.config import CosmosConfig
 from ..core.predictor import CosmosPredictor
-from ..protocol.directory_ctrl import DirectoryController, _Request
+from ..protocol.directory_ctrl import DirectoryController, _Request, _Txn
 from ..protocol.messages import Message, MessageType
 from ..protocol.recovery import RecoveryConfig, Scheduler
 from ..protocol.stache import DEFAULT_OPTIONS, StacheOptions
@@ -92,6 +92,7 @@ class PredictiveDirectoryController(DirectoryController):
                         was_upgrade=False,
                         done_cb=None,
                         req_seq=msg.seq,
+                        txn=msg.txn,
                     ),
                 )
                 self._try_push(msg.block)
@@ -141,8 +142,6 @@ class PredictiveDirectoryController(DirectoryController):
             and request.requester in entry.sharers
             and not request.is_local
         ):
-            from ..protocol.directory_ctrl import _Txn
-
             return _Txn(
                 request=request,
                 pending_acks=set(),

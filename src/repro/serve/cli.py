@@ -6,10 +6,12 @@ Three subcommands:
 * ``bench`` -- start an in-process service, replay a cached simulator
   trace through it, and report latency/throughput (optionally as JSON).
 * ``chaos`` -- the same replay under a scripted chaos battery (worker
-  SIGKILL, stalls past the deadline, queue floods, slow clients), then
-  verify the acceptance invariants: zero incorrect non-degraded
-  responses and every lost shard re-admitted through its circuit
-  breaker.  Exits non-zero when either fails.
+  SIGKILL, stalls past the deadline, queue floods, slow clients).
+
+Both replays then verify the acceptance invariants: zero incorrect
+non-degraded responses (the mirror oracle) and every lost shard
+re-admitted through its circuit breaker.  They exit non-zero when
+either fails.
 """
 
 from __future__ import annotations
@@ -239,8 +241,6 @@ def _cmd_replay(args, chaos_script: Optional[ChaosScript]) -> int:
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.metrics_json:
         dump_metrics_json(METRICS.snapshot(), args.metrics_json)
-    if chaos_script is None:
-        return 0
     failures = []
     if summary["wrong"]:
         failures.append(
@@ -249,7 +249,8 @@ def _cmd_replay(args, chaos_script: Optional[ChaosScript]) -> int:
     if not summary["recovered"]:
         failures.append("a lost shard was never re-admitted")
     if failures:
-        print("chaos run FAILED: " + "; ".join(failures), file=sys.stderr)
+        print(f"{args.command} run FAILED: " + "; ".join(failures),
+              file=sys.stderr)
         return 1
     return 0
 

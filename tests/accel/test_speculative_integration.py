@@ -9,6 +9,7 @@ from repro.accel.integration import (
 from repro.accel.speculative import replay_with_speculation
 from repro.core.config import CosmosConfig
 from repro.experiments.figure2 import ProducerConsumerMicro
+from repro.obs.spans import SPANS, build_transactions
 from repro.protocol.messages import MessageType
 from repro.sim.machine import Machine
 from repro.workloads.moldyn import MolDyn
@@ -58,6 +59,24 @@ class TestInlineIntegration:
         machine = PredictiveMachine(seed=3, config=CosmosConfig(depth=1))
         machine.run_workload(ProducerConsumerMicro(), iterations=20)
         assert machine.exclusive_grants > 0
+
+    def test_exclusive_grants_keep_their_spans(self):
+        # A granted read is still the requester's transaction: the
+        # directory must admit, start and finish it under the span id
+        # the request carried.
+        machine = PredictiveMachine(seed=3, config=CosmosConfig(depth=1))
+        SPANS.enable()
+        try:
+            machine.run_workload(ProducerConsumerMicro(), iterations=20)
+            transactions = build_transactions(SPANS.records)
+        finally:
+            SPANS.disable()
+            SPANS.set_clock(None)
+        assert machine.exclusive_grants > 0
+        assert transactions
+        unadmitted = [t.txn for t in transactions.values() if not t.admits]
+        unfinished = [t.txn for t in transactions.values() if not t.finishes]
+        assert unadmitted == [] and unfinished == []
 
     def test_grants_eliminate_upgrades(self):
         # The producer reads then writes every iteration; once the
