@@ -36,7 +36,7 @@ from ..protocol.stache import StacheOptions
 from .events import TraceEvent
 
 #: Bump when TraceEvent's schema or the simulator's semantics change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER_MAGIC = "repro-trace-cache"
 

@@ -3,7 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tests/data/regenerate.py \
-        [traces] [corruption] [bank] [variants]
+        [traces] [eval] [corruption] [bank] [variants]
 
 With no arguments every golden file is rewritten.
 """
@@ -55,6 +55,76 @@ def _golden_events(app: str):
     with tempfile.NamedTemporaryFile(suffix=".jsonl") as tmp:
         Path(tmp.name).write_bytes(raw)
         return load_trace(tmp.name)
+
+
+#: The configs ``eval_goldens.json`` pins per golden trace.
+EVAL_DEPTHS = (1, 2, 3)
+EVAL_FILTERS = (0, 1)
+EVAL_CHECKPOINTS = (2, 4)
+
+
+def _eval_entry(events, config) -> dict:
+    """One trace replayed by the generic object-at-a-time loop.
+
+    An explicit predictor factory forces that loop, so the golden stays
+    independent of the inlined flat loop it checks.
+    """
+    from repro.core.evaluation import evaluate_trace
+    from repro.core.predictor import CosmosPredictor
+    from repro.protocol.messages import Role
+
+    result = evaluate_trace(
+        events,
+        predictor_factory=lambda: CosmosPredictor(config),
+        checkpoint_iterations=EVAL_CHECKPOINTS,
+        track_arcs=True,
+    )
+    tallies = result.arcs.tallies.values()
+    return {
+        "events": len(events),
+        "overall": [result.overall.hits, result.overall.refs],
+        "cache": [
+            result.by_role[Role.CACHE].hits,
+            result.by_role[Role.CACHE].refs,
+        ],
+        "directory": [
+            result.by_role[Role.DIRECTORY].hits,
+            result.by_role[Role.DIRECTORY].refs,
+        ],
+        "arcs_refs": sum(tally.refs for tally in tallies),
+        "arcs_hits": sum(tally.hits for tally in tallies),
+        "n_arcs": len(result.arcs.tallies),
+        "checkpoints": [
+            [c.iteration, c.overall.hits, c.overall.refs, len(c.arcs)]
+            for c in result.checkpoints
+        ],
+        "mhr_entries": result.overhead.mhr_entries,
+        "pht_entries": result.overhead.pht_entries,
+    }
+
+
+def eval_goldens() -> dict:
+    """Evaluation totals of every golden trace at each pinned config."""
+    from repro.core.config import CosmosConfig
+
+    goldens = {}
+    for app in BENCHMARK_NAMES:
+        events = _golden_events(app)
+        for depth in EVAL_DEPTHS:
+            for fmax in EVAL_FILTERS:
+                config = CosmosConfig(depth=depth, filter_max_count=fmax)
+                goldens[f"{app}/d{depth}/f{fmax}"] = _eval_entry(
+                    events, config
+                )
+    return goldens
+
+
+def regenerate_eval() -> None:
+    out = DATA_DIR / "eval_goldens.json"
+    out.write_text(
+        json.dumps(eval_goldens(), indent=1, sort_keys=True)
+    )
+    print(f"{out.name}: written")
 
 
 def _module_states(armed: bool) -> dict:
@@ -319,6 +389,7 @@ def regenerate_variants() -> None:
 
 TARGETS = {
     "traces": regenerate_traces,
+    "eval": regenerate_eval,
     "corruption": regenerate_corruption,
     "bank": regenerate_bank,
     "variants": regenerate_variants,
