@@ -203,38 +203,3 @@ class ExploringNetwork:
                 "drains scheduled)"
             )
         self.policy = policy
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        if self._pool or self._scheduled:
-            raise SimulationError(
-                "cannot snapshot an exploring network with messages "
-                "in flight"
-            )
-        return {
-            "inner": self.inner.snapshot_state(),
-            "decisions": list(self.decisions),
-            "admit_seq": self._admit_seq,
-            "deliveries": self.deliveries,
-            "policy_name": self.policy.name,
-            "policy_state": self.policy.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if self._pool or self._scheduled:
-            raise SimulationError(
-                "cannot restore into an exploring network with messages "
-                "in flight"
-            )
-        self.inner.restore_state(state["inner"])
-        self.decisions = list(state["decisions"])
-        self._admit_seq = state["admit_seq"]
-        self.deliveries = state["deliveries"]
-        # Only re-apply policy state to the same kind of policy; a fork
-        # restores a FIFO-prefix snapshot into a fresh strategy policy
-        # and then installs it via set_policy.
-        if state["policy_name"] == self.policy.name:
-            self.policy.restore_state(state["policy_state"])

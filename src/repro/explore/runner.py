@@ -220,7 +220,7 @@ def _execute(
             engine,
             params,
             deliver,
-            policy=FifoPolicy() if fork is not None else policy,
+            policy=policy,
             faults=faults,
             fault_seed=fault_seed,
             quantum_ns=run_config.get("quantum_ns"),
@@ -228,7 +228,7 @@ def _execute(
         )
 
     if fork is not None:
-        machine, workload = ckpt.restore(fork[0], network_factory=factory)
+        machine, workload = ckpt.restore(fork[0])
         machine.network.set_policy(policy)
         first_iteration = fork[1] + 1
     else:

@@ -43,7 +43,7 @@ Enabled = Tuple[int, Message, int]
 
 
 class DeliveryPolicy:
-    """Base policy: FIFO (admission order), records snapshots as empty."""
+    """Base policy: FIFO (admission order)."""
 
     name = "fifo"
     #: Per-message deferral cap this policy wants; ``None`` = use the
@@ -61,14 +61,6 @@ class DeliveryPolicy:
     def describe(self) -> dict:
         """Name + parameters, for artifacts and reports."""
         return {"name": self.name}
-
-    # Checkpoint-fork support -------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {}
-
-    def restore_state(self, state: dict) -> None:
-        pass
 
 
 class FifoPolicy(DeliveryPolicy):
@@ -100,12 +92,6 @@ class RandomWalkPolicy(DeliveryPolicy):
             "seed": self.seed,
             "defer_prob": self.defer_prob,
         }
-
-    def snapshot_state(self) -> dict:
-        return {"rng": self._rng.getstate()}
-
-    def restore_state(self, state: dict) -> None:
-        self._rng.setstate(state["rng"])
 
 
 class PCTPolicy(DeliveryPolicy):
@@ -166,20 +152,6 @@ class PCTPolicy(DeliveryPolicy):
             "horizon": self.horizon,
         }
 
-    def snapshot_state(self) -> dict:
-        return {
-            "rng": self._rng.getstate(),
-            "priorities": dict(self._priorities),
-            "delivered": self._delivered,
-            "changes_at": list(self._changes_at),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._rng.setstate(state["rng"])
-        self._priorities = dict(state["priorities"])
-        self._delivered = state["delivered"]
-        self._changes_at = list(state["changes_at"])
-
 
 class DelayBoundedPolicy(DeliveryPolicy):
     """At most ``k`` adversarial deferrals per message.
@@ -221,12 +193,6 @@ class DelayBoundedPolicy(DeliveryPolicy):
             "defer_prob": self.defer_prob,
         }
 
-    def snapshot_state(self) -> dict:
-        return {"rng": self._rng.getstate()}
-
-    def restore_state(self, state: dict) -> None:
-        self._rng.setstate(state["rng"])
-
 
 class ReplayPolicy(DeliveryPolicy):
     """Replays a recorded decision log, one decision per ``decide``.
@@ -264,12 +230,6 @@ class ReplayPolicy(DeliveryPolicy):
 
     def describe(self) -> dict:
         return {"name": self.name, "decisions": len(self.decisions)}
-
-    def snapshot_state(self) -> dict:
-        return {"cursor": self._cursor}
-
-    def restore_state(self, state: dict) -> None:
-        self._cursor = state["cursor"]
 
 
 #: CLI strategy names -> constructor.

@@ -163,66 +163,6 @@ class CacheController:
         self._next_seq += 1
         return seq
 
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    #: Plain-data statistics captured verbatim into checkpoints.
-    _STAT_FIELDS = (
-        "pushed_blocks_accepted",
-        "hits",
-        "misses",
-        "replacements",
-        "pinned_evictions_skipped",
-        "request_retries",
-        "poisoned_reissues",
-        "stale_responses_dropped",
-        "duplicate_invals_acked",
-        "pushes_rejected",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Capture this cache's quiescent state as plain data.
-
-        Only legal with no outstanding transaction: in-flight misses
-        hold live ``done_cb`` callbacks which cannot (and need not) be
-        serialized -- the machine checkpoints between phases, where
-        every access has completed.
-        """
-        if self._outstanding:
-            raise ProtocolError(
-                f"cannot snapshot cache at node {self.node_id} with "
-                f"outstanding transactions for blocks "
-                f"{[hex(b) for b in sorted(self._outstanding)]}"
-            )
-        state = {
-            "next_seq": self._next_seq,
-            "states": {
-                block: cache_state.value
-                for block, cache_state in self._states.items()
-            },
-            "resident": dict(self._resident),
-            "retry_backoffs_ns": list(self.retry_backoffs_ns),
-            "allow_pushed_data": self.allow_pushed_data,
-        }
-        for name in self._STAT_FIELDS:
-            state[name] = getattr(self, name)
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`snapshot_state`."""
-        self._next_seq = state["next_seq"]
-        self._states = {
-            block: CacheState(value)
-            for block, value in state["states"].items()
-        }
-        self._outstanding = {}
-        self._resident = dict(state["resident"])
-        self.retry_backoffs_ns = list(state["retry_backoffs_ns"])
-        self.allow_pushed_data = state["allow_pushed_data"]
-        for name in self._STAT_FIELDS:
-            setattr(self, name, state[name])
-
     def state_of(self, block: int) -> CacheState:
         """Current stable state of ``block`` in this cache."""
         return self._states.get(block, CacheState.INVALID)

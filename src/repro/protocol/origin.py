@@ -57,9 +57,6 @@ class OriginDirectoryController(DirectoryController):
         )
         self.forwards = 0
 
-    #: Checkpoints additionally capture the forwarding counter.
-    _STAT_FIELDS = DirectoryController._STAT_FIELDS + ("forwards",)
-
     def handle_message(self, msg: Message) -> None:
         if msg.mtype is MessageType.REVISION:
             self._on_ack(msg)

@@ -23,9 +23,9 @@ scheduling boundary: a float delay would silently drift event ordering
 :meth:`schedule` / :meth:`schedule_at` reject non-``int`` times with an
 error naming the offending callback.
 
-The scheduler state (clock, sequence counter, dispatch count) is plain
-data so a quiescent engine -- empty queue -- can be captured into a
-checkpoint and restored exactly (see :mod:`repro.sim.checkpoint`).
+Callbacks are bound methods of the simulated machine, so a quiescent
+engine -- empty queue -- pickles with the machine into a checkpoint and
+resumes exactly (see :mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations
@@ -290,37 +290,3 @@ class Engine:
         ]
         suffix = f" ... +{count - limit} more" if count > limit else ""
         return "; ".join(parts) + suffix
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Capture scheduler state; only legal when the queue is empty.
-
-        Callbacks are live object references and deliberately never
-        serialized -- checkpoints are taken at quiescent points where no
-        events are in flight, which the simulator guarantees between
-        workload phases.
-        """
-        if self._queue or self._fifo:
-            raise SimulationError(
-                f"cannot snapshot a non-quiescent engine: "
-                f"{self.pending()} events pending "
-                f"({self.describe_pending()})"
-            )
-        return {
-            "now": self._now,
-            "next_seq": self._next_seq,
-            "events_processed": self._events_processed,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore scheduler state captured by :meth:`snapshot_state`."""
-        if self._queue or self._fifo:
-            raise SimulationError(
-                "cannot restore into an engine with pending events"
-            )
-        self._now = state["now"]
-        self._next_seq = state["next_seq"]
-        self._events_processed = state["events_processed"]

@@ -349,26 +349,3 @@ class FaultyNetwork:
     def _deliver_one(self, msg: Message) -> None:
         self._count("delivered")
         self._deliver(msg)
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Plain-data fault-network state, including the RNG stream.
-
-        Capturing ``random.Random.getstate()`` is what makes a restored
-        faulty run replay bit-for-bit: the same drop/dup/jitter draws
-        happen after resume as would have happened uninterrupted.
-        """
-        return {
-            "messages_sent": self.messages_sent,
-            "fault_counts": dict(self.fault_counts),
-            "rng": self._rng.getstate(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`snapshot_state`."""
-        self.messages_sent = state["messages_sent"]
-        self.fault_counts.update(state["fault_counts"])
-        self._rng.setstate(state["rng"])

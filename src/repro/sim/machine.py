@@ -18,11 +18,10 @@ modeled (the paper excludes barrier variables from its traces).
 from __future__ import annotations
 
 import random
-from array import array
 from collections import Counter
 from functools import partial
-from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..errors import ProtocolError, SimulationError
 from ..obs.log import OBS
@@ -87,7 +86,6 @@ class Machine:
         # bit-identical to builds without this layer.
         self.faults = faults if faults is not None and faults.is_active else None
         self.fault_seed = fault_seed
-        self.network_factory = network_factory
         self.recovery: Optional[RecoveryConfig] = None
         if network_factory is not None:
             # A custom interconnect (schedule exploration) owns fault
@@ -136,7 +134,7 @@ class Machine:
                 node.cache.configure_finite(
                     n_sets,
                     params.cache_block_bytes,
-                    self._make_replacement_hook(node.node_id),
+                    partial(self._replaced, node.node_id),
                 )
         self._rng = random.Random(seed)
         self._proc_offset = [
@@ -157,20 +155,35 @@ class Machine:
         #: Samples already folded into ``sim.access.latency_ns`` by
         #: :meth:`finish_workload`.
         self._folded_latencies = 0
+        self.attach(watchdog)
+
+    def attach(self, watchdog: Optional["Watchdog"]) -> None:
+        """Make this the running machine: guarded by ``watchdog`` and
+        owning the OBS/SPANS clocks.
+
+        Called at construction and by a checkpoint restore.  OBS is
+        process-global, so the most recently attached machine owns the
+        clock timestamp-less emitters (protocol controllers) read --
+        fine for the sequential capture runs observability uses.
+        """
         self.watchdog = watchdog
         if watchdog is not None:
             watchdog.attach(self)
-        # Give timestamp-less emitters (protocol controllers) a clock.
-        # OBS is process-global, so the most recently built machine owns
-        # it -- fine for the sequential capture runs observability uses.
         OBS.set_clock(lambda: self.engine.now)
         SPANS.set_clock(lambda: self.engine.now)
 
-    def _make_replacement_hook(self, node_id: int):
-        def hook(block: int) -> None:
-            self.replacements.append((self.engine.now, node_id, block))
+    def __getstate__(self) -> dict:
+        # The watchdog and delivery hooks belong to the run driving the
+        # machine, not to its state: a checkpoint drops them and the
+        # restoring run attaches its own.
+        state = self.__dict__.copy()
+        state["watchdog"] = None
+        state["deliver_hooks"] = []
+        return state
 
-        return hook
+    def _replaced(self, node_id: int, block: int) -> None:
+        """Finite-cache replacement hook: log ``(time, node, block)``."""
+        self.replacements.append((self.engine.now, node_id, block))
 
     # ------------------------------------------------------------------
     # message delivery
@@ -509,76 +522,6 @@ class Machine:
         for index in range(1, iterations + 1):
             self.run_iteration(workload, index)
         return self.finish_workload()
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Capture the whole machine as plain data at a quiescent point.
-
-        Legal only between iterations: the engine snapshot refuses if
-        events are pending, each cache refuses if a miss is outstanding,
-        and each directory refuses if a transaction is active or queued.
-        The think-time RNG stream is captured, so a restored machine
-        draws exactly the stagger/think values the uninterrupted run
-        would have -- byte-identical traces after resume.
-        """
-        return {
-            "engine": self.engine.snapshot_state(),
-            "network": self.network.snapshot_state(),
-            "nodes": [
-                {
-                    "cache": node.cache.snapshot_state(),
-                    "directory": node.directory.snapshot_state(),
-                }
-                for node in self.nodes
-            ],
-            "collector": self.collector.snapshot_state(),
-            "rng": self._rng.getstate(),
-            "proc_offset": list(self._proc_offset),
-            "replacements": list(self.replacements),
-            # Flat int array: the second-largest state component after
-            # the trace itself, and an array pickles as one buffer.
-            "access_latencies": array(
-                "q", chain.from_iterable(self.access_latencies)
-            ),
-            "accesses_issued": self.accesses_issued,
-            "invariant_checks": self.invariant_checks,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a machine captured by :meth:`snapshot_state`.
-
-        The machine must have been constructed with the same parameters,
-        options, seed, and fault profile as the one captured (the
-        checkpoint layer verifies this via a configuration fingerprint
-        before calling here).
-        """
-        self.engine.restore_state(state["engine"])
-        self.network.restore_state(state["network"])
-        for node, node_state in zip(self.nodes, state["nodes"]):
-            node.cache.restore_state(node_state["cache"])
-            node.directory.restore_state(node_state["directory"])
-        self.collector.restore_state(state["collector"])
-        self._rng.setstate(state["rng"])
-        self._proc_offset = list(state["proc_offset"])
-        self.replacements = list(state["replacements"])
-        flat_latencies = state["access_latencies"]
-        self.access_latencies = [
-            (flat_latencies[base], bool(flat_latencies[base + 1]))
-            for base in range(0, len(flat_latencies), 2)
-        ]
-        # The end-of-run fold covers the whole run, pre-checkpoint segment
-        # included (as the network's flush does).
-        self._folded_latencies = 0
-        self.accesses_issued = state["accesses_issued"]
-        self.invariant_checks = state["invariant_checks"]
-        if self.watchdog is not None:
-            # A restore is the start of a fresh run segment: budgets that
-            # measure real time or progress must count from *now*, not
-            # from whenever the captured run began.
-            self.watchdog.arm()
 
 
 def simulate(

@@ -54,17 +54,6 @@ class Network:
         """Worst-case extra delay beyond the base latency (none here)."""
         return 0
 
-    def snapshot_state(self) -> dict:
-        """Plain-data network state for checkpoints."""
-        return {"messages_sent": self.messages_sent}
-
-    def restore_state(self, state: dict) -> None:
-        self.messages_sent = state["messages_sent"]
-        # End-of-run folds cover the *whole* run, pre-checkpoint segment
-        # included (same convention as the machine's access-latency
-        # fold), so a resumed run's metrics match the uninterrupted one.
-        self._folded_sends = 0
-
     def send(self, msg: Message) -> None:
         """Inject ``msg``; it is delivered ``latency_ns`` later.
 

@@ -12,7 +12,7 @@ record hot path (once per simulated message delivery) is a single
 ``array.extend`` of ints the caller already holds -- the role arrives as
 its receiver bit (:data:`repro.protocol.messages.RECEIVER_BIT`), so there
 is no :class:`TraceEvent` allocation, no enum boxing and no lookup --
-and a checkpoint snapshot is a memcpy of one buffer (pickling ~100k
+and a checkpoint pickles it as one buffer (pickling ~100k
 frozen dataclasses of enums cost ~100ms *per checkpoint*, which made
 per-iteration checkpointing quadratic in trace length).  The
 :class:`TraceEvent` objects every analysis consumes are materialized
@@ -36,7 +36,7 @@ class TraceCollector:
     def __init__(self) -> None:
         self._flat = array("q")
         #: Materialized prefix of ``_flat`` (always a prefix: the flat
-        #: store is append-only between ``clear``/``restore_state``).
+        #: store is append-only between ``clear`` calls).
         self._events: List[TraceEvent] = []
         self.iteration = 0
         #: Event count recorded before the main iterations began.
@@ -101,21 +101,7 @@ class TraceCollector:
         self.iteration = 0
         self._startup_boundary = None
 
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Plain-data collector state for checkpoints (flat int array)."""
-        return {
-            "events": array("q", self._flat),
-            "iteration": self.iteration,
-            "startup_boundary": self._startup_boundary,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`snapshot_state`."""
-        self._flat = array("q", state["events"])
-        self._events = []
-        self.iteration = state["iteration"]
-        self._startup_boundary = state["startup_boundary"]
+    def __getstate__(self) -> dict:
+        # The materialized events are a cache of the flat array; a
+        # checkpoint carries only the array.
+        return {**self.__dict__, "_events": []}

@@ -1,4 +1,4 @@
-"""The exploring interconnect: ordering, liveness, snapshots, recovery."""
+"""The exploring interconnect: ordering, liveness, checkpoints, recovery."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.explore.strategies import (
     RandomWalkPolicy,
 )
 from repro.protocol.messages import Message, MessageType
+from repro.sim.checkpoint import capture, restore
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultProfile
 from repro.sim.machine import Machine
@@ -127,27 +128,46 @@ class TestDecisionLog:
         assert [entry[0] for entry in seen] == [0, 1]
 
 
-class TestSnapshots:
-    def test_roundtrip_at_quiescence(self):
-        engine, network, _ = make_exploring(FifoPolicy())
-        network.send(_msg())
-        engine.run()
-        state = network.snapshot_state()
-
-        engine2 = Engine()
-        restored = ExploringNetwork(
-            engine2, PAPER_PARAMS, (lambda m: None), policy=FifoPolicy()
+class TestCheckpoints:
+    def _machine(self):
+        return Machine(
+            network_factory=lambda engine, params, deliver: (
+                ExploringNetwork(
+                    engine,
+                    params,
+                    deliver,
+                    policy=RandomWalkPolicy(seed=3),
+                    faults=FaultProfile(drop=0.05),
+                    fault_seed=4,
+                    quantum_ns=25,
+                    defer_cap=2,
+                )
+            )
         )
-        restored.restore_state(state)
-        assert restored.decisions == network.decisions
-        assert restored.deliveries == network.deliveries
 
-    def test_snapshot_refused_with_messages_in_flight(self):
-        engine, network, _ = make_exploring(FifoPolicy())
-        network.send(_msg())
-        engine.run(max_events=1)  # arrival admitted, drain still pending
-        with pytest.raises(SimulationError, match="in flight"):
-            network.snapshot_state()
+    def test_roundtrip_at_quiescence(self):
+        machine = self._machine()
+        block = PAPER_PARAMS.page_bytes  # homed at node 1
+        machine.nodes[0].cache.access(block, 1, False, lambda: None)
+        machine.engine.run()
+        restored, _workload = restore(capture(machine, None, 1, 1))
+        network = restored.network
+        assert network.decisions == machine.network.decisions
+        assert network.deliveries == machine.network.deliveries > 0
+        # Faults, quantum and defer cap come back with the network.
+        assert network.inner.profile == FaultProfile(drop=0.05)
+        assert network.inner.fault_seed == 4
+        assert (network.quantum_ns, network.default_defer_cap) == (25, 2)
+        assert network.policy.describe() == machine.network.policy.describe()
+
+    def test_capture_refused_with_messages_in_flight(self):
+        machine = self._machine()
+        block = PAPER_PARAMS.page_bytes
+        machine.nodes[0].cache.access(block, 1, False, lambda: None)
+        machine.engine.run(max_events=1)  # admitted, drain still pending
+        assert machine.network._pool
+        with pytest.raises(SimulationError, match="non-quiescent"):
+            capture(machine, None, 1, 1)
 
     def test_policy_swap_refused_with_messages_in_flight(self):
         engine, network, _ = make_exploring(FifoPolicy())

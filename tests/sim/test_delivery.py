@@ -5,6 +5,7 @@ from repro.core.config import CosmosConfig
 from repro.experiments.common import workload_for
 from repro.obs.log import DEFAULT_CAPACITY, OBS
 from repro.protocol.messages import MessageType, Role, receiver_role
+from repro.sim.checkpoint import capture, restore
 from repro.sim.machine import Machine
 from repro.sim.metrics import METRICS, Histogram
 
@@ -76,20 +77,21 @@ class TestLatencyFold:
         assert METRICS.histogram(LATENCY).snapshot() == first
         assert first["count"] == len(machine.access_latencies)
 
-    def test_restore_rewinds_the_fold(self):
-        """A restored machine folds its whole run, the segment before the
-        checkpoint included, even if it had folded samples before."""
+    def test_restored_machine_folds_its_whole_run(self):
+        """A machine restored from a checkpoint folds its whole run, the
+        segment before the checkpoint included, even if the captured
+        machine went on to fold its own samples."""
         workload = workload_for("moldyn", quick=True)
         machine = Machine(seed=0)
         total = machine.begin_workload(workload, 4)
         machine.run_iteration(workload, 1)
-        state = machine.snapshot_state()
+        checkpoint = capture(machine, workload, 2, total)
         for index in range(2, total + 1):
             machine.run_iteration(workload, index)
         machine.finish_workload()
 
         METRICS.reset()
-        machine.restore_state(state)
+        machine, workload = restore(checkpoint)
         for index in range(2, total + 1):
             machine.run_iteration(workload, index)
         machine.finish_workload()

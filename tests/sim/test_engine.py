@@ -381,12 +381,6 @@ class TestFifoLane:
         engine.run()
         assert log == [0, 1, 2, 3]
 
-    def test_snapshot_refuses_pending_fifo_events(self):
-        engine = Engine()
-        engine.schedule_fifo(5, lambda: None)
-        with pytest.raises(SimulationError, match="non-quiescent"):
-            engine.snapshot_state()
-
     def test_nested_fifo_scheduling_during_dispatch(self):
         engine = Engine()
         log = []

@@ -86,10 +86,12 @@ def test_hand_off_matches_row_by_row_reference(ops):
             collector.mark_startup_complete()
             boundary = len(rows)
         elif kind == "snapshot":
-            saved = (collector.snapshot_state(), list(rows), boundary)
+            saved = (pickle.dumps(collector), list(rows), boundary)
         elif kind == "restore" and saved is not None:
-            state, saved_rows, boundary = saved
-            collector.restore_state(state)
+            blob, saved_rows, boundary = saved
+            collector = pickle.loads(blob)
+            # The pickle carries the flat array, not materialized events.
+            assert collector._events == []
             rows = list(saved_rows)
         elif kind == "clear":
             collector.clear()
