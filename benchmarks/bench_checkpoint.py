@@ -2,14 +2,18 @@
 
 The robustness bar: checkpointing at the documented cadence (every
 ~half-run for a paper-scale workload; see docs/robustness.md) must spend
-at most 5% of wall time inside the checkpoint machinery, and an armed
-watchdog's chunked engine driving must be indistinguishable from
-``engine.run()``.
+at most 5% of wall time inside the checkpoint machinery, a machine
+restored from a checkpoint must run its remaining iterations as fast as
+one never checkpointed, and an armed watchdog's chunked engine driving
+must be indistinguishable from ``engine.run()``.
 
 The checkpoint guard is computed from the run's own
-``checkpoint.capture`` / ``checkpoint.save`` timers divided by the
-run's wall time -- a same-run ratio, immune to the cross-run variance
-that makes wall-to-wall comparisons of second-long runs flaky in CI.
+``checkpoint.capture`` / ``checkpoint.save`` / ``checkpoint.restore``
+timers divided by the run's wall time -- a same-run ratio, immune to
+the cross-run variance that makes wall-to-wall comparisons of
+second-long runs flaky in CI.  The restored-speed guard runs a restored
+and an uninterrupted machine in one process, alternating iteration by
+iteration, so machine-wide load drifts hit both alike.
 The watchdog guard compares wall times (there is no timer: the guard's
 entire point is costing nothing) with best-of-N timing and a noise
 allowance.
@@ -20,8 +24,8 @@ import time
 from conftest import SEED
 
 from repro.experiments.common import iterations_for, workload_for
-from repro.sim.checkpoint import simulate_with_checkpoints
-from repro.sim.machine import simulate
+from repro.sim.checkpoint import capture, restore, simulate_with_checkpoints
+from repro.sim.machine import Machine, simulate
 from repro.sim.metrics import METRICS
 from repro.sim.watchdog import DEFAULT_WATCHDOG, Watchdog
 
@@ -30,6 +34,11 @@ APP = "moldyn"
 #: each costing tens of milliseconds against seconds of simulation.
 EVERY = 30
 MAX_OVERHEAD = 0.05
+#: A restored machine may run its iterations at most this much slower.
+#: Unpickled the default way, CPython 3.11 and 3.12 give it a
+#: ``__dict__`` per object and it runs 13-23% slower.
+MAX_RESTORED_SLOWDOWN = 0.10
+RESTORED_ITERATIONS = 40
 ROUNDS = 3
 
 
@@ -59,7 +68,9 @@ def test_checkpoint_overhead(benchmark, tmp_path):
     timers = METRICS.snapshot()["timers"]
     spent = sum(
         timers.get(name, {}).get("seconds", 0.0)
-        for name in ("checkpoint.capture", "checkpoint.save")
+        for name in (
+            "checkpoint.capture", "checkpoint.save", "checkpoint.restore"
+        )
     )
     saves = timers.get("checkpoint.save", {}).get("count", 0)
     assert saves == iterations // EVERY
@@ -72,6 +83,48 @@ def test_checkpoint_overhead(benchmark, tmp_path):
         f"checkpoint machinery took {100 * overhead:.1f}% of the run "
         f"({spent:.3f}s of {wall_s:.3f}s across {saves} checkpoints; "
         f"budget {100 * MAX_OVERHEAD:.0f}% at every={EVERY})"
+    )
+
+
+def test_restored_machine_keeps_its_speed(benchmark):
+    def after_first_iteration():
+        machine = Machine(seed=SEED)
+        workload = workload_for(APP, quick=True)
+        machine.begin_workload(workload, RESTORED_ITERATIONS)
+        machine.run_iteration(workload, 1)
+        return machine, workload
+
+    plain = after_first_iteration()
+    restored = restore(
+        capture(*after_first_iteration(), 2, RESTORED_ITERATIONS)
+    )
+
+    def alternate():
+        seconds = [0.0, 0.0]
+        for index in range(2, RESTORED_ITERATIONS + 1):
+            order = (0, 1) if index % 2 else (1, 0)
+            for which in order:
+                machine, workload = (plain, restored)[which]
+                start = time.process_time()
+                machine.run_iteration(workload, index)
+                seconds[which] += time.process_time() - start
+        return seconds
+
+    plain_s, restored_s = benchmark.pedantic(
+        alternate, rounds=1, iterations=1
+    )
+    assert list(restored[0].finish_workload().events) == list(
+        plain[0].finish_workload().events
+    )
+
+    slowdown = restored_s / plain_s - 1.0
+    benchmark.extra_info["plain_s"] = round(plain_s, 4)
+    benchmark.extra_info["restored_s"] = round(restored_s, 4)
+    benchmark.extra_info["slowdown_pct"] = round(100 * slowdown, 2)
+    assert slowdown <= MAX_RESTORED_SLOWDOWN, (
+        f"restored machine ran {100 * slowdown:.1f}% slower "
+        f"({restored_s:.3f}s vs {plain_s:.3f}s; "
+        f"budget {100 * MAX_RESTORED_SLOWDOWN:.0f}%)"
     )
 
 
