@@ -102,6 +102,13 @@ def _attempt_fresh(machine, node: int, addr: int, seq) -> int:
     return 1 if txn is not None and seq == txn.seq else 0
 
 
+def _round_seq(txn, node: int) -> Optional[int]:
+    """The ``seq`` of the round message ``node`` owes ``txn`` an ack
+    for; ``None`` when none is recorded (a machine without recovery)."""
+    recorded = txn.pending_msg.get(node)
+    return None if recorded is None else recorded.seq
+
+
 def _message_bits(machine, msg: Message) -> Tuple[int, int]:
     """The (stale, rstale) quotient of one in-flight message's seqs."""
     mtype = int(msg.mtype)
@@ -113,8 +120,7 @@ def _message_bits(machine, msg: Message) -> Tuple[int, int]:
     elif mtype in ROUND_TYPES:
         txn = machine.nodes[msg.src].directory._active.get(msg.block)
         stale = 0 if (
-            txn is not None
-            and txn.pending_seq.get(msg.dst) == msg.seq
+            txn is not None and _round_seq(txn, msg.dst) == msg.seq
         ) else 1
         if mtype in FWD_TYPES:
             rstale = 1 - _attempt_fresh(
@@ -123,8 +129,7 @@ def _message_bits(machine, msg: Message) -> Tuple[int, int]:
     elif mtype in ACK_TYPES:
         txn = machine.nodes[msg.dst].directory._active.get(msg.block)
         stale = 0 if (
-            txn is not None
-            and txn.pending_seq.get(msg.src) == msg.ack_seq
+            txn is not None and _round_seq(txn, msg.src) == msg.ack_seq
         ) else 1
     return stale, rstale
 

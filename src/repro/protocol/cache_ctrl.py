@@ -24,7 +24,6 @@ sequence number instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..errors import ProtocolError
@@ -42,22 +41,28 @@ DoneCallback = Callable[[], None]
 ReplacementCallback = Callable[[int], None]
 
 
-@dataclass
 class _Outstanding:
     """A miss transaction in flight from this cache."""
 
-    home: int
-    is_write: bool
-    done_cb: DoneCallback
-    #: Sequence number of the current attempt (recovery mode only).
-    seq: Optional[int] = None
-    #: Timeout-driven re-issues so far (poison re-issues are unbounded
-    #: and tracked separately -- see ``_poison_outstanding``).
-    retries: int = 0
-    #: Timeout armed for the current attempt (ns).
-    timeout_ns: int = 0
-    #: Causal span id (:mod:`repro.obs.spans`); ``None`` with tracing off.
-    trace_id: Optional[int] = None
+    __slots__ = ("home", "is_write", "done_cb", "seq", "retries",
+                 "timeout_ns", "trace_id")
+
+    def __init__(
+        self, home: int, is_write: bool, done_cb: DoneCallback
+    ) -> None:
+        self.home = home
+        self.is_write = is_write
+        self.done_cb = done_cb
+        #: Sequence number of the current attempt (recovery mode only).
+        self.seq: Optional[int] = None
+        #: Timeout-driven re-issues so far (poison re-issues are unbounded
+        #: and tracked separately -- see ``_poison_outstanding``).
+        self.retries = 0
+        #: Timeout armed for the current attempt (ns).
+        self.timeout_ns = 0
+        #: Causal span id (:mod:`repro.obs.spans`); ``None`` with tracing
+        #: off.
+        self.trace_id: Optional[int] = None
 
 
 class CacheController:
@@ -221,7 +226,7 @@ class CacheController:
                 "with a transaction already outstanding"
             )
         self._allocate_slot(block)
-        txn = _Outstanding(home=home, is_write=is_write, done_cb=done_cb)
+        txn = _Outstanding(home, is_write, done_cb)
         if SPANS.enabled:
             txn.trace_id = SPANS.open(
                 self.node_id, home, block, "write" if is_write else "read"
@@ -253,12 +258,8 @@ class CacheController:
             txn.seq = seq
         self._send(
             Message(
-                src=self.node_id,
-                dst=txn.home,
-                mtype=self._request_type(block, txn),
-                block=block,
-                seq=seq,
-                txn=txn.trace_id,
+                self.node_id, txn.home, self._request_type(block, txn),
+                block, None, seq, None, None, txn.trace_id,
             )
         )
         if self._recovery is not None:
@@ -397,12 +398,8 @@ class CacheController:
         """Acknowledge ``msg`` back to its sender, echoing its seq."""
         self._send(
             Message(
-                src=self.node_id,
-                dst=msg.src,
-                mtype=mtype,
-                block=msg.block,
-                ack_seq=msg.seq,
-                txn=msg.txn,
+                self.node_id, msg.src, mtype, msg.block, None, None, msg.seq,
+                None, msg.txn,
             )
         )
 
@@ -472,22 +469,14 @@ class CacheController:
             raise ProtocolError("forwarded request carries no requester")
         self._send(
             Message(
-                src=self.node_id,
-                dst=msg.requester,
-                mtype=reply,
-                block=msg.block,
-                ack_seq=msg.requester_seq,
-                txn=msg.txn,
+                self.node_id, msg.requester, reply, msg.block, None, None,
+                msg.requester_seq, None, msg.txn,
             )
         )
         self._send(
             Message(
-                src=self.node_id,
-                dst=msg.src,
-                mtype=MessageType.REVISION,
-                block=msg.block,
-                ack_seq=msg.seq,
-                txn=msg.txn,
+                self.node_id, msg.src, MessageType.REVISION, msg.block,
+                None, None, msg.seq, None, msg.txn,
             )
         )
 

@@ -26,7 +26,7 @@ directory additionally survives an unreliable network:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Deque, Dict, Optional, Set
 
 from ..errors import ProtocolError
@@ -58,43 +58,81 @@ _ACK_TYPES = frozenset(
 )
 
 
-@dataclass
 class _Request:
     """A directory request waiting to be processed (remote or home-local)."""
 
-    requester: int
-    is_write: bool
-    was_upgrade: bool
-    done_cb: Optional[DoneCallback]  # set only for home-local accesses
-    #: Sequence number of the requester's message (recovery mode), echoed
-    #: in the response so the requester can match it to its attempt.
-    req_seq: Optional[int] = None
-    #: Causal span id carried by the request (:mod:`repro.obs.spans`);
-    #: every message this transaction sends propagates it.
-    txn: Optional[int] = None
+    __slots__ = (
+        "requester", "is_write", "was_upgrade", "done_cb", "req_seq", "txn"
+    )
+
+    def __init__(
+        self,
+        requester: int,
+        is_write: bool,
+        was_upgrade: bool,
+        done_cb: Optional[DoneCallback],
+        req_seq: Optional[int] = None,
+        txn: Optional[int] = None,
+    ) -> None:
+        self.requester = requester
+        self.is_write = is_write
+        self.was_upgrade = was_upgrade
+        #: Set only for home-local accesses.
+        self.done_cb = done_cb
+        #: Sequence number of the requester's message (recovery mode),
+        #: echoed in the response so the requester can match it to its
+        #: attempt.
+        self.req_seq = req_seq
+        #: Causal span id carried by the request (:mod:`repro.obs.spans`);
+        #: every message this transaction sends propagates it.
+        self.txn = txn
 
     @property
     def is_local(self) -> bool:
         return self.done_cb is not None
 
 
-@dataclass
+#: ``_Txn.pending_msg`` until a recovery-mode round is sent: on a
+#: reliable network no transaction allocates the bookkeeping.
+_NO_ROUNDS = MappingProxyType({})
+
+
 class _Txn:
     """An in-flight transaction collecting acknowledgments."""
 
-    request: _Request
-    pending_acks: Set[int]
-    final_owner: Optional[int]
-    final_sharers: Set[int]
-    reply_type: Optional[MessageType]
-    #: Recovery bookkeeping: per pending node, the seq we expect the ack
-    #: to echo, and the message to re-send on timeout.
-    pending_seq: Dict[int, int] = field(default_factory=dict)
-    pending_msg: Dict[int, Message] = field(default_factory=dict)
-    retries: int = 0
-    timeout_ns: int = 0
-    #: Increments at every timeout arming; stale timer callbacks no-op.
-    timer_token: int = 0
+    __slots__ = (
+        "request", "pending_acks", "final_owner", "final_sharers",
+        "reply_type", "pending_msg", "retries", "timeout_ns", "timer_token",
+    )
+
+    def __init__(
+        self,
+        request: _Request,
+        pending_acks: Set[int],
+        final_owner: Optional[int],
+        final_sharers: Set[int],
+        reply_type: Optional[MessageType],
+    ) -> None:
+        self.request = request
+        self.pending_acks = pending_acks
+        self.final_owner = final_owner
+        self.final_sharers = final_sharers
+        self.reply_type = reply_type
+        #: Recovery bookkeeping: per pending node, the last round message
+        #: sent to it -- its ack must echo that message's ``seq``, and a
+        #: timeout re-sends it.  Filled by :meth:`expect`.
+        self.pending_msg = _NO_ROUNDS
+        self.retries = 0
+        self.timeout_ns = 0
+        #: Increments at every timeout arming; stale timer callbacks no-op.
+        self.timer_token = 0
+
+    def expect(self, dst: int, msg: Message) -> None:
+        """Record ``msg`` as the round message ``dst`` must acknowledge
+        (recovery mode)."""
+        if self.pending_msg is _NO_ROUNDS:
+            self.pending_msg = {}
+        self.pending_msg[dst] = msg
 
 
 class DirectoryController:
@@ -199,12 +237,7 @@ class DirectoryController:
         if self.local_hit(block, is_write):
             self.local_hits += 1
             return True
-        request = _Request(
-            requester=self.node_id,
-            is_write=is_write,
-            was_upgrade=False,
-            done_cb=done_cb,
-        )
+        request = _Request(self.node_id, is_write, False, done_cb)
         if SPANS.enabled:
             request.txn = SPANS.open(
                 self.node_id,
@@ -222,13 +255,14 @@ class DirectoryController:
     def handle_message(self, msg: Message) -> None:
         """Process a message delivered to this directory module."""
         if msg.mtype in _REQUEST_TYPES:
+            mtype = msg.mtype
             request = _Request(
-                requester=msg.src,
-                is_write=msg.mtype is not MessageType.GET_RO_REQUEST,
-                was_upgrade=msg.mtype is MessageType.UPGRADE_REQUEST,
-                done_cb=None,
-                req_seq=msg.seq,
-                txn=msg.txn,
+                msg.src,
+                mtype is not MessageType.GET_RO_REQUEST,
+                mtype is MessageType.UPGRADE_REQUEST,
+                None,
+                msg.seq,
+                msg.txn,
             )
             self._admit(msg.block, request)
         elif msg.mtype in _ACK_TYPES:
@@ -331,13 +365,7 @@ class DirectoryController:
         else:
             return None
         self.duplicate_requests_regranted += 1
-        return _Txn(
-            request=request,
-            pending_acks=set(),
-            final_owner=entry.owner,
-            final_sharers=set(entry.sharers),
-            reply_type=reply,
-        )
+        return _Txn(request, set(), entry.owner, set(entry.sharers), reply)
 
     def _send_round(
         self, txn: _Txn, dst: int, mtype: MessageType, block: int
@@ -348,20 +376,14 @@ class DirectoryController:
         if self._recovery is not None:
             seq = self._take_seq()
         msg = Message(
-            src=self.node_id,
-            dst=dst,
-            mtype=mtype,
-            block=block,
-            seq=seq,
-            txn=txn.request.txn,
+            self.node_id, dst, mtype, block, None, seq, None, None,
+            txn.request.txn,
         )
         self._send(msg)
         self.invalidations_sent += 1
         txn.pending_acks.add(dst)
-        if self._recovery is not None:
-            assert seq is not None
-            txn.pending_seq[dst] = seq
-            txn.pending_msg[dst] = msg
+        if seq is not None:
+            txn.expect(dst, msg)
 
     def _start_read(
         self, block: int, entry: DirEntry, request: _Request
@@ -384,11 +406,11 @@ class DirectoryController:
         # With finite caches, a listed sharer may have silently replaced
         # its copy; re-granting it is harmless.
         txn = _Txn(
-            request=request,
-            pending_acks=set(),
-            final_owner=None,
-            final_sharers=set(),
-            reply_type=None if request.is_local else MessageType.GET_RO_RESPONSE,
+            request,
+            set(),
+            None,
+            set(),
+            None if request.is_local else MessageType.GET_RO_RESPONSE,
         )
         if entry.owner is not None:
             owner = entry.owner
@@ -428,13 +450,7 @@ class DirectoryController:
             # An upgrade whose requester lost its copy in the meantime is
             # served as a full read-write miss.
             reply = MessageType.GET_RW_RESPONSE
-        txn = _Txn(
-            request=request,
-            pending_acks=set(),
-            final_owner=requester,
-            final_sharers=set(),
-            reply_type=reply,
-        )
+        txn = _Txn(request, set(), requester, set(), reply)
         # Ascending node order: a set's iteration order depends on its
         # insertion history, which a checkpoint cannot reproduce, so the
         # fan-out must depend on the sharers alone.
@@ -480,9 +496,7 @@ class DirectoryController:
         if SPANS.enabled and txn.request.txn is not None:
             SPANS.retry(txn.request.txn, self.node_id, "inval", txn.retries)
         for dst in sorted(txn.pending_acks):
-            seq = self._take_seq()
-            msg = replace(txn.pending_msg[dst], seq=seq)
-            txn.pending_seq[dst] = seq
+            msg = txn.pending_msg[dst]._replace(seq=self._take_seq())
             txn.pending_msg[dst] = msg
             self._send(msg)
             self.inval_retries += 1
@@ -511,10 +525,11 @@ class DirectoryController:
             if (
                 txn is None
                 or msg.src not in txn.pending_acks
-                or msg.ack_seq != txn.pending_seq.get(msg.src)
+                or msg.ack_seq != txn.pending_msg[msg.src].seq
             ):
                 self.stale_acks_dropped += 1
                 return
+            del txn.pending_msg[msg.src]
         else:
             if txn is None:
                 raise ProtocolError(
@@ -527,8 +542,6 @@ class DirectoryController:
                     f"or stray ack {msg}"
                 )
         txn.pending_acks.discard(msg.src)
-        txn.pending_seq.pop(msg.src, None)
-        txn.pending_msg.pop(msg.src, None)
         if not txn.pending_acks:
             del self._active[msg.block]
             self._finish(msg.block, txn)
@@ -561,14 +574,11 @@ class DirectoryController:
             assert txn.request.done_cb is not None
             txn.request.done_cb()
         elif txn.reply_type is not None:
+            request = txn.request
             self._send(
                 Message(
-                    src=self.node_id,
-                    dst=txn.request.requester,
-                    mtype=txn.reply_type,
-                    block=block,
-                    ack_seq=txn.request.req_seq,
-                    txn=txn.request.txn,
+                    self.node_id, request.requester, txn.reply_type, block,
+                    None, None, request.req_seq, None, request.txn,
                 )
             )
         # reply_type None on a remote request means another module (a

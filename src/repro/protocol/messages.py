@@ -12,8 +12,11 @@ invalidation; we implement both so the optimization can be toggled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from ..records import Record
+
+_tuple_new = tuple.__new__
 
 
 class Role(enum.Enum):
@@ -143,9 +146,26 @@ def receiver_role(mtype: MessageType) -> Role:
     return ROLE_OF_BIT[RECEIVER_BIT[mtype]]
 
 
-@dataclass(frozen=True)
-class Message:
+class _MessageFields(NamedTuple):
+    src: int
+    dst: int
+    mtype: MessageType
+    block: int
+    requester: Optional[int] = None
+    seq: Optional[int] = None
+    ack_seq: Optional[int] = None
+    requester_seq: Optional[int] = None
+    txn: Optional[int] = None
+
+
+class Message(_MessageFields, Record):
     """One coherence message in flight.
+
+    An immutable tuple of its fields (a :class:`~repro.records.Record`),
+    so building one costs a single call.  Every way of making one --
+    calling the class, :meth:`_make`, :meth:`_replace`, unpickling --
+    runs the node-id check.  Hot call sites pass the fields
+    positionally, in the order below.
 
     Attributes:
         src: sending node id.
@@ -171,19 +191,32 @@ class Message:
             off (the default).
     """
 
-    src: int
-    dst: int
-    mtype: MessageType
-    block: int
-    requester: Optional[int] = None
-    seq: Optional[int] = None
-    ack_seq: Optional[int] = None
-    requester_seq: Optional[int] = None
-    txn: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.src < 0 or self.dst < 0:
+    def __new__(
+        cls,
+        src: int,
+        dst: int,
+        mtype: MessageType,
+        block: int,
+        requester: Optional[int] = None,
+        seq: Optional[int] = None,
+        ack_seq: Optional[int] = None,
+        requester_seq: Optional[int] = None,
+        txn: Optional[int] = None,
+    ) -> "Message":
+        if src < 0 or dst < 0:
             raise ValueError("node ids must be non-negative")
+        return _tuple_new(
+            cls,
+            (src, dst, mtype, block, requester, seq, ack_seq,
+             requester_seq, txn),
+        )
+
+    # ``_replace`` builds its result with ``_make``, so this covers it.
+    @classmethod
+    def _make(cls, iterable) -> "Message":
+        return cls(*iterable)
 
     @property
     def role_at_receiver(self) -> Role:

@@ -97,10 +97,8 @@ class OriginDirectoryController(DirectoryController):
             final_sharers=final_sharers,
             reply_type=None,  # the owner answers the requester directly
         )
-        if self._recovery is not None:
-            assert seq is not None
-            txn.pending_seq[entry.owner] = seq
-            txn.pending_msg[entry.owner] = msg
+        if seq is not None:
+            txn.expect(entry.owner, msg)
         return txn
 
     def _start_read(self, block: int, entry: DirEntry, request: _Request) -> _Txn:

@@ -54,7 +54,9 @@ from .params import PAPER_PARAMS, SystemParams
 
 #: Bump when the checkpoint body or the simulator's semantics change:
 #: old checkpoints then refuse to load instead of resuming wrongly.
-FORMAT_VERSION = 2
+#: Format 3: :class:`~repro.workloads.access.Access` (pickled with the
+#: machine's pending access streams) is a tuple, no longer a dataclass.
+FORMAT_VERSION = 3
 
 CHECKPOINT_MAGIC = "repro-checkpoint"
 
@@ -113,10 +115,11 @@ class Checkpoint:
 
 @functools.lru_cache(maxsize=None)
 def _default_reduce(cls: type) -> bool:
-    """Whether instances of this package's ``cls`` pickle through
-    ``object``'s default reduction."""
+    """Whether instances of this package's ``cls`` keep a ``__dict__``
+    and pickle through ``object``'s default reduction."""
     return (
         cls.__module__.startswith("repro.")
+        and cls.__dictoffset__ != 0
         and cls.__reduce_ex__ is object.__reduce_ex__
         and cls.__reduce__ is object.__reduce__
         and not hasattr(cls, "__setstate__")

@@ -400,18 +400,18 @@ class Machine:
         index = self._cursor[proc]
         if index >= len(stream):
             return
-        access = stream[index]
+        block, is_write = stream[index]
         self._cursor[proc] = index + 1
         self.accesses_issued += 1
         self._issue_time[proc] = self.engine.now
         # Assume a miss before dispatching: a miss's done_cb may fire
         # synchronously (e.g. an idle local directory entry).
         self._was_miss[proc] = True
-        home = self.memory_map.home_of(access.block)
+        home = self.memory_map.home_of(block)
         node = self.nodes[proc]
         if home == proc:
             hit = node.directory.local_access(
-                access.block, access.is_write, self._done[proc]
+                block, is_write, self._done[proc]
             )
             if hit:
                 self._was_miss[proc] = False
@@ -419,9 +419,7 @@ class Machine:
                     self.params.memory_access_ns, self._completed, proc
                 )
         else:
-            hit = node.cache.access(
-                access.block, home, access.is_write, self._done[proc]
-            )
+            hit = node.cache.access(block, home, is_write, self._done[proc])
             if hit:
                 self._was_miss[proc] = False
                 self.engine.schedule(_CACHE_HIT_NS, self._completed, proc)

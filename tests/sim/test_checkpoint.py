@@ -13,6 +13,7 @@ import gc
 import pickle
 import sys
 from collections import deque
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,8 @@ from repro.sim.faults import PRESETS
 from repro.sim.machine import Machine, simulate
 from repro.sim.metrics import METRICS
 from repro.sim.params import PAPER_PARAMS
+from repro.workloads import access as access_module
+from repro.workloads.access import Access
 
 ITERATIONS = 4
 SEED = 7
@@ -300,6 +303,41 @@ class TestOnDiskFormat:
                 "total_iterations": ITERATIONS,
             },
             pickle.dumps(body),
+        )
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert info.value.cause == "version-mismatch"
+
+    def test_checkpoint_with_dataclass_accesses_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # Format 2 pickled the machine's pending streams of dataclass
+        # Accesses, which the tuple Access cannot unpickle, so the file
+        # must fail on its version before anything unpickles the image.
+        @dataclass(frozen=True)
+        class LegacyAccess:
+            block: int
+            is_write: bool
+
+        LegacyAccess.__module__ = Access.__module__
+        LegacyAccess.__qualname__ = "Access"
+        with monkeypatch.context() as patch:
+            patch.setattr(access_module, "Access", LegacyAccess)
+            image = pickle.dumps([[LegacyAccess(64, False)]])
+        with pytest.raises(TypeError):
+            pickle.loads(image)
+        checkpoint, path, _machine = self._one_checkpoint(tmp_path)
+        legacy = replace(checkpoint, image=image)
+        write_framed(
+            path,
+            CHECKPOINT_MAGIC,
+            2,
+            {
+                "fingerprint": checkpoint.fingerprint,
+                "next_iteration": 2,
+                "total_iterations": ITERATIONS,
+            },
+            pickle.dumps(legacy),
         )
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)

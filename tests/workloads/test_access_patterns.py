@@ -1,5 +1,6 @@
 """Tests for access primitives and sharing-pattern helpers."""
 
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,31 @@ class TestAccess:
 
     def test_read_modify_write(self):
         assert read_modify_write(0) == [read(0), write(0)]
+
+    def test_frozen(self):
+        access = read(64)
+        with pytest.raises(AttributeError):
+            access.block = 128
+        with pytest.raises(AttributeError):
+            access.extra = 1
+
+    def test_equality_like_a_frozen_dataclass(self):
+        assert read(64) == Access(64, False) and not read(64) != read(64)
+        assert read(64) != write(64) and read(64) != read(128)
+        # Never equal to a plain tuple of the same fields, either way.
+        assert read(64) != (64, False) and (64, False) != read(64)
+        assert not read(64) == (64, False)
+        assert not (64, False) == read(64)
+
+    def test_hash_is_the_field_tuples(self):
+        assert hash(write(64)) == hash((64, True))
+        assert len({read(64), read(64), write(64)}) == 2
+
+    def test_pickle_round_trip(self):
+        access = write(64)
+        clone = pickle.loads(pickle.dumps(access))
+        assert type(clone) is Access and clone == access
+        assert str(clone) == "st 0x40"
 
     def test_empty_phase(self):
         phase = empty_phase(4)
