@@ -1,11 +1,11 @@
-"""Benchmark: checkpointing overhead and watchdog guard cost.
+"""Overhead guards: checkpointing, restored machines and the watchdog.
 
 The robustness bar: checkpointing at the documented cadence (every
 ~half-run for a paper-scale workload; see docs/robustness.md) must spend
 at most 5% of wall time inside the checkpoint machinery, a machine
-restored from a checkpoint must run its remaining iterations as fast as
-one never checkpointed, and an armed watchdog's chunked engine driving
-must be indistinguishable from ``engine.run()``.
+restored from a checkpoint must run its remaining iterations at most
+10% slower than one never checkpointed, and an armed watchdog must
+leave the events unchanged and cost at most 15% of wall time.
 
 The checkpoint guard is computed from the run's own
 ``checkpoint.capture`` / ``checkpoint.save`` / ``checkpoint.restore``
@@ -14,14 +14,11 @@ the cross-run variance that makes wall-to-wall comparisons of
 second-long runs flaky in CI.  The restored-speed guard runs a restored
 and an uninterrupted machine in one process, alternating iteration by
 iteration, so machine-wide load drifts hit both alike.
-The watchdog guard compares wall times (there is no timer: the guard's
-entire point is costing nothing) with best-of-N timing and a noise
-allowance.
+The watchdog guard compares best-of-N wall times of a plain and a
+guarded run.  Each guard prints its reading (``pytest -rP`` shows it).
 """
 
 import time
-
-from conftest import SEED
 
 from repro.experiments.common import iterations_for, workload_for
 from repro.sim.checkpoint import capture, restore, simulate_with_checkpoints
@@ -30,6 +27,7 @@ from repro.sim.metrics import METRICS
 from repro.sim.watchdog import DEFAULT_WATCHDOG, Watchdog
 
 APP = "moldyn"
+SEED = 0
 #: The documented paper-scale cadence: a couple of checkpoints per run,
 #: each costing tens of milliseconds against seconds of simulation.
 EVERY = 30
@@ -42,27 +40,21 @@ RESTORED_ITERATIONS = 40
 ROUNDS = 3
 
 
-def test_checkpoint_overhead(benchmark, tmp_path):
+def test_checkpoint_overhead(tmp_path):
     workload = workload_for(APP, quick=False)
     iterations = iterations_for(APP, quick=False)
     plain = simulate(workload, iterations=iterations, seed=SEED)
 
     METRICS.reset()
-
-    def checkpointed():
-        start = time.perf_counter()
-        collector = simulate_with_checkpoints(
-            workload,
-            iterations=iterations,
-            seed=SEED,
-            checkpoint_dir=tmp_path,
-            every=EVERY,
-        )
-        return time.perf_counter() - start, collector
-
-    wall_s, collector = benchmark.pedantic(
-        checkpointed, rounds=1, iterations=1
+    start = time.perf_counter()
+    collector = simulate_with_checkpoints(
+        workload,
+        iterations=iterations,
+        seed=SEED,
+        checkpoint_dir=tmp_path,
+        every=EVERY,
     )
+    wall_s = time.perf_counter() - start
     assert list(collector.events) == list(plain.events)
 
     timers = METRICS.snapshot()["timers"]
@@ -75,10 +67,10 @@ def test_checkpoint_overhead(benchmark, tmp_path):
     saves = timers.get("checkpoint.save", {}).get("count", 0)
     assert saves == iterations // EVERY
     overhead = spent / wall_s
-    benchmark.extra_info["wall_s"] = round(wall_s, 4)
-    benchmark.extra_info["checkpoint_s"] = round(spent, 4)
-    benchmark.extra_info["checkpoints"] = saves
-    benchmark.extra_info["overhead_pct"] = round(100 * overhead, 2)
+    print(
+        f"checkpoint machinery: {spent:.3f}s of {wall_s:.3f}s "
+        f"({100 * overhead:.1f}%)"
+    )
     assert overhead <= MAX_OVERHEAD, (
         f"checkpoint machinery took {100 * overhead:.1f}% of the run "
         f"({spent:.3f}s of {wall_s:.3f}s across {saves} checkpoints; "
@@ -86,7 +78,7 @@ def test_checkpoint_overhead(benchmark, tmp_path):
     )
 
 
-def test_restored_machine_keeps_its_speed(benchmark):
+def test_restored_machine_keeps_its_speed():
     def after_first_iteration():
         machine = Machine(seed=SEED)
         workload = workload_for(APP, quick=True)
@@ -99,28 +91,24 @@ def test_restored_machine_keeps_its_speed(benchmark):
         capture(*after_first_iteration(), 2, RESTORED_ITERATIONS)
     )
 
-    def alternate():
-        seconds = [0.0, 0.0]
-        for index in range(2, RESTORED_ITERATIONS + 1):
-            order = (0, 1) if index % 2 else (1, 0)
-            for which in order:
-                machine, workload = (plain, restored)[which]
-                start = time.process_time()
-                machine.run_iteration(workload, index)
-                seconds[which] += time.process_time() - start
-        return seconds
-
-    plain_s, restored_s = benchmark.pedantic(
-        alternate, rounds=1, iterations=1
-    )
+    seconds = [0.0, 0.0]
+    for index in range(2, RESTORED_ITERATIONS + 1):
+        order = (0, 1) if index % 2 else (1, 0)
+        for which in order:
+            machine, workload = (plain, restored)[which]
+            start = time.process_time()
+            machine.run_iteration(workload, index)
+            seconds[which] += time.process_time() - start
+    plain_s, restored_s = seconds
     assert list(restored[0].finish_workload().events) == list(
         plain[0].finish_workload().events
     )
 
     slowdown = restored_s / plain_s - 1.0
-    benchmark.extra_info["plain_s"] = round(plain_s, 4)
-    benchmark.extra_info["restored_s"] = round(restored_s, 4)
-    benchmark.extra_info["slowdown_pct"] = round(100 * slowdown, 2)
+    print(
+        f"restored machine: {restored_s:.3f}s vs {plain_s:.3f}s "
+        f"({100 * slowdown:+.1f}%)"
+    )
     assert slowdown <= MAX_RESTORED_SLOWDOWN, (
         f"restored machine ran {100 * slowdown:.1f}% slower "
         f"({restored_s:.3f}s vs {plain_s:.3f}s; "
@@ -128,7 +116,7 @@ def test_restored_machine_keeps_its_speed(benchmark):
     )
 
 
-def test_watchdog_overhead(benchmark):
+def test_watchdog_overhead():
     workload = workload_for(APP, quick=True)
     iterations = iterations_for(APP, quick=True)
 
@@ -144,26 +132,24 @@ def test_watchdog_overhead(benchmark):
     plain_s, plain = best_of(
         lambda: simulate(workload, iterations=iterations, seed=SEED)
     )
-    guarded_s, guarded = benchmark.pedantic(
-        lambda: best_of(
-            lambda: simulate(
-                workload,
-                iterations=iterations,
-                seed=SEED,
-                watchdog=Watchdog(DEFAULT_WATCHDOG),
-            )
-        ),
-        rounds=1,
-        iterations=1,
+    guarded_s, guarded = best_of(
+        lambda: simulate(
+            workload,
+            iterations=iterations,
+            seed=SEED,
+            watchdog=Watchdog(DEFAULT_WATCHDOG),
+        )
     )
     assert list(guarded.events) == list(plain.events)
 
     overhead = guarded_s / plain_s - 1.0
-    benchmark.extra_info["plain_s"] = round(plain_s, 4)
-    benchmark.extra_info["guarded_s"] = round(guarded_s, 4)
-    benchmark.extra_info["overhead_pct"] = round(100 * overhead, 2)
-    # Allowance is 3x the budget: the runs are ~100ms and CI timing
-    # noise alone exceeds 5%; the watchdog's real cost is ~0%.
+    print(
+        f"watchdog: {guarded_s:.3f}s guarded vs {plain_s:.3f}s plain "
+        f"({100 * overhead:+.1f}%)"
+    )
+    # Allowance is 3x the 5% budget: the runs are ~100ms and CI timing
+    # noise alone exceeds 5%.  docs/robustness.md has the guard's
+    # measured cost.
     assert overhead <= MAX_OVERHEAD * 3, (
         f"watchdog guard cost {100 * overhead:.1f}% "
         f"(allowance {100 * MAX_OVERHEAD * 3:.0f}%)"

@@ -1,14 +1,17 @@
-"""Microbenchmarks: predictor, evaluation, and simulator throughput.
+"""Overhead guards: disabled observability and the bounded bank.
 
-Run under pytest-benchmark (``pytest benchmarks/bench_core.py``).  The
-two overhead guards are self-relative pass/fail checks CI runs by node
-id; end-to-end throughput is measured and gated by ``perfbench/`` and
-``benchmarks/ab.py`` (see ``docs/performance.md``).
+Two self-relative pass/fail checks, run by path in CI
+(``pytest benchmarks/bench_core.py``).  End-to-end throughput is
+measured and gated by ``perfbench/`` and ``benchmarks/ab.py`` (see
+``docs/performance.md``).
 """
 
+import time
+
 from repro.core.config import CosmosConfig
-from repro.core.evaluation import evaluate_trace
 from repro.core.predictor import CosmosPredictor
+from repro.core.tuples import pack
+from repro.obs.log import OBS
 from repro.protocol.messages import MessageType
 from repro.sim.machine import Machine
 from repro.workloads.moldyn import MolDyn
@@ -20,86 +23,6 @@ CYCLE = [
     (2, MessageType.GET_RO_REQUEST),
     (1, MessageType.INVAL_RW_RESPONSE),
 ]
-
-
-def test_predictor_observe_throughput(benchmark):
-    """Single-predictor observe() rate on a periodic stream."""
-    predictor = CosmosPredictor(CosmosConfig(depth=2))
-    stream = CYCLE * 200
-
-    def run():
-        for tup in stream:
-            predictor.observe(0x40, tup)
-
-    benchmark(run)
-    assert predictor.accuracy > 0.9
-
-
-def test_predictor_observe_throughput_deep(benchmark):
-    """Depth-4 predictor on the same stream (hashing longer patterns)."""
-    predictor = CosmosPredictor(CosmosConfig(depth=4))
-    stream = CYCLE * 200
-
-    def run():
-        for tup in stream:
-            predictor.observe(0x40, tup)
-
-    benchmark(run)
-
-
-def test_evaluation_throughput(benchmark, quick_traces):
-    """Full-bank trace replay rate (events/second)."""
-    events = quick_traces["moldyn"]
-    result = benchmark(
-        evaluate_trace, events, CosmosConfig(depth=1), None, (), False
-    )
-    assert result.overall.refs == len(events)
-    benchmark.extra_info["events"] = len(events)
-
-
-def test_end_to_end_events_per_sec(benchmark, quick_traces):
-    """The full pipeline rate: replay a real quick-mode trace through the
-    default Cosmos bank with arcs and checkpoints on (the configuration
-    every experiment driver uses)."""
-    events = quick_traces["moldyn"]
-    result = benchmark(
-        evaluate_trace, events, CosmosConfig(depth=2), None, (2, 4), True
-    )
-    assert result.overall.refs == len(events)
-    benchmark.extra_info["events"] = len(events)
-
-
-def test_observe_word_throughput(benchmark):
-    """The packed-word kernel (the interned-int hot API) on a periodic
-    stream: one dict lookup + counter bumps per observation."""
-    from repro.core.tuples import pack
-
-    predictor = CosmosPredictor(CosmosConfig(depth=2))
-    words = [pack(tup) for tup in CYCLE] * 200
-
-    def run():
-        observe_word = predictor.observe_word
-        for word in words:
-            observe_word(0x40, word)
-
-    benchmark(run)
-    assert predictor.accuracy > 0.9
-
-
-def test_simulator_throughput(benchmark):
-    """Machine simulation rate on a small moldyn run."""
-
-    def run():
-        machine = Machine(seed=1)
-        machine.run_workload(
-            MolDyn(force_blocks=8, coord_blocks=8, cold_blocks=0),
-            iterations=5,
-        )
-        return machine
-
-    machine = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert machine.network.messages_sent > 0
-    benchmark.extra_info["messages"] = machine.network.messages_sent
 
 
 def test_obs_disabled_overhead_guard():
@@ -114,10 +37,6 @@ def test_obs_disabled_overhead_guard():
     Both sides are best-of-N wall-clock measurements, so the 2% budget
     has orders-of-magnitude headroom against scheduler noise.
     """
-    import time
-
-    from repro.obs.log import OBS
-
     assert not OBS.enabled  # the suite never leaves capture on
 
     checks = 200_000
@@ -164,8 +83,6 @@ def test_obs_disabled_overhead_guard():
 def _pressure_stream(n_events=40_000, n_blocks=64, hot_blocks=8):
     """A skewed multi-block stream: hot set inside any sane capacity,
     a cold tail that forces steady (not pathological) eviction."""
-    from repro.core.tuples import pack
-
     words = [pack(tup) for tup in CYCLE]
     stream = []
     for i in range(n_events):
@@ -196,8 +113,6 @@ def test_bounded_observe_overhead_guard():
     order, so the touch path costs one extra dict delete and eviction
     work only runs on actual evictions.
     """
-    import time
-
     stream = _pressure_stream()
     # MHR-capacity LRU is the recommended production bound (its recency
     # order rides the table's own insertion order, so the touch path is

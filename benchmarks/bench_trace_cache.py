@@ -1,4 +1,4 @@
-"""Benchmark: on-disk trace cache -- cold vs warm predictor sweep.
+"""Guards: on-disk trace cache speedup and the metrics-JSON shape.
 
 Runs the experiment runner twice in fresh subprocesses against the same
 cache directory: the cold run simulates every workload and populates the
@@ -13,8 +13,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-from conftest import once
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,10 +46,10 @@ def _run_sweep(cache_dir: Path, metrics_path: Path) -> dict:
         return json.load(handle)
 
 
-def test_warm_cache_sweep_speedup(benchmark, tmp_path):
+def test_warm_cache_sweep_speedup(tmp_path):
     cache_dir = tmp_path / "trace-cache"
     cold = _run_sweep(cache_dir, tmp_path / "cold.json")
-    warm = once(benchmark, _run_sweep, cache_dir, tmp_path / "warm.json")
+    warm = _run_sweep(cache_dir, tmp_path / "warm.json")
 
     assert cold["counters"]["trace.simulated"] == 5
     assert cold["counters"]["trace.cache.stored"] == 5
@@ -61,11 +59,6 @@ def test_warm_cache_sweep_speedup(benchmark, tmp_path):
     cold_acquire = cold["timers"]["trace.acquire"]["seconds"]
     warm_acquire = warm["timers"]["trace.acquire"]["seconds"]
     ratio = cold_acquire / warm_acquire
-    benchmark.extra_info["cold_acquire_s"] = round(cold_acquire, 3)
-    benchmark.extra_info["warm_acquire_s"] = round(warm_acquire, 3)
-    benchmark.extra_info["speedup"] = round(ratio, 2)
-    benchmark.extra_info["cold_wall_s"] = round(cold["wall_seconds"], 2)
-    benchmark.extra_info["warm_wall_s"] = round(warm["wall_seconds"], 2)
     print(
         f"\ntrace acquisition: cold {cold_acquire:.3f}s "
         f"(simulate + store), warm {warm_acquire:.3f}s (cache load) "

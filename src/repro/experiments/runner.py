@@ -6,7 +6,6 @@ Usage::
     repro-experiments table5              # one experiment
     repro-experiments table5 --quick      # shrunken workloads, fast
     repro-experiments all --jobs 4        # shard across 4 worker processes
-    repro-experiments all --sequential    # force the in-process path
     repro-experiments all --html out.html # self-contained HTML report
     repro-experiments table5 --metrics-json m.json   # runtime metrics dump
     repro-experiments --list
@@ -19,7 +18,7 @@ through the on-disk trace cache (``--trace-cache DIR``, or the
 ``REPRO_TRACE_CACHE`` environment variable, defaulting to
 ``~/.cache/repro/traces`` when parallel).  The same seeds drive the same
 simulations wherever they run, so the report text is byte-identical to
-``--sequential``; only the wall time changes.
+``--jobs 1``; only the wall time changes.
 """
 
 from __future__ import annotations
@@ -387,11 +386,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run experiments on N worker processes (default 1: in-process)",
     )
     parser.add_argument(
-        "--sequential",
-        action="store_true",
-        help="force the in-process path (equivalent to --jobs 1)",
-    )
-    parser.add_argument(
         "--trace-cache",
         metavar="DIR",
         default=None,
@@ -434,7 +428,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "capture a structured event log during the run and export it "
             "as Chrome trace-event / Perfetto JSON to PATH (forces "
-            "--sequential: the log is an in-process ring buffer)"
+            "--jobs 1: the log is an in-process ring buffer)"
         ),
     )
     parser.add_argument(
@@ -511,7 +505,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if profile.is_active:
             fault_spec = profile.spec()
 
-    jobs = 1 if args.sequential else max(1, args.jobs)
+    jobs = max(1, args.jobs)
     if args.trace_events and (args.run_dir or args.resume):
         print(
             "--trace-events captures an in-process event log; it cannot "
@@ -523,7 +517,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace_events and jobs > 1:
         print(
             "note: --trace-events captures an in-process event log; "
-            "forcing --sequential",
+            "forcing --jobs 1",
             file=sys.stderr,
         )
         jobs = 1

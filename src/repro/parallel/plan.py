@@ -12,7 +12,7 @@ A run plan has two stages:
 
 The planner never reorders anything observable: experiment shards carry
 their position in the requested name list, and the pool's merge sorts by
-it, so ``--jobs N`` output is byte-identical to ``--sequential``.
+it, so ``--jobs N`` output is byte-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations

@@ -130,30 +130,16 @@ class Engine:
         else:
             heapq.heappush(self._queue, (time, seq, callback, args))
 
-    def run(
-        self,
-        max_events: Optional[int] = None,
-        raise_if_pending: bool = False,
-    ) -> int:
+    def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` dispatched).
 
-        Returns the number of events dispatched by this call.  With
-        ``raise_if_pending=True``, exhausting ``max_events`` while events
-        still wait raises :class:`SimulationError` describing the head of
-        the queue (time and callback of the next few events), so a
-        budget-capped run dies with a diagnosis instead of a bare count.
+        Returns the number of events dispatched by this call.
         """
         if max_events is None:
             return self._run_to_exhaustion()
         dispatched = 0
         while self._queue or self._fifo:
             if dispatched >= max_events:
-                if raise_if_pending:
-                    raise SimulationError(
-                        f"event budget of {max_events} exhausted with "
-                        f"{self.pending()} events pending at t={self._now}; "
-                        f"next up: {self.describe_pending()}"
-                    )
                 break
             time, seq, callback, args = self._pop_next()
             self._now = time

@@ -4,8 +4,8 @@ The paper's target is a 16-node machine with single-processor nodes; the
 parameters below default to the values of Table 3.  Cosmos' prediction
 accuracy is insensitive to most of them (Section 5 notes that stretching
 the network latency from 40 ns to 1 us barely moves the prediction rates;
-``benchmarks/bench_sensitivity.py`` reproduces that claim), but they shape
-message timing and therefore interleavings.
+the sensitivity cases in ``tests/experiments/test_experiments.py`` check
+that claim), but they shape message timing and therefore interleavings.
 """
 
 from __future__ import annotations

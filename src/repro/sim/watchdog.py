@@ -24,10 +24,14 @@ tail of the observability ring when capture is on.  The bundle is a
 JSON-able dict; :func:`save_bundle` writes it atomically for CI
 artifacts.
 
-The hot-path cost is two counter increments per delivery and one per
-completion; budget checks run once per chunk (default every 4096
-events), so an unguarded run's timing is unchanged and a guarded run's
-overhead is unmeasurable.
+An unguarded run's timing is unchanged.  A guarded run pays on its hot
+paths: a counter increment and a per-block dict update per delivery,
+and a reset per access completion; budget checks run once per chunk
+(default every 4096 events).  The retry counters move only while the
+protocol's recovery machinery is armed (fault injection, an adversarial
+network), so only then does a completion also re-read them -- a sum
+over every node's cache and directory.  docs/robustness.md gives the
+measured cost of a guarded run.
 """
 
 from __future__ import annotations
@@ -150,7 +154,11 @@ class Watchdog:
     def note_completion(self) -> None:
         self._since_progress = 0
         self._block_deliveries.clear()
-        self._retry_baseline = self._total_retries()
+        # Without recovery the retry counters never move, so the baseline
+        # needs no re-read (the sum is most of a completion's cost).
+        machine = self._machine
+        if machine is not None and machine.recovery is not None:
+            self._retry_baseline = self._total_retries()
 
     # ------------------------------------------------------------------
     # engine driving

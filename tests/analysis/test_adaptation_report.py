@@ -9,6 +9,7 @@ from repro.analysis.adaptation import (
 )
 from repro.analysis.report import render_matrix, render_table
 from repro.core.config import CosmosConfig
+from repro.experiments.common import get_trace
 from repro.protocol.messages import MessageType, Role
 
 
@@ -40,6 +41,14 @@ class TestAccuracyCurve:
             producer_consumer_trace, checkpoints=[2, 4, 8, 16, 30]
         )
         assert curve.steady_state_iteration(tolerance=5.0) <= 16
+
+    def test_dsmc_accuracy_rises_over_the_run(self):
+        curve = accuracy_curve(
+            get_trace("dsmc", seed=0, quick=True),
+            [1, 2, 4, 8, 16, 32, 64, 100],
+        )
+        assert curve.iterations
+        assert curve.accuracy_percent[-1] > curve.accuracy_percent[0]
 
 
 class TestTransitionProgress:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.bounds import measure_bounds, optimal_table_accuracy
+from repro.experiments.bounds import run_bounds
 from repro.protocol.messages import MessageType, Role
 from repro.trace.events import TraceEvent
 
@@ -76,3 +77,24 @@ class TestMeasureBounds:
     def test_cosmos_near_ceiling_on_clean_cycle(self, producer_consumer_trace):
         bound = measure_bounds(producer_consumer_trace, depths=(1,))[0]
         assert bound.efficiency > 0.85
+
+
+class TestRunBounds:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_bounds(
+            apps=("appbt", "barnes", "dsmc"), depths=(1, 2), seed=0,
+            quick=True,
+        )
+
+    def test_ceiling_dominates_cosmos_on_real_apps(self, result):
+        for app, bounds in result.bounds.items():
+            for bound in bounds:
+                assert bound.bound_accuracy >= bound.cosmos_accuracy - 0.02, (
+                    app, bound.depth,
+                )
+
+    def test_barnes_loses_most_to_training(self, result):
+        # barnes' address churn is training loss: its gap to the static
+        # ceiling dwarfs dsmc's.
+        assert result.bounds["barnes"][0].gap > result.bounds["dsmc"][0].gap

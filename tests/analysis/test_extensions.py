@@ -11,6 +11,7 @@ from repro.analysis.overhead import (
 from repro.core.config import CosmosConfig
 from repro.core.predictor import CosmosPredictor
 from repro.errors import ConfigError
+from repro.experiments.common import get_trace
 from repro.protocol.messages import MessageType
 
 A = (1, MessageType.GET_RO_REQUEST)
@@ -65,6 +66,20 @@ class TestMacroblockSweep:
         for point in macroblock_sweep(producer_consumer_trace):
             assert 0.0 <= point.overall_accuracy <= 1.0
 
+    def test_appbt_trades_accuracy_for_table_size(self):
+        points = macroblock_sweep(
+            get_trace("appbt", seed=0, quick=True),
+            macroblock_sizes=(None, 128, 512, 4096),
+            depth=1,
+        )
+        baseline, *grouped = points
+        # Memory shrinks monotonically with macroblock size...
+        mhrs = [p.mhr_entries for p in points]
+        assert mhrs == sorted(mhrs, reverse=True)
+        # ...and aliasing unrelated blocks never improves accuracy.
+        for point in grouped:
+            assert point.overall_accuracy <= baseline.overall_accuracy + 0.02
+
 
 class TestPreallocation:
     def test_histogram_counts_blocks(self, producer_consumer_trace):
@@ -92,6 +107,24 @@ class TestPreallocation:
         )
         report = preallocation_report(histogram, static_entries=4)
         assert report.overflow_block_fraction < 0.5
+
+    def test_four_entries_suffice_on_dsmc(self):
+        histogram = pht_size_histogram(
+            get_trace("dsmc", seed=0, quick=True), CosmosConfig(depth=1)
+        )
+        reports = {
+            n: preallocation_report(histogram, static_entries=n)
+            for n in (2, 4, 8)
+        }
+        # The suggested 4-entry allocation leaves only a small minority
+        # of blocks spilling to the shared pool...
+        assert reports[4].overflow_block_fraction < 0.35
+        # ...and bigger static allocations never overflow more.
+        assert (
+            reports[8].overflow_block_fraction
+            <= reports[4].overflow_block_fraction
+            <= reports[2].overflow_block_fraction
+        )
 
     def test_empty_histogram(self):
         report = preallocation_report({}, static_entries=4)

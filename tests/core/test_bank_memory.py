@@ -5,6 +5,7 @@ import pytest
 from repro.core.bank import PredictorBank
 from repro.core.config import CosmosConfig
 from repro.core.memory import MemoryOverhead, memory_report
+from repro.experiments.common import get_trace
 from repro.predictors.last_message import LastMessagePredictor
 from repro.protocol.messages import MessageType, Role
 from repro.sim.metrics import METRICS
@@ -34,6 +35,22 @@ class TestBank:
         bank.observe(event(node=0, role=Role.CACHE,
                            mtype=MessageType.GET_RO_RESPONSE))
         assert len(bank) == 1
+
+    def test_sharing_roles_never_helps_on_moldyn(self):
+        # Stache's caches and directories at one node see different
+        # blocks (remote pages vs home pages), so one predictor per node
+        # aliases little -- and must never beat one per module.
+        events = get_trace("moldyn", seed=0, quick=True)
+
+        def accuracy(share_roles):
+            bank = PredictorBank(
+                CosmosConfig(depth=1), share_roles=share_roles
+            )
+            for e in events:
+                bank.observe(e)
+            return sum(p.hits for _key, p in bank) / len(events)
+
+        assert accuracy(True) <= accuracy(False) + 0.02
 
     def test_same_module_reused(self):
         bank = PredictorBank()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import CosmosConfig
 from repro.core.predictor import CosmosPredictor
+from repro.core.tuples import pack
 from repro.protocol.messages import MessageType
 
 BLOCK = 0x40
@@ -53,6 +54,16 @@ class TestBasicOperation:
                     assert observation.hit
                 hits += observation.hit
         assert predictor.accuracy > 0.7
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["tuple", "word"])
+    def test_depth2_learns_a_five_message_cycle(self, packed):
+        cycle = [GET_P1, INV_P2, (1, MessageType.UPGRADE_REQUEST), GET_P2,
+                 (1, MessageType.INVAL_RW_RESPONSE)]
+        predictor = CosmosPredictor(CosmosConfig(depth=2))
+        observe = predictor.observe_word if packed else predictor.observe
+        for tup in cycle * 200:
+            observe(BLOCK, pack(tup) if packed else tup)
+        assert predictor.accuracy > 0.9
 
 
 class TestSection35Adaptation:

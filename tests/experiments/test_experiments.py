@@ -19,6 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import iterations_for, workload_for
 from repro.protocol.messages import Role
+from repro.workloads.registry import BENCHMARK_NAMES
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -59,6 +60,13 @@ class TestTableExperiments:
         text = result.format()
         assert "moldyn" in text and "Paper" in text
 
+    def test_table5_every_app_in_range(self):
+        result = run_table5(quick=True, seed=0)
+        assert set(result.rows) == set(BENCHMARK_NAMES)
+        for rows in result.rows.values():
+            for row in rows:
+                assert 0.0 <= row.overall <= 100.0
+
     def test_table5_unknown_cell(self):
         result = run_table5(apps=("moldyn",), depths=(1,), quick=True)
         with pytest.raises(KeyError):
@@ -69,11 +77,36 @@ class TestTableExperiments:
         assert set(result.cells["moldyn"][1]) == {0, 1, 2}
         assert "filter" in result.format()
 
+    def test_table6_every_app(self):
+        result = run_table6(quick=True, seed=0)
+        assert set(result.cells) == set(BENCHMARK_NAMES)
+        for app, by_depth in result.cells.items():
+            for depth, by_filter in by_depth.items():
+                # Filters never swing accuracy catastrophically.
+                assert abs(by_filter[2] - by_filter[0]) < 20.0, (app, depth)
+        # Filters and history are alternative noise treatments: a filter
+        # helps barnes' depth-1 predictor at least as much as depth 2's.
+        barnes = result.cells["barnes"]
+        assert barnes[1][1] - barnes[1][0] >= barnes[2][1] - barnes[2][0] - 1.5
+
     def test_table7_structure(self):
         result = run_table7(apps=("moldyn",), depths=(1, 2), quick=True)
         rows = result.rows["moldyn"]
         assert rows[0].mhr_entries > 0
         assert "Ratio" in result.format()
+
+    def test_table7_every_app(self):
+        result = run_table7(quick=True, seed=0)
+        assert set(result.rows) == set(BENCHMARK_NAMES)
+        for rows in result.rows.values():
+            for row in rows:
+                assert row.ratio >= 0.0
+                assert row.overhead_percent >= 0.0
+
+    def test_table8_quick(self):
+        result = run_table8(quick=True, seed=0)
+        assert result.progress
+        assert result.curves
 
     def test_table8_structure(self):
         result = run_table8(
@@ -86,8 +119,9 @@ class TestTableExperiments:
 
 
 class TestFigureExperiments:
-    def test_figure2_signatures(self):
-        result = run_figure2(iterations=25)
+    @pytest.mark.parametrize("iterations", [25, 40])
+    def test_figure2_signatures(self, iterations):
+        result = run_figure2(iterations=iterations)
         assert result.steady_accuracy > 0.9
         assert Role.CACHE in result.signatures
         assert "producer-consumer" in result.format()
@@ -102,6 +136,30 @@ class TestFigureExperiments:
         data = result.apps["moldyn"]
         assert data.arcs
         assert "->" in result.format()
+
+    def test_figures6_7_every_app_has_arcs(self):
+        result = run_figures6_7(quick=True, seed=0)
+        assert set(result.apps) == set(BENCHMARK_NAMES)
+        for app, data in result.apps.items():
+            assert data.arcs, app
+
+    def test_figure8_unstructured(self):
+        result = run_figure8(
+            iterations=30, seed=0, include_apps=("unstructured",), quick=True
+        )
+        migratory = {s.predictor: s for s in result.scores["migratory-micro"]}
+        assert migratory["migratory"].precision > 0.9
+        assert (
+            migratory["cosmos-d1"].accuracy > migratory["migratory"].accuracy
+        )
+        # Section 7's headline: no directed predictor tracks
+        # unstructured's composite migratory <-> producer-consumer pattern.
+        unstructured = {s.predictor: s for s in result.scores["unstructured"]}
+        for directed in ("migratory", "dsi"):
+            assert (
+                unstructured["cosmos-d2"].accuracy
+                > unstructured[directed].accuracy + 0.2
+            ), directed
 
     def test_figure8_cosmos_vs_directed(self):
         result = run_figure8(iterations=20, quick=True, include_apps=())
@@ -139,8 +197,11 @@ class TestMispredictProfile:
 
 
 class TestSensitivityAndIntegration:
-    def test_latency_insensitivity(self):
-        result = run_sensitivity(apps=("moldyn",), quick=True)
+    @pytest.mark.parametrize(
+        "apps", [("moldyn",), ("appbt", "dsmc")], ids=["moldyn", "appbt-dsmc"]
+    )
+    def test_latency_insensitivity(self, apps):
+        result = run_sensitivity(apps=apps, quick=True)
         # Section 5's claim: stretching latency 25x barely moves accuracy.
         assert result.max_delta() < 8.0
         assert "latency" in result.format()
@@ -161,3 +222,18 @@ class TestSensitivityAndIntegration:
         assert result.inline_comparisons["moldyn/grant"].exclusive_grants > 0
         assert result.inline_comparisons["moldyn/push"].pushes > 0
         assert "Inline integration" in result.format()
+
+    def test_integration_pays_off_on_appbt_and_moldyn(self):
+        result = run_integration(
+            model_apps=("moldyn",),
+            inline_apps=("appbt", "moldyn"),
+            seed=0,
+            quick=True,
+        )
+        assert result.model_reports["moldyn"].model_speedup > 1.0
+        assert len(result.inline_comparisons) == 6
+        for label, comparison in result.inline_comparisons.items():
+            # Inline prediction never inflates traffic catastrophically,
+            # and every mode acts on some of its predictions.
+            assert comparison.message_reduction > -0.05, label
+            assert comparison.exclusive_grants + comparison.pushes > 0, label

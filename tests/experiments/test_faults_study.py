@@ -28,6 +28,7 @@ class TestFaultStudy:
     def test_faulty_rows_record_faults(self, study):
         for profile in ("light", "moderate", "heavy"):
             row = study.row("moldyn", profile)
+            assert row.events > 0
             assert row.counters["net.fault.sent"] > 0
             assert row.counters["net.fault.dropped"] > 0
 
@@ -42,6 +43,10 @@ class TestFaultStudy:
         clean = study.row("moldyn", "none").overall_accuracy
         heavy = study.row("moldyn", "heavy").overall_accuracy
         assert 0.0 < heavy < clean <= 1.0
+
+    def test_every_accuracy_is_a_fraction(self, study):
+        for row in study.rows:
+            assert 0.0 <= row.overall_accuracy <= 1.0
 
     def test_format_renders_both_tables(self, study):
         text = study.format()

@@ -58,7 +58,7 @@ class TestGoldenTraces:
 
 
 class TestParallelSequentialEquivalence:
-    """`--jobs 4` and `--sequential` must emit identical experiment text."""
+    """`--jobs 4` and `--jobs 1` must emit identical experiment text."""
 
     NAMES = ["table5", "figures6-7"]
 

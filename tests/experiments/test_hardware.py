@@ -9,8 +9,8 @@ from repro.experiments.hardware import run_hardware
 def result():
     return run_hardware(
         app="moldyn",
-        capacities=(None, 64, 4),
-        thresholds=(0, 2),
+        capacities=(None, 256, 64, 16, 4),
+        thresholds=(0, 1, 2, 3),
         quick=True,
     )
 
@@ -35,10 +35,12 @@ class TestConfidenceSweep:
     def test_precision_rises_with_threshold(self, result):
         precision = [p.precision for p in result.confidence_points]
         assert precision == sorted(precision)
+        assert precision[-1] > precision[0]
 
     def test_coverage_falls_with_threshold(self, result):
         coverage = [p.coverage for p in result.confidence_points]
         assert coverage == sorted(coverage, reverse=True)
+        assert coverage[-1] < coverage[0]
 
     def test_threshold_zero_has_full_coverage_of_known_patterns(self, result):
         base = result.confidence_points[0]

@@ -29,3 +29,16 @@ class TestProtocolComparison:
         text = comparison.format()
         assert "stache" in text and "origin" in text
         assert "moldyn" in text
+
+
+class TestProtocolComparisonAtDepth2:
+    def test_no_first_order_effect_on_appbt_and_moldyn(self):
+        # Section 2.1: forwarding makes cache-side senders vary, yet
+        # accuracy stays within 10 points of Stache's.
+        result = run_protocol_comparison(
+            apps=("appbt", "moldyn"), depth=2, seed=0, quick=True
+        )
+        assert result.max_overall_delta() < 10.0
+        for app, by_proto in result.points.items():
+            for point in by_proto.values():
+                assert point.messages > 0, app

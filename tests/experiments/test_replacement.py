@@ -98,7 +98,7 @@ class TestReplacementStudy:
     @pytest.fixture(scope="class")
     def study(self):
         return run_replacement_study(
-            cache_blocks=(None, 16), depth=1, quick=True
+            cache_blocks=(None, 32, 16), depth=1, quick=True
         )
 
     def test_infinite_cache_never_replaces(self, study):
@@ -108,13 +108,18 @@ class TestReplacementStudy:
         assert infinite.history_loss_cost == pytest.approx(0.0)
 
     def test_small_cache_replaces_and_inflates_traffic(self, study):
-        infinite, small = study.points
+        infinite, small = study.points[0], study.points[-1]
         assert small.replacements > 0
         assert small.messages > infinite.messages
+        # Shrinking the cache inflates traffic monotonically.
+        messages = [p.messages for p in study.points]
+        assert messages == sorted(messages)
 
     def test_merged_history_costs_accuracy(self, study):
-        small = study.points[1]
+        small = study.points[-1]
         assert small.accuracy_merged < small.accuracy_persistent
+        # More than a point of accuracy at the smallest size.
+        assert small.history_loss_cost > 1.0
 
     def test_format(self, study):
         text = study.format()

@@ -55,7 +55,7 @@ class TestTraceEvents:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "forcing --sequential" in captured.err
+        assert "forcing --jobs 1" in captured.err
         assert "timeline events" in captured.out
         document = json.loads(timeline.read_text())
         manifest = document["otherData"]["manifest"]

@@ -28,18 +28,38 @@ class TestScaling:
         text = result.format()
         assert "nodes" in text and "moldyn" in text
 
+    def test_accuracy_varies_gently_from_4_to_32_nodes(self):
+        result = run_scaling(
+            apps=("moldyn", "unstructured"),
+            node_counts=(4, 8, 16, 32),
+            depth=2,
+            seed=0,
+            quick=True,
+        )
+        for app, points in result.points.items():
+            overall = [p.overall for p in points]
+            assert max(overall) - min(overall) < 20.0, app
+
 
 class TestSeedStudy:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_seed_study(apps=("moldyn",), seeds=(0, 1, 2), quick=True)
+        return run_seed_study(
+            apps=("appbt", "barnes", "moldyn"),
+            seeds=(0, 1, 2, 3, 4),
+            depth=1,
+            quick=True,
+        )
 
     def test_all_seeds_measured(self, result):
-        assert len(result.accuracies["moldyn"]) == 3
+        assert sorted(result.accuracies) == ["appbt", "barnes", "moldyn"]
+        for accuracies in result.accuracies.values():
+            assert len(accuracies) == 5
 
     def test_spread_is_small(self, result):
         # Calibration must not hinge on one lucky seed.
-        assert result.spread("moldyn") < 8.0
+        for app in result.accuracies:
+            assert result.spread(app) < 8.0, app
 
     def test_format(self, result):
         assert "spread" in result.format()

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.config import CosmosConfig
+from repro.core.evaluation import evaluate_trace
+from repro.core.predictor import CosmosPredictor
+from repro.experiments.common import get_trace
 from repro.predictors.last_message import LastMessagePredictor
 from repro.predictors.most_common import MostCommonPredictor
 from repro.predictors.oracle import OraclePredictor
@@ -127,3 +131,19 @@ class TestBaseStatistics:
         assert predictor.accuracy == 0.0
         assert predictor.precision == 0.0
         assert predictor.coverage == 0.0
+
+
+class TestAgainstCosmos:
+    def test_cosmos_beats_both_on_unstructured(self):
+        """History-free baselines cannot follow unstructured's composite
+        migratory/producer-consumer pattern; depth-2 Cosmos can."""
+        events = get_trace("unstructured", seed=0, quick=True)
+
+        def accuracy(factory):
+            return evaluate_trace(
+                events, predictor_factory=factory, track_arcs=False
+            ).overall_accuracy
+
+        cosmos = accuracy(lambda: CosmosPredictor(CosmosConfig(depth=2)))
+        assert cosmos > accuracy(LastMessagePredictor)
+        assert cosmos > accuracy(MostCommonPredictor)

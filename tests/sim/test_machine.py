@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.common import iterations_for, workload_for
 from repro.protocol.stache import StacheOptions
 from repro.sim.machine import Machine, simulate
 from repro.sim.memory_map import Allocator
@@ -96,3 +97,29 @@ class TestTimeAdvancement:
         base_types = [e.mtype for e in base.events]
         dash_types = [e.mtype for e in dash.events]
         assert base_types != dash_types
+
+
+class TestHalfMigratory:
+    """Section 6.1: invalidating an exclusive copy on a remote read helps
+    write-only producers (dsmc) and hurts read-modify-write ones (appbt),
+    counted in protocol messages over a quick run."""
+
+    def _messages(self, app, half_migratory):
+        return len(
+            simulate(
+                workload_for(app, quick=True),
+                iterations=iterations_for(app, quick=True),
+                options=StacheOptions(half_migratory=half_migratory),
+                seed=0,
+            ).events
+        )
+
+    def test_helps_dsmc(self):
+        # dsmc's producers never read before writing: invalidating their
+        # copies avoids the downgrade's later upgrade handshake.
+        assert self._messages("dsmc", True) < self._messages("dsmc", False)
+
+    def test_hurts_appbt(self):
+        # appbt's producers read first: invalidation costs them an extra
+        # read miss each iteration.
+        assert self._messages("appbt", True) > self._messages("appbt", False)

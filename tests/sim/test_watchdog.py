@@ -1,9 +1,10 @@
-"""Watchdog: budget trips, forensic bundles, and zero-perturbation.
+"""Watchdog: budget trips, forensic bundles, and unchanged output.
 
-Livelocks are manufactured with a bare :class:`Engine` and
-self-rescheduling callbacks -- no protocol bug required -- so each
-budget (events, progress window, wall clock, retry storm via the
-machine-level chaos tests) is exercised in isolation and fast.
+Livelocks are manufactured with self-rescheduling callbacks -- no
+protocol bug required -- so each budget is exercised in isolation and
+fast: events, progress window and wall clock on a bare :class:`Engine`,
+the retry storm on a recovery-armed machine whose retry counters are
+bumped directly.
 """
 
 import json
@@ -14,7 +15,8 @@ import pytest
 from repro.errors import ConfigError, WatchdogError
 from repro.experiments.common import workload_for
 from repro.sim.engine import Engine
-from repro.sim.machine import simulate
+from repro.sim.faults import PRESETS
+from repro.sim.machine import Machine, simulate
 from repro.sim.metrics import METRICS
 from repro.sim.watchdog import (
     DEFAULT_WATCHDOG,
@@ -149,6 +151,89 @@ class TestTrips:
         with pytest.raises(WatchdogError):
             watchdog.run_engine(_livelocked_engine())
         assert METRICS.snapshot()["counters"]["watchdog.trips"] == 1
+
+
+class TestRetryStorm:
+    """The retry budget, on a machine whose recovery layer is armed."""
+
+    def _storm(self, completing):
+        watchdog = Watchdog(
+            WatchdogConfig(
+                wall_clock_s=None,
+                max_events=2_000,
+                progress_window=None,
+                retry_storm=300,
+                check_every=64,
+            )
+        )
+        machine = Machine(seed=0, faults=PRESETS["light"], watchdog=watchdog)
+        assert machine.recovery is not None
+        engine = machine.engine
+
+        def tick():
+            machine.nodes[3].cache.request_retries += 1
+            if completing:
+                watchdog.note_completion()
+            engine.schedule(10, tick)
+
+        engine.schedule(0, tick)
+        with pytest.raises(WatchdogError) as exc:
+            watchdog.run_engine(engine)
+        return exc.value
+
+    def test_retries_without_completion_trip_the_storm(self):
+        error = self._storm(completing=False)
+        assert "retry storm" in str(error)
+        assert error.bundle["retries"]["total_since_progress"] > 300
+
+    def test_each_completion_rebases_the_budget(self):
+        # The same retries, each followed by a completion: the storm
+        # budget never fills, so the event budget trips instead.
+        assert "event budget" in str(self._storm(completing=True))
+
+
+class _CountingWatchdog(Watchdog):
+    """Counts completions and the retry sums taken inside them."""
+
+    def __init__(self):
+        super().__init__(DEFAULT_WATCHDOG)
+        self.completions = 0
+        self.completion_sums = 0
+        self._completing = False
+
+    def note_completion(self):
+        self.completions += 1
+        self._completing = True
+        try:
+            super().note_completion()
+        finally:
+            self._completing = False
+
+    def _total_retries(self):
+        if self._completing:
+            self.completion_sums += 1
+        return super()._total_retries()
+
+
+class TestCompletionCost:
+    def _run(self, **faults):
+        watchdog = _CountingWatchdog()
+        simulate(
+            workload_for("moldyn", True),
+            iterations=3,
+            seed=5,
+            watchdog=watchdog,
+            **faults,
+        )
+        assert watchdog.completions > 100
+        return watchdog
+
+    def test_fault_free_run_sums_no_retries_per_completion(self):
+        assert self._run().completion_sums == 0
+
+    def test_recovery_armed_run_sums_retries_at_every_completion(self):
+        watchdog = self._run(faults=PRESETS["light"], fault_seed=1)
+        assert watchdog.completion_sums == watchdog.completions
 
 
 class TestForensics:
