@@ -73,13 +73,12 @@ def replay_with_speculation(
     action_counts: Counter = Counter()
     for event in events:
         predictor = bank.predictor_for(event.node, event.role)
-        prediction = predictor.predict(event.block)
         observation = predictor.observe(event.block, event.tuple)
         messages += 1
         if observation.hit:
             hits += 1
             accelerated += f * message_latency
-            for rule in actions_for(event.role, prediction):
+            for rule in actions_for(event.role, observation.predicted):
                 action_counts[rule.action] += 1
         else:
             accelerated += (1.0 + r) * message_latency

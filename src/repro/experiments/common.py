@@ -157,7 +157,7 @@ def get_trace(
                 trace = collector.events
             METRICS.inc("trace.simulated")
             if _DISK_CACHE is not None and disk_key is not None:
-                _DISK_CACHE.store(disk_key, trace)
+                _DISK_CACHE.store(disk_key, collector.rows)
     _TRACE_CACHE[key] = trace
     return trace
 

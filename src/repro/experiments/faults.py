@@ -167,7 +167,7 @@ def run_fault_study(
                 FaultRow(
                     app=app,
                     profile=name,
-                    events=len(collector.events),
+                    events=len(collector),
                     counters=counters,
                     cache_accuracy=result.cache_accuracy,
                     directory_accuracy=result.directory_accuracy,

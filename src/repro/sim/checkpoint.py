@@ -56,7 +56,9 @@ from .params import PAPER_PARAMS, SystemParams
 #: old checkpoints then refuse to load instead of resuming wrongly.
 #: Format 3: :class:`~repro.workloads.access.Access` (pickled with the
 #: machine's pending access streams) is a tuple, no longer a dataclass.
-FORMAT_VERSION = 3
+#: Format 4: the pickled :class:`~repro.trace.collector.TraceCollector`
+#: holds only its rows, iteration and start-up boundary.
+FORMAT_VERSION = 4
 
 CHECKPOINT_MAGIC = "repro-checkpoint"
 

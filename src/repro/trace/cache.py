@@ -10,21 +10,26 @@ the parallel runner's worker pool.
 
 Layout: ``<root>/<digest[:2]>/<digest>.trace``.  Each file is a
 two-frame file (:func:`repro.ioutil.write_framed`): a small metadata
-header (format version, CRC-32, event count, SHA-256 of the payload, the
-human-readable key descriptor) followed by the pickled event list.
-Loads verify the checksums and count; any mismatch, truncation, or
-unpickling error is treated as a miss -- the corrupt file is removed and
-the caller re-simulates.  Writes are atomic (a temp file moved into
-place with ``os.replace``) so concurrent workers never observe a
-half-written trace.  Bump :data:`FORMAT_VERSION` whenever the event schema or the
-simulator's timing model changes meaning: old entries then simply stop
-matching and are re-simulated.
+header (format version, CRC-32, event count, item size and byte order,
+SHA-256 of the payload, the human-readable key descriptor) followed by
+the trace's raw rows -- the collector's ``array('q')`` of
+:data:`~repro.trace.events.EVENT_WIDTH` ints per event, as bytes.
+Loads verify the checksums, the count against the payload length, and
+the item size and byte order against this machine's, then decode the
+rows once with :func:`~repro.trace.events.events_from_flat`; any
+mismatch, truncation, or decode error is treated as a miss -- the
+corrupt file is removed and the caller re-simulates.  Writes are atomic
+(a temp file moved into place with ``os.replace``) so concurrent workers
+never observe a half-written trace.  Bump :data:`FORMAT_VERSION`
+whenever the row encoding or the simulator's timing model changes
+meaning: old entries then simply stop matching and are re-simulated.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
+import sys
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -33,10 +38,10 @@ from ..ioutil import canonical_digest, read_framed, write_framed
 from ..sim.metrics import METRICS
 from ..sim.params import SystemParams
 from ..protocol.stache import StacheOptions
-from .events import TraceEvent
+from .events import EVENT_WIDTH, TraceEvent, events_from_flat
 
-#: Bump when TraceEvent's schema or the simulator's semantics change.
-FORMAT_VERSION = 2
+#: Bump when the row encoding or the simulator's semantics change.
+FORMAT_VERSION = 3
 
 _HEADER_MAGIC = "repro-trace-cache"
 
@@ -93,9 +98,6 @@ class TraceCache:
     def path_for(self, key: TraceCacheKey) -> Path:
         return self.root / key.digest[:2] / f"{key.digest}.trace"
 
-    def __contains__(self, key: TraceCacheKey) -> bool:
-        return self.path_for(key).exists()
-
     def load(self, key: TraceCacheKey) -> Optional[List[TraceEvent]]:
         """Return the cached trace, or ``None`` on miss/corruption.
 
@@ -113,12 +115,17 @@ class TraceCache:
                 )
                 if header.get("sha256") != hashlib.sha256(payload).hexdigest():
                     raise ValueError("payload hash mismatch")
-                events = pickle.loads(payload)
+                rows = array("q")
                 if (
-                    not isinstance(events, list)
-                    or len(events) != header.get("count")
+                    header.get("itemsize") != rows.itemsize
+                    or header.get("byteorder") != sys.byteorder
                 ):
+                    raise ValueError("row encoding mismatch")
+                count = header.get("count")
+                if len(payload) != count * EVENT_WIDTH * rows.itemsize:
                     raise ValueError("event count mismatch")
+                rows.frombytes(payload)
+                events = events_from_flat(rows)
         except Exception:
             # Any failure mode -- truncation, bit rot, a stale format,
             # a partial write from a killed process -- degrades to a
@@ -133,19 +140,19 @@ class TraceCache:
         METRICS.inc("trace.cache.hit")
         return events
 
-    def store(self, key: TraceCacheKey, events: List[TraceEvent]) -> Path:
-        """Atomically write ``events`` under ``key``; return the path."""
+    def store(self, key: TraceCacheKey, rows: array) -> Path:
+        """Atomically write a trace's rows under ``key``; return the path."""
         path = self.path_for(key)
         with METRICS.timer("trace.cache.store"):
-            payload = pickle.dumps(
-                list(events), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            payload = rows.tobytes()
             write_framed(
                 path,
                 _HEADER_MAGIC,
                 FORMAT_VERSION,
                 {
-                    "count": len(events),
+                    "count": len(rows) // EVENT_WIDTH,
+                    "itemsize": rows.itemsize,
+                    "byteorder": sys.byteorder,
                     "sha256": hashlib.sha256(payload).hexdigest(),
                     "descriptor": key.descriptor,
                 },

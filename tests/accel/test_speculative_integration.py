@@ -8,6 +8,7 @@ from repro.accel.integration import (
 )
 from repro.accel.speculative import replay_with_speculation
 from repro.core.config import CosmosConfig
+from repro.core.predictor import CosmosPredictor
 from repro.experiments.figure2 import ProducerConsumerMicro
 from repro.obs.spans import SPANS, build_transactions
 from repro.protocol.messages import MessageType
@@ -47,6 +48,25 @@ class TestReplayWithSpeculation:
         )
         assert report.measured_accuracy > 0.8
         assert report.measured_speedup > 1.5
+
+    def test_predicts_once_per_message(
+        self, producer_consumer_trace, monkeypatch
+    ):
+        # The observation carries the prediction it scored, so the
+        # replay never asks a predictor a second time.
+        calls = []
+        predict = CosmosPredictor.predict
+
+        def counting_predict(predictor, block):
+            calls.append(block)
+            return predict(predictor, block)
+
+        monkeypatch.setattr(CosmosPredictor, "predict", counting_predict)
+        report = replay_with_speculation(
+            producer_consumer_trace, CosmosConfig(depth=1)
+        )
+        assert report.action_counts
+        assert calls == []
 
     def test_empty_trace(self):
         report = replay_with_speculation([])

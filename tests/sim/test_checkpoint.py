@@ -343,6 +343,28 @@ class TestOnDiskFormat:
             load_checkpoint(path)
         assert info.value.cause == "version-mismatch"
 
+    def test_checkpoint_from_before_the_row_only_collector_refused(
+        self, tmp_path
+    ):
+        # Format 3 pickled the collector together with its materialised
+        # event cache; the file is refused on its version, by name.
+        checkpoint, path, _machine = self._one_checkpoint(tmp_path)
+        _header, payload = read_framed(path, CHECKPOINT_MAGIC, FORMAT_VERSION)
+        write_framed(
+            path,
+            CHECKPOINT_MAGIC,
+            3,
+            {
+                "fingerprint": checkpoint.fingerprint,
+                "next_iteration": 2,
+                "total_iterations": ITERATIONS,
+            },
+            payload,
+        )
+        with pytest.raises(CheckpointError, match="format 3.*format 4") as info:
+            load_checkpoint(path)
+        assert info.value.cause == "version-mismatch"
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"definitely not a pickle header")

@@ -2,29 +2,46 @@
 
 import dataclasses
 import pickle
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol.messages import MessageType, Role
+from repro.protocol.messages import MessageType
 from repro.protocol.stache import DEFAULT_OPTIONS, StacheOptions
+from repro.sim.metrics import METRICS
 from repro.sim.params import PAPER_PARAMS, SystemParams
 from repro.trace.cache import FORMAT_VERSION, TraceCache, trace_key
-from repro.trace.events import TraceEvent
+from repro.trace.collector import TraceCollector
 
-message_types = st.sampled_from(list(MessageType))
+#: ``(iteration, time, node, role bit, block, sender, type)``.
+records = st.tuples(
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=2**20).map(lambda a: a * 64),
+    st.integers(min_value=0, max_value=15),
+    st.sampled_from(list(MessageType)),
+)
 
 
-@st.composite
-def trace_events(draw):
-    return TraceEvent(
-        time=draw(st.integers(min_value=0, max_value=10**9)),
-        iteration=draw(st.integers(min_value=0, max_value=10)),
-        node=draw(st.integers(min_value=0, max_value=15)),
-        role=draw(st.sampled_from([Role.CACHE, Role.DIRECTORY])),
-        block=draw(st.integers(min_value=0, max_value=2**20).map(lambda a: a * 64)),
-        sender=draw(st.integers(min_value=0, max_value=15)),
-        mtype=draw(message_types),
+def collect(records, startup=0):
+    """A collector holding ``records``, the first ``startup`` of them
+    in the start-up phase."""
+    collector = TraceCollector()
+    for index, (iteration, *record) in enumerate(records):
+        if index == startup:
+            collector.mark_startup_complete()
+        collector.iteration = iteration
+        collector.record(*record)
+    return collector
+
+
+def sample_collector(n_events=20):
+    return collect(
+        (1, i, i % 16, 0, 64 * i, (i + 1) % 16, MessageType.GET_RO_REQUEST)
+        for i in range(n_events)
     )
 
 
@@ -96,33 +113,25 @@ class TestKeyDerivation:
 
 class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(trace_events(), max_size=50))
-    def test_round_trip_preserves_trace_equality(self, tmp_path_factory, events):
+    @given(st.lists(records, max_size=50), st.integers(0, 50))
+    def test_recorded_rows_load_as_the_collectors_events(
+        self, tmp_path_factory, recorded, startup
+    ):
+        collector = collect(recorded, startup)
         cache = TraceCache(tmp_path_factory.mktemp("cache"))
-        key = _key(seed=len(events))
-        cache.store(key, events)
-        assert cache.load(key) == events
+        key = _key(seed=len(recorded))
+        cache.store(key, collector.rows)
+        assert cache.load(key) == collector.events
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path)
         assert cache.load(_key()) is None
-        assert _key() not in cache
-
-    def test_store_then_contains(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        key = _key()
-        cache.store(key, [])
-        assert key in cache
-        assert cache.load(key) == []
 
     def test_overwrite_replaces_entry(self, tmp_path):
         cache = TraceCache(tmp_path)
         key = _key()
-        first = [
-            TraceEvent(0, 1, 0, Role.CACHE, 64, 1, MessageType.GET_RO_REQUEST)
-        ]
-        cache.store(key, first)
-        cache.store(key, [])
+        cache.store(key, sample_collector(1).rows)
+        cache.store(key, array("q"))
         assert cache.load(key) == []
 
 
@@ -130,19 +139,7 @@ class TestCorruptionFallback:
     def _stored(self, tmp_path, n_events=20):
         cache = TraceCache(tmp_path)
         key = _key()
-        events = [
-            TraceEvent(
-                time=i,
-                iteration=1,
-                node=i % 16,
-                role=Role.CACHE,
-                block=64 * i,
-                sender=(i + 1) % 16,
-                mtype=MessageType.GET_RO_REQUEST,
-            )
-            for i in range(n_events)
-        ]
-        cache.store(key, events)
+        cache.store(key, sample_collector(n_events).rows)
         return cache, key, cache.path_for(key)
 
     def test_truncated_file_degrades_to_miss_and_cleans_up(self, tmp_path):
@@ -178,6 +175,20 @@ class TestCorruptionFallback:
         path.write_bytes(pickle.dumps(["unexpected", "structure"]))
         assert cache.load(key) is None
 
+    def test_undecodable_rows_are_a_miss(self, tmp_path):
+        # Framing, hashes and length all check out, but a type value
+        # names no message: the decode fails inside the load's failure
+        # handling, so the entry is a miss, not a crash.
+        cache = TraceCache(tmp_path)
+        key = _key()
+        rows = sample_collector(3).rows
+        rows[6] = len(MessageType)
+        cache.store(key, rows)
+        corrupt = METRICS.counter("trace.cache.corrupt")
+        assert cache.load(key) is None
+        assert not cache.path_for(key).exists()
+        assert METRICS.counter("trace.cache.corrupt") == corrupt + 1
+
     def test_fallback_re_simulation_path(self, tmp_path):
         """get_trace re-simulates (and restores) a corrupted entry."""
         from repro.experiments.common import (
@@ -204,3 +215,28 @@ class TestCorruptionFallback:
         finally:
             configure_trace_cache(previous)
             clear_trace_cache()
+
+
+def test_warm_get_trace_equals_cold_for_every_quick_app(tmp_path):
+    from repro.experiments.common import (
+        clear_trace_cache,
+        configure_trace_cache,
+        get_trace,
+    )
+
+    previous = configure_trace_cache(TraceCache(tmp_path))
+    try:
+        for app in ("appbt", "barnes", "dsmc", "moldyn", "unstructured"):
+            clear_trace_cache()
+            simulated = METRICS.counter("trace.simulated")
+            cold = get_trace(app, quick=True)
+            assert METRICS.counter("trace.simulated") == simulated + 1
+            clear_trace_cache()
+            hits = METRICS.counter("trace.cache.hit")
+            warm = get_trace(app, quick=True)
+            assert METRICS.counter("trace.cache.hit") == hits + 1
+            assert METRICS.counter("trace.simulated") == simulated + 1
+            assert warm == cold, app
+    finally:
+        configure_trace_cache(previous)
+        clear_trace_cache()

@@ -7,39 +7,54 @@ miss: deleted, counted as corrupt, and re-simulated -- never a crash.
 
 import hashlib
 import pickle
+import sys
 
 import pytest
 
 from repro.ioutil import read_framed, write_framed
-from repro.protocol.messages import MessageType, Role
 from repro.protocol.stache import DEFAULT_OPTIONS
 from repro.sim.metrics import METRICS
 from repro.sim.params import PAPER_PARAMS
 from repro.trace.cache import FORMAT_VERSION, TraceCache, trace_key
-from repro.trace.events import TraceEvent
+
+from .test_cache import sample_collector
 
 MAGIC = "repro-trace-cache"
 
-EVENTS = [
-    TraceEvent(
-        time=t, iteration=1, node=t % 4, role=Role.CACHE, block=64 * t,
-        sender=(t + 1) % 4, mtype=MessageType.GET_RO_REQUEST,
-    )
-    for t in range(6)
-]
+COLLECTOR = sample_collector(6)
+ROWS = COLLECTOR.rows
+EVENTS = COLLECTOR.events
+PAYLOAD = ROWS.tobytes()
+
+OTHER_BYTEORDER = "big" if sys.byteorder == "little" else "little"
 
 
 def key():
     return trace_key("appbt", 4, 0, PAPER_PARAMS, DEFAULT_OPTIONS)
 
 
+def content_header(payload=PAYLOAD, **overrides):
+    """The cache's own header fields for ``payload``, as ``store`` writes
+    them, with ``overrides`` applied."""
+    header = {
+        "count": len(EVENTS),
+        "itemsize": ROWS.itemsize,
+        "byteorder": sys.byteorder,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "descriptor": key().descriptor,
+    }
+    header.update(overrides)
+    return header
+
+
 def test_store_writes_a_verifiable_framed_file(tmp_path):
     cache = TraceCache(tmp_path)
-    path = cache.store(key(), EVENTS)
+    path = cache.store(key(), ROWS)
     header, payload = read_framed(path, MAGIC, FORMAT_VERSION)
-    assert header["count"] == len(EVENTS)
-    assert header["sha256"] == hashlib.sha256(payload).hexdigest()
-    assert header["descriptor"] == key().descriptor
+    assert {name: header[name] for name in content_header()} == (
+        content_header()
+    )
+    assert payload == PAYLOAD
     assert cache.load(key()) == EVENTS
 
 
@@ -47,41 +62,46 @@ def test_pre_crc_entry_is_a_miss_and_is_removed(tmp_path):
     cache = TraceCache(tmp_path)
     path = cache.path_for(key())
     path.parent.mkdir(parents=True)
-    payload = pickle.dumps(EVENTS)
     with open(path, "wb") as handle:
         pickle.dump(
-            {
-                "magic": MAGIC,
-                "format": FORMAT_VERSION,
-                "count": len(EVENTS),
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "descriptor": key().descriptor,
-            },
+            {"magic": MAGIC, "format": FORMAT_VERSION, **content_header()},
             handle,
         )
-        handle.write(payload)
+        handle.write(PAYLOAD)
     METRICS.reset()
     assert cache.load(key()) is None
     assert not path.exists()
     assert METRICS.counter("trace.cache.corrupt") == 1
     assert METRICS.counter("trace.cache.miss") == 1
-    cache.store(key(), EVENTS)
+    cache.store(key(), ROWS)
     assert cache.load(key()) == EVENTS
 
 
-@pytest.mark.parametrize("field", ["sha256", "count"])
-def test_content_check_failure_is_a_miss(tmp_path, field):
-    # Valid framing and CRC, but the cache's own SHA-256 or event-count
-    # field disagrees with the payload: the content checks still hold.
+@pytest.mark.parametrize(
+    "payload, overrides",
+    [
+        (PAYLOAD, {"sha256": "0" * 64}),
+        (PAYLOAD, {"count": len(EVENTS) + 1}),
+        (PAYLOAD, {"itemsize": 4}),
+        (PAYLOAD, {"byteorder": OTHER_BYTEORDER}),
+        (PAYLOAD[:-3], {}),
+        (PAYLOAD + bytes(8), {}),
+    ],
+    ids=[
+        "sha256", "count", "itemsize", "byteorder", "short-payload",
+        "long-payload",
+    ],
+)
+def test_content_check_failure_is_a_miss(tmp_path, payload, overrides):
+    # Valid framing and CRC, but one of the cache's own header fields
+    # disagrees with the payload, or the payload is not count x 7 x 8
+    # bytes: the content checks still hold.
     cache = TraceCache(tmp_path)
     path = cache.path_for(key())
-    payload = pickle.dumps(EVENTS)
-    extra = {
-        "count": len(EVENTS),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    extra[field] = {"sha256": "0" * 64, "count": len(EVENTS) + 1}[field]
-    write_framed(path, MAGIC, FORMAT_VERSION, extra, payload)
+    write_framed(
+        path, MAGIC, FORMAT_VERSION, content_header(payload, **overrides),
+        payload,
+    )
     METRICS.reset()
     assert cache.load(key()) is None
     assert not path.exists()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.protocol.messages import MessageType, Role
 from repro.trace.collector import TraceCollector
-from repro.trace.events import TraceEvent
+from repro.trace.events import TraceEvent, events_from_flat
 
 records = st.tuples(
     st.integers(min_value=0, max_value=2**40),  # time
@@ -79,6 +79,7 @@ def test_hand_off_matches_row_by_row_reference(ops):
         elif kind == "events":
             expected = rows if boundary is None else rows[boundary:]
             assert_same_events(collector.events, expected)
+            assert_same_events(events_from_flat(collector.rows), expected)
             assert len(collector) == len(expected)
         elif kind == "all_events":
             assert_same_events(collector.all_events, rows)
@@ -90,8 +91,13 @@ def test_hand_off_matches_row_by_row_reference(ops):
         elif kind == "restore" and saved is not None:
             blob, saved_rows, boundary = saved
             collector = pickle.loads(blob)
-            # The pickle carries the flat array, not materialized events.
-            assert collector._events == []
+            # The pickle carries the rows, the iteration and the
+            # start-up boundary, and nothing else.
+            assert set(vars(collector)) == {
+                "_flat",
+                "iteration",
+                "_startup_boundary",
+            }
             rows = list(saved_rows)
         elif kind == "clear":
             collector.clear()

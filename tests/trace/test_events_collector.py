@@ -54,6 +54,19 @@ class TestCollector:
         assert len(collector.all_events) == 2
         assert collector.events[0].time == 2
 
+    def test_rows_are_a_copy_of_the_main_phase(self):
+        collector = TraceCollector()
+        collector.record(1, 0, CACHE_BIT, 0, 0, MessageType.GET_RO_RESPONSE)
+        collector.mark_startup_complete()
+        collector.iteration = 3
+        collector.record(2, 1, DIRECTORY_BIT, 64, 0, MessageType.GET_RO_REQUEST)
+        rows = collector.rows
+        assert list(rows) == [
+            2, 3, 1, DIRECTORY_BIT, 64, 0, MessageType.GET_RO_REQUEST,
+        ]
+        rows[0] = 99
+        assert collector.events[0].time == 2
+
     def test_len_respects_startup_boundary(self):
         collector = TraceCollector()
         collector.record(1, 0, CACHE_BIT, 0, 0, MessageType.GET_RO_RESPONSE)
