@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import ConfigError
 from .tuples import (
@@ -47,7 +47,6 @@ from .tuples import (
     TYPE_BITS,
     MessageTuple,
     pack,
-    pack_pattern,
     tuple_of_word,
 )
 
@@ -109,6 +108,10 @@ class CorruptionInjector:
     stream would make one module's errors depend on another's traffic.
     """
 
+    __slots__ = (
+        "profile", "seed", "_rng", "injected_flips", "injected_losses"
+    )
+
     def __init__(self, profile: CorruptionProfile, seed: int = 0) -> None:
         self.profile = profile
         self.seed = seed
@@ -132,22 +135,6 @@ class CorruptionInjector:
 
     def flip_bit(self) -> int:
         return self._rng.randrange(SENDER_BITS)
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "rng": self._rng.getstate(),
-            "injected_flips": self.injected_flips,
-            "injected_losses": self.injected_losses,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._rng.setstate(state["rng"])
-        self.injected_flips = state["injected_flips"]
-        self.injected_losses = state["injected_losses"]
 
 
 def history_parity(hist: int) -> int:
@@ -228,39 +215,3 @@ class ParityTables:
         bits = self.pht.get(block)
         if bits is not None:
             bits.pop(pattern, None)
-
-    def history_record(self, block: int, hist: int) -> Tuple[int, ...]:
-        """``block``'s history bits, oldest tuple first (snapshots)."""
-        bits = self.mhr[block]
-        slots = (hist.bit_length() - 1) // TUPLE_BITS
-        return tuple((bits >> slot) & 1 for slot in reversed(range(slots)))
-
-    def restore(
-        self,
-        state: dict,
-        mht: Dict[int, int],
-        phts: Dict[int, Dict[int, list]],
-    ) -> None:
-        """Rebuild from a predictor snapshot's records.
-
-        Bits a record lacks (a snapshot taken unarmed) are derived from
-        the stored words, which makes them consistent.
-        """
-        self.mhr = {}
-        for record in state["mht"]:
-            block = record["block"]
-            if "parity" in record:
-                bits = 0
-                for bit in record["parity"]:
-                    bits = (bits << 1) | bit
-            else:
-                bits = history_parity(mht[block])
-            self.mhr[block] = bits
-        self.pht = {}
-        for block, entries in state["phts"].items():
-            bits = self.pht[block] = {}
-            for item in entries:
-                pattern = pack_pattern(item["pattern"])
-                bits[pattern] = item.get(
-                    "parity", phts[block][pattern][0].bit_count() & 1
-                )

@@ -102,30 +102,13 @@ class ClockOrder:
             self._hand = hand if hand < len(ring) else 0
             return key
 
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Ring, hand, and use counts as plain data (checkpoints)."""
-        return {
-            "ring": list(self._ring),
-            "hand": self._hand,
-            "bits": [[key, count] for key, count in self._bits.items()],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore a :meth:`snapshot`, stale ring slots included."""
-        self._ring = list(state["ring"])
-        self._hand = state["hand"]
-        self._bits = {key: count for key, count in state["bits"]}
-
     def seed(self, keys) -> None:
         """Adopt pre-existing ``keys`` with no recorded eviction state.
 
-        Used when a snapshot captured by an unbounded (or pre-capacity)
-        predictor is restored into a bounded one: every entry starts
-        with one use, hand at the oldest.
+        Used when a bounded predictor adopts tables kept under another
+        budget or policy (:meth:`CosmosPredictor.adopt
+        <repro.core.predictor.CosmosPredictor.adopt>`): every entry
+        starts with one use, hand at the oldest.
         """
         self._ring = list(keys)
         self._hand = 0

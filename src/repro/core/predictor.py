@@ -22,16 +22,20 @@ stored words themselves; their parity bits live in side tables
 (:class:`~repro.core.corruption.ParityTables`) that exist only then, so
 an unarmed predictor carries no parity state.
 
-Snapshots use the readable tuple form for histories, patterns, and
-predictions, so checkpoints stay format-compatible; :meth:`history` and
-:meth:`pattern_table` read one block's state back in the same form.
+A checkpoint pickles the predictor itself, so a restored one continues
+exactly -- eviction order, parity and injector stream included.
+``__slots__`` keep the instance on the compact attribute layout through
+pickling and unpickling, where a ``__dict__`` would slow the kernel.
+:meth:`history` and :meth:`pattern_table` read one block's state back in
+the readable tuple form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..errors import ConfigError
 from .config import CosmosConfig
 from .corruption import (
     CorruptionInjector,
@@ -44,7 +48,6 @@ from .tuples import (
     TUPLE_BITS,
     MessageTuple,
     pack,
-    pack_pattern,
     tuple_of_word,
     unpack_pattern,
 )
@@ -91,6 +94,19 @@ def train_entry(entry: List[int], word: int, max_count: int) -> None:
 
 class CosmosPredictor:
     """Two-level adaptive predictor for one cache or directory module."""
+
+    #: The statistics counters :meth:`adopt` carries over.
+    _STAT_FIELDS = (
+        "predictions", "hits", "no_prediction", "evictions_mhr",
+        "evictions_pht", "corrupt_flips", "corrupt_losses",
+        "corrupt_detected",
+    )
+    __slots__ = (
+        "config", "_macro", "_confidence", "_max_count", "_full_at",
+        "_corruption", "_parity", "_mhr_cap", "_pht_cap", "_bounded",
+        "_lru_mhr", "_mhr_clock", "_pht_lru", "_pht_clock", "_pkey_shift",
+        "_pht_total", "_peak_mhr", "_peak_pht", "_mht", "_phts",
+    ) + _STAT_FIELDS
 
     def __init__(
         self,
@@ -348,10 +364,10 @@ class CosmosPredictor:
     def enforce_capacity(self) -> int:
         """Evict until within the configured capacities; count evicted.
 
-        Restoring a snapshot does not evict (round-trips must be exact),
-        so state captured under a larger -- or no -- budget can leave the
-        tables oversized.  ``repro-serve`` workers call this after a
-        warm restore to re-enforce the current budget on old checkpoints.
+        :meth:`adopt` does not evict, so tables kept under a larger -- or
+        no -- budget can leave this predictor oversized.  ``repro-serve``
+        workers call this after adopting a checkpointed bank whose budget
+        has since changed.
         """
         before = self.evictions_mhr + self.evictions_pht
         if self._mhr_cap:
@@ -361,6 +377,46 @@ class CosmosPredictor:
             while self._pht_total > self._pht_cap:
                 self._evict_pht()
         return self.evictions_mhr + self.evictions_pht - before
+
+    def adopt(self, donor: "CosmosPredictor") -> None:
+        """Take over ``donor``'s tables, counters and peaks.
+
+        For a change of budget or eviction policy: every other config
+        field must match.  The donor's order structures may belong to
+        another policy, so this predictor's are seeded from table order
+        -- every entry one use, oldest first.  Adopting never evicts;
+        follow up with :meth:`enforce_capacity` to apply the budget.
+        The donor is left sharing its tables and must not be used again.
+        """
+        unbudgeted = {"mhr_capacity": 0, "pht_capacity": 0, "eviction": "lru"}
+        if replace(donor.config, **unbudgeted) != replace(
+            self.config, **unbudgeted
+        ):
+            raise ConfigError(
+                f"cannot adopt predictor state across configurations: "
+                f"{donor.config.describe()} vs {self.config.describe()}"
+            )
+        self._mht = donor._mht
+        self._phts = donor._phts
+        self._corruption = donor._corruption
+        self._parity = donor._parity
+        for name in self._STAT_FIELDS:
+            setattr(self, name, getattr(donor, name))
+        self._peak_mhr = donor._peak_mhr
+        self._peak_pht = donor._peak_pht
+        self._pht_total = sum(len(pht) for pht in self._phts.values())
+        if self._mhr_clock is not None:
+            self._mhr_clock.seed(self._mht)
+        if self._pht_cap:
+            seeded = [
+                (block << self._pkey_shift) | pword
+                for block, table in self._phts.items()
+                for pword in table
+            ]
+            if self._pht_lru is not None:
+                self._pht_lru = dict.fromkeys(seeded)
+            else:
+                self._pht_clock.seed(seeded)
 
     # ------------------------------------------------------------------
     # the two paper operations
@@ -592,145 +648,6 @@ class CosmosPredictor:
         """Hits over *all* references (no-predictions count as misses)."""
         total = self.predictions + self.no_prediction
         return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    _STAT_FIELDS = (
-        "predictions",
-        "hits",
-        "no_prediction",
-        "evictions_mhr",
-        "evictions_pht",
-        "corrupt_flips",
-        "corrupt_losses",
-        "corrupt_detected",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Capture MHT/PHT contents and statistics as plain data.
-
-        MHT order is preserved (it *is* the LRU order capacity eviction
-        walks), histories/patterns/predictions are stored in the
-        readable tuple form, and an armed predictor's parity bits ride
-        along -- so a restored predictor behaves bit-identically,
-        including which corrupted entries are still latent.
-        """
-        parity = self._parity
-        mht = []
-        for block, word in self._mht.items():
-            record = {"block": block, "history": unpack_pattern(word)}
-            if parity is not None:
-                record["parity"] = parity.history_record(block, word)
-            mht.append(record)
-        phts = {}
-        for block, table in self._phts.items():
-            entries = []
-            for pattern, (prediction, counter) in table.items():
-                item = {
-                    "pattern": unpack_pattern(pattern),
-                    "prediction": tuple_of_word(prediction),
-                    "counter": counter,
-                }
-                if parity is not None:
-                    item["parity"] = parity.pht[block][pattern]
-                entries.append(item)
-            phts[block] = entries
-        state = {
-            "mht": mht,
-            "phts": phts,
-            "stats": {
-                name: getattr(self, name) for name in self._STAT_FIELDS
-            },
-        }
-        if self._bounded:
-            # Recency is implicit in MHT order for LRU; clock/decay ring
-            # state (stale slots included) and the cross-block PHT order
-            # ride along so a restored predictor makes byte-identical
-            # eviction decisions.
-            eviction = {
-                "pht_total": self._pht_total,
-                "peak_mhr": self._peak_mhr,
-                "peak_pht": self._peak_pht,
-            }
-            if self._mhr_clock is not None:
-                eviction["mhr"] = self._mhr_clock.snapshot()
-            if self._pht_lru is not None:
-                eviction["pht"] = list(self._pht_lru)
-            elif self._pht_clock is not None:
-                eviction["pht"] = self._pht_clock.snapshot()
-            state["eviction"] = eviction
-        if self._corruption is not None:
-            state["corruption"] = self._corruption.snapshot_state()
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`snapshot_state`.
-
-        The predictor must have been constructed with the same config
-        and the same corruption arming as the captured one.
-        """
-        self._mht = {
-            record["block"]: pack_pattern(record["history"])
-            for record in state["mht"]
-        }
-        self._phts = {
-            block: {
-                pack_pattern(item["pattern"]): [
-                    pack(item["prediction"]),
-                    item["counter"],
-                ]
-                for item in entries
-            }
-            for block, entries in state["phts"].items()
-        }
-        if self._parity is not None:
-            self._parity.restore(state, self._mht, self._phts)
-        for name in self._STAT_FIELDS:
-            # Snapshots predate some counters (evictions_* landed after
-            # the first checkpoints); absent ones restore to zero.
-            setattr(self, name, state["stats"].get(name, 0))
-        if self._bounded:
-            self._restore_eviction(state.get("eviction"))
-        if self._corruption is not None and "corruption" in state:
-            self._corruption.restore_state(state["corruption"])
-
-    def _restore_eviction(self, eviction: Optional[dict]) -> None:
-        """Rebuild eviction bookkeeping after the tables are restored.
-
-        With recorded state (a bounded predictor's snapshot) the order
-        structures round-trip exactly.  Without it (a snapshot captured
-        unbounded, or before capacities existed) the tracking is seeded
-        from table order -- and possibly over budget: restore never
-        evicts, so callers that need the budget re-applied follow up
-        with :meth:`enforce_capacity`.
-        """
-        self._pht_total = sum(len(pht) for pht in self._phts.values())
-        eviction = eviction or {}
-        self._peak_mhr = eviction.get("peak_mhr", 0)
-        self._peak_pht = eviction.get("peak_pht", 0)
-        if self._mhr_clock is not None:
-            if "mhr" in eviction:
-                self._mhr_clock.restore(eviction["mhr"])
-            else:
-                self._mhr_clock.seed(self._mht)
-        recorded = eviction.get("pht")
-        seeded = [
-            (block << self._pkey_shift) | pword
-            for block, table in self._phts.items()
-            for pword in table
-        ]
-        if self._pht_lru is not None:
-            if recorded is None or isinstance(recorded, dict):
-                recorded = seeded
-            self._pht_lru = dict.fromkeys(recorded)
-        elif self._pht_clock is not None:
-            if isinstance(recorded, dict):
-                self._pht_clock.restore(recorded)
-            else:
-                self._pht_clock.seed(seeded)
-
 
 def armed_factory(
     config: CosmosConfig, profile: CorruptionProfile, seed: int

@@ -20,8 +20,9 @@ from ..errors import ConfigError
 from ..ioutil import canonical_digest
 from .hashring import VNODES
 
-#: Bump when the shard-checkpoint schema changes.
-STATE_FORMAT = 1
+#: Bump when the shard-checkpoint schema changes.  Format 2 pickles
+#: the predictor objects; format 1 stored readable-tuple snapshots.
+STATE_FORMAT = 2
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ A shard worker checkpoints its per-tenant predictor banks every
 ``checkpoint_every`` trained observations, in the two-frame format of
 :func:`repro.ioutil.write_framed` (pickled header with CRC-32 and a
 config fingerprint, atomic rename) under its own magic string.  The
+payload pickles the live :class:`~repro.core.predictor.CosmosPredictor`
+objects themselves, so a restored bank is the checkpointed one exactly
+-- eviction order, parity and injector stream included.  The
 supervisor restores a replacement worker from the newest checkpoint
 that verifies cleanly -- a torn newest file falls back one frame via
 :func:`~repro.ioutil.load_newest_valid` -- and replays the
@@ -12,7 +15,9 @@ shard loses no admitted learning and at most one checkpoint interval
 has to be replayed.
 
 Workers keep the last :data:`KEEP_CHECKPOINTS` files per shard: one to
-restore from plus one to fall back to when the newest is torn.
+restore from plus one to fall back to when the newest is torn.  Only
+files this service would load count towards them; a file of another
+format or fingerprint is neither kept in a slot nor deleted.
 """
 
 from __future__ import annotations
@@ -50,13 +55,7 @@ def save_shard_checkpoint(
     banks: Dict[str, CosmosPredictor],
 ) -> Path:
     """Atomically write one shard checkpoint and prune old ones."""
-    body = {
-        "trained": trained,
-        "tenants": {
-            tenant: predictor.snapshot_state()
-            for tenant, predictor in banks.items()
-        },
-    }
+    body = {"trained": trained, "tenants": banks}
     payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
     path = write_framed(
         shard_checkpoint_path(directory, shard, trained),
@@ -65,9 +64,33 @@ def save_shard_checkpoint(
         {"fingerprint": fingerprint, "shard": shard, "trained": trained},
         payload,
     )
-    for stale in shard_checkpoints(directory, shard)[:-KEEP_CHECKPOINTS]:
+    ours = [
+        candidate
+        for candidate in shard_checkpoints(directory, shard)
+        if _written_by(candidate, fingerprint)
+    ]
+    for stale in ours[:-KEEP_CHECKPOINTS]:
         stale.unlink(missing_ok=True)
     return path
+
+
+def _written_by(path: Path, fingerprint: str) -> bool:
+    """Whether ``path``'s header is this format and ``fingerprint``.
+
+    Reads the header frame only: a torn payload still holds its slot,
+    as the fallback frame behind it must survive pruning.
+    """
+    try:
+        with open(path, "rb") as handle:
+            header = pickle.load(handle)
+    except Exception:
+        return False
+    return (
+        isinstance(header, dict)
+        and header.get("magic") == SHARD_MAGIC
+        and header.get("format") == STATE_FORMAT
+        and header.get("fingerprint") == fingerprint
+    )
 
 
 def shard_checkpoints(directory: Union[str, Path], shard: int) -> list:
@@ -77,8 +100,8 @@ def shard_checkpoints(directory: Union[str, Path], shard: int) -> list:
 
 def load_shard_checkpoint(
     path: Union[str, Path], fingerprint: str
-) -> Tuple[int, Dict[str, dict]]:
-    """Load one shard checkpoint: ``(trained, tenant -> predictor state)``.
+) -> Tuple[int, Dict[str, CosmosPredictor]]:
+    """Load one shard checkpoint: ``(trained, tenant -> predictor)``.
 
     Verifies framing, checksum, and the serve-config fingerprint; every
     failure is a :class:`~repro.errors.CheckpointError` with a named
@@ -103,10 +126,10 @@ def load_shard_checkpoint(
 
 def load_latest_shard_state(
     directory: Union[str, Path], shard: int, fingerprint: str
-) -> Tuple[int, Dict[str, dict], Optional[Path]]:
+) -> Tuple[int, Dict[str, CosmosPredictor], Optional[Path]]:
     """The newest valid checkpoint for ``shard``, or a cold start.
 
-    Returns ``(trained, tenant states, path)``; ``(0, {}, None)`` when
+    Returns ``(trained, tenant banks, path)``; ``(0, {}, None)`` when
     the shard has no loadable checkpoint at all (first boot, or every
     frame corrupt -- the supervisor then replays whatever its outbox
     still holds).

@@ -28,7 +28,6 @@ import os
 import random
 import signal
 import time
-from typing import Dict
 
 from ..core.memory import memory_report
 from ..core.predictor import CosmosPredictor
@@ -62,19 +61,18 @@ def worker_main(
     fingerprint = config.fingerprint()
     pconfig = config.predictor_config()
     bounded = bool(config.tenant_mhr_budget or config.tenant_pht_budget)
-    trained, tenant_states, _path = load_latest_shard_state(
+    trained, banks, _path = load_latest_shard_state(
         checkpoint_dir, shard, fingerprint
     )
-    banks: Dict[str, CosmosPredictor] = {}
-    for tenant, state in tenant_states.items():
-        predictor = CosmosPredictor(pconfig)
-        predictor.restore_state(state)
-        if bounded:
+    for tenant, restored in banks.items():
+        if restored.config != pconfig:
             # Budgets are not in the fingerprint, so the checkpoint may
-            # predate (or exceed) this budget: evict down to it now
-            # rather than serving over budget until traffic happens by.
+            # predate this budget or policy: take its tables over and
+            # evict down to the budget now rather than serving over it
+            # until traffic happens by.
+            predictor = banks[tenant] = CosmosPredictor(pconfig)
+            predictor.adopt(restored)
             predictor.enforce_capacity()
-        banks[tenant] = predictor
     last_checkpoint = trained
 
     def memory() -> dict:

@@ -2,7 +2,7 @@
 
 ``tests/data/corruption_goldens.json`` records every row of the quick
 corruption study, every point of the quick hardware-budget sweep, and
-each module's predictor snapshot (armed and unarmed) after a replay of
+each module's predictor state digest (armed and unarmed) after a replay of
 the golden moldyn trace.  Any change to how corruption is injected,
 detected or relearned, or to how a bounded MHR evicts, shows up here.
 Regenerate with ``PYTHONPATH=src python tests/data/regenerate.py
@@ -70,9 +70,11 @@ def test_evaluate_corrupt_output(regenerate, tmp_path, capsys):
 
 
 def test_serve_fingerprint_is_stable():
-    """Shard checkpoints written by earlier releases still restore."""
+    """Shard checkpoints written by earlier releases of this state
+    format still restore: the fingerprint moves only with the format,
+    the ring or the checkpoint cadence."""
     from repro.serve.config import ServeConfig
 
     assert ServeConfig().fingerprint() == (
-        "4efedaa6912dd4f2d1c7ef6c9b25ba47f22ec017d6c5af91fb82da6b62c38471"
+        "18fa8cbd5c841d38e733b2891daca82b6eb838292eedc3cda250067da80c30d0"
     )

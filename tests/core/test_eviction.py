@@ -3,14 +3,16 @@
 The bounded bank has one correctness obligation above all: arming
 corruption injection must be observationally neutral -- an unarmed
 predictor and one armed with zero error rates make *identical* eviction
-decisions (same victims, same order, same stats), because checkpoints
-cross between them.  These tests pin that differentially (hypothesis
-streams through both), plus the local invariants: capacity is never
-exceeded after an observation, ``capacity=0`` is byte-identical to the
-pre-capacity predictor, peaks record the transient insert-then-evict
-overshoot, MHR eviction drops the block's PHT collaterally, and
-snapshot/restore round-trips recency and clock state exactly.
+decisions (same victims, same order, same stats).  These tests pin that
+differentially (hypothesis streams through both), plus the local
+invariants: capacity is never exceeded after an observation,
+``capacity=0`` is byte-identical to the pre-capacity predictor, peaks
+record the transient insert-then-evict overshoot, MHR eviction drops the
+block's PHT collaterally, a pickle round trip keeps recency and clock
+state exactly, and tables adopted under a new budget shrink to it.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -105,17 +107,18 @@ class TestClockOrder:
         assert len(order) == 2
         assert order.victim() in ("b", "c")
 
-    def test_snapshot_restore_round_trip(self):
+    def test_pickle_round_trip(self):
         order = ClockOrder(decay=True)
         for key in (1, 2, 3, 4):
             order.touch(key)
         order.touch(2)
+        order.discard(3)  # leaves a stale ring slot behind
         order.victim()
-        snap = order.snapshot()
-        clone = ClockOrder(decay=True)
-        clone.restore(snap)
-        assert clone.snapshot() == snap
-        assert clone.victim() == order.victim()
+        clone = pickle.loads(pickle.dumps(order))
+        assert pickle.dumps(clone) == pickle.dumps(order)
+        assert [clone.victim() for _ in range(2)] == [
+            order.victim() for _ in range(2)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +182,13 @@ class TestCapacityInvariants:
         assert predictor.mhr_entries <= 3
         assert predictor.pht_entries <= 6
 
-    def test_enforce_capacity_shrinks_restored_oversized_state(self):
+    @pytest.mark.parametrize("policy", EVICTION_POLICIES)
+    def test_enforce_capacity_shrinks_adopted_oversized_state(self, policy):
         donor = CosmosPredictor()
         fill(donor, 8)
-        state = donor.snapshot_state()
-        bounded = CosmosPredictor(bounded_config("lru", mhr=3, pht=4))
-        bounded.restore_state(state)
-        # Restore itself never evicts (round-trips must be exact)...
+        bounded = CosmosPredictor(bounded_config(policy, mhr=3, pht=4))
+        bounded.adopt(donor)
+        # Adopting itself never evicts...
         assert bounded.mhr_entries == 8
         evicted = bounded.enforce_capacity()
         # ...enforcement does, down to the budget exactly.
@@ -249,10 +252,9 @@ class TestUnboundedIdentity:
         )
         for block, tup in stream:
             assert plain.observe(block, tup) == explicit.observe(block, tup)
-        a, b = plain.snapshot_state(), explicit.snapshot_state()
-        a["config"] = b["config"] = None  # configs differ only in knobs
-        assert a == b
-        assert "eviction" not in plain.snapshot_state()
+        assert pickle.dumps(plain) == pickle.dumps(explicit)
+        assert not plain._bounded
+        assert plain._mhr_clock is plain._pht_lru is plain._pht_clock is None
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ class TestDifferentialEquivalence:
         two = CosmosPredictor(config)
         for block, tup in stream + more:
             assert one.observe(block, tup) == two.observe(block, tup)
-        assert one.snapshot_state() == two.snapshot_state()
+        assert pickle.dumps(one) == pickle.dumps(two)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +327,9 @@ class TestBoundedCheckpoints:
         predictor = CosmosPredictor(bounded_config(policy, mhr=3, pht=5))
         for i in range(30):
             predictor.observe(0x40 * (i % 6), TUP_A if i % 3 else TUP_B)
-        state = predictor.snapshot_state()
-        assert "eviction" in state
-        clone = CosmosPredictor(bounded_config(policy, mhr=3, pht=5))
-        clone.restore_state(state)
-        assert clone.snapshot_state() == state
+        assert predictor.evictions_mhr
+        clone = pickle.loads(pickle.dumps(predictor))
+        assert pickle.dumps(clone) == pickle.dumps(predictor)
         # The restored recency/clock/decay order continues identically:
         # the same future stream evicts the same victims.
         for i in range(30):
@@ -337,30 +337,38 @@ class TestBoundedCheckpoints:
             block = 0x40 * ((i * 3) % 7)
             assert predictor.observe(block, tup) == clone.observe(block, tup)
             assert predictor.blocks() == clone.blocks()
-        assert predictor.snapshot_state() == clone.snapshot_state()
+        assert pickle.dumps(predictor) == pickle.dumps(clone)
 
     @pytest.mark.parametrize("policy", EVICTION_POLICIES)
-    def test_flat_to_armed_cross_restore_continues_identically(self, policy):
+    def test_pickled_flat_and_armed_continue_identically(self, policy):
         config = bounded_config(policy, mhr=3, pht=5, depth=2)
         flat = CosmosPredictor(config)
-        for i in range(40):
-            flat.observe(0x40 * (i % 6), TUP_A if i % 2 else TUP_B)
         armed = reference_predictor(config)
-        armed.restore_state(flat.snapshot_state())
+        for i in range(40):
+            tup = TUP_A if i % 2 else TUP_B
+            flat.observe(0x40 * (i % 6), tup)
+            armed.observe(0x40 * (i % 6), tup)
+        flat = pickle.loads(pickle.dumps(flat))
+        armed = pickle.loads(pickle.dumps(armed))
         for i in range(60):
             tup = (i % 5, MessageType.GET_RO_REQUEST)
             block = 0x40 * ((i * 5) % 8)
             assert flat.observe(block, tup) == armed.observe(block, tup)
+            assert flat.blocks() == armed.blocks()
         assert _stats(flat) == _stats(armed)
 
-    def test_unbounded_snapshot_restores_into_bounded_without_eviction(self):
+    def test_unbounded_tables_adopted_into_bounded_without_eviction(self):
         donor = CosmosPredictor(CosmosConfig())
         fill(donor, 5)
-        state = donor.snapshot_state()
-        assert "eviction" not in state
         bounded = CosmosPredictor(bounded_config("lru", mhr=2))
-        bounded.restore_state(state)
-        assert bounded.mhr_entries == 5  # restore is exact...
+        bounded.adopt(donor)
+        assert bounded.mhr_entries == 5  # adopting is exact...
         bounded.observe(0x40 * 9, TUP_A)  # ...and the next insert evicts
         assert bounded.mhr_entries <= 5
         assert bounded.evictions_mhr >= 1
+
+    def test_adopt_refuses_another_table_shape(self):
+        donor = CosmosPredictor(CosmosConfig(depth=2))
+        fill(donor, 3)
+        with pytest.raises(ConfigError, match="cannot adopt"):
+            CosmosPredictor(bounded_config("lru", depth=1)).adopt(donor)

@@ -127,12 +127,65 @@ def regenerate_eval() -> None:
     print(f"{out.name}: written")
 
 
-def _module_states(armed: bool) -> dict:
-    """Each module's snapshot after replaying the golden trace.
+def readable_state(predictor) -> dict:
+    """An unbounded predictor's state in the readable tuple form.
 
-    A full snapshot runs to hundreds of kilobytes, so each module keeps
-    its readable statistics plus a digest of the whole canonical state
-    (tables, parity bits, injector RNG).
+    Histories, patterns and predictions as ``<sender, type>`` tuples in
+    table order, an armed predictor's parity bits (history bits oldest
+    tuple first) and injector RNG, and the statistics counters -- the
+    form the ``state_sha256`` digests of ``corruption_goldens.json``
+    hash.
+    """
+    from repro.core.tuples import TUPLE_BITS, tuple_of_word, unpack_pattern
+
+    parity = predictor._parity
+    mht = []
+    for block, word in predictor._mht.items():
+        record = {"block": block, "history": unpack_pattern(word)}
+        if parity is not None:
+            bits = parity.mhr[block]
+            slots = (word.bit_length() - 1) // TUPLE_BITS
+            record["parity"] = tuple(
+                (bits >> slot) & 1 for slot in reversed(range(slots))
+            )
+        mht.append(record)
+    phts = {}
+    for block, table in predictor._phts.items():
+        entries = []
+        for pattern, (prediction, counter) in table.items():
+            item = {
+                "pattern": unpack_pattern(pattern),
+                "prediction": tuple_of_word(prediction),
+                "counter": counter,
+            }
+            if parity is not None:
+                item["parity"] = parity.pht[block][pattern]
+            entries.append(item)
+        phts[block] = entries
+    state = {
+        "mht": mht,
+        "phts": phts,
+        "stats": {
+            name: getattr(predictor, name)
+            for name in predictor._STAT_FIELDS
+        },
+    }
+    injector = predictor._corruption
+    if injector is not None:
+        state["corruption"] = {
+            "rng": injector._rng.getstate(),
+            "injected_flips": injector.injected_flips,
+            "injected_losses": injector.injected_losses,
+        }
+    return state
+
+
+def _module_states(armed: bool) -> dict:
+    """Each module's state after replaying the golden trace.
+
+    A full :func:`readable_state` runs to hundreds of kilobytes, so each
+    module keeps its readable statistics plus a digest of the whole
+    canonical state (tables, parity bits, injector RNG).
     """
     from repro.core.config import CosmosConfig
     from repro.core.corruption import CorruptionInjector, CorruptionProfile
@@ -159,9 +212,7 @@ def _module_states(armed: bool) -> dict:
         predictor.observe(event.block, event.tuple)
     modules = {}
     for (node, role), predictor in predictors.items():
-        state = _plain(predictor.snapshot_state())
-        # Retired counter: absent from newer snapshots, so never pinned.
-        state["stats"].pop("capacity_evictions", None)
+        state = _plain(readable_state(predictor))
         canonical = json.dumps(state, sort_keys=True).encode()
         modules[f"{node}/{role.value}"] = {
             "stats": state["stats"],

@@ -5,7 +5,7 @@ restored must produce byte-identical trace events and deterministic
 metrics (counters and histograms; wall-clock timers and the checkpoint
 machinery's own bookkeeping counters are exempt) to an uninterrupted
 run.  The hypothesis property drives the predictor -- the deepest state
-a checkpoint carries -- through random observe/snapshot/restore/observe
+a checkpoint carries -- through random observe/pickle/unpickle/observe
 schedules and demands exact behavioural equality.
 """
 
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import CosmosConfig
 from repro.core.corruption import CorruptionInjector, CorruptionProfile
+from repro.core.eviction import EVICTION_POLICIES
 from repro.core.predictor import CosmosPredictor
 from repro.errors import CheckpointError, ProtocolError, SimulationError
 from repro.experiments.common import workload_for
@@ -161,8 +162,11 @@ def _dict_backed(obj) -> bool:
     CPython 3.11+ stores a new instance's attributes inline and builds a
     ``__dict__`` only when something asks for it; on 3.11 and 3.12 every
     attribute access is slower from then on.  The referents are read
-    first because reading ``obj.__dict__`` builds one.
+    first because reading ``obj.__dict__`` builds one.  An instance of a
+    class with ``__slots__`` only has no ``__dict__`` to build.
     """
+    if not type(obj).__dictoffset__:
+        return False
     referents = gc.get_referents(obj)
     namespace = obj.__dict__
     return any(ref is namespace for ref in referents)
@@ -440,7 +444,7 @@ class TestOnDiskFormat:
 
 
 # ----------------------------------------------------------------------
-# hypothesis: predictor snapshot/restore is behaviourally invisible
+# hypothesis: a predictor pickle round trip is behaviourally invisible
 # ----------------------------------------------------------------------
 
 _tuples = st.tuples(
@@ -462,17 +466,27 @@ _observations = st.lists(
     history=_observations,
     future=_observations,
     corrupt=st.booleans(),
+    policy=st.sampled_from(EVICTION_POLICIES),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_predictor_snapshot_roundtrip_property(history, future, corrupt, seed):
-    """serialize -> restore -> observe == never having serialized.
+def test_predictor_snapshot_roundtrip_property(
+    history, future, corrupt, policy, seed
+):
+    """pickle -> unpickle -> observe == never having pickled.
 
-    Runs with and without corruption arming: the parity bits (including
-    latently corrupted ones) and the injector's RNG stream must survive
-    the pickle round trip so the restored predictor emits the same
-    predictions, detections, and injections as the original.
+    Runs with and without corruption arming, under every eviction
+    policy: the parity bits (including latently corrupted ones), the
+    injector's RNG stream and the eviction order must survive the pickle
+    round trip so the restored predictor emits the same predictions,
+    detections, injections and evictions as the original.
     """
-    config = CosmosConfig(depth=2, filter_max_count=1, mhr_capacity=4)
+    config = CosmosConfig(
+        depth=2,
+        filter_max_count=1,
+        mhr_capacity=4,
+        pht_capacity=6,
+        eviction=policy,
+    )
 
     def build():
         injector = (
@@ -487,10 +501,8 @@ def test_predictor_snapshot_roundtrip_property(history, future, corrupt, seed):
     original = build()
     for block, tup in history:
         original.observe(block, tup)
-    state = pickle.loads(pickle.dumps(original.snapshot_state()))
-    restored = build()
-    restored.restore_state(state)
-    assert restored.snapshot_state() == original.snapshot_state()
+    restored = pickle.loads(pickle.dumps(original))
+    assert pickle.dumps(restored) == pickle.dumps(original)
     for block, tup in future:
         assert restored.observe(block, tup) == original.observe(block, tup)
-    assert restored.snapshot_state() == original.snapshot_state()
+    assert pickle.dumps(restored) == pickle.dumps(original)
