@@ -26,7 +26,7 @@ from ..trace.events import TraceEvent
 from .bank import PredictorBank
 from .config import CosmosConfig
 from .memory import MemoryOverhead
-from .tuples import TUPLE_BITS, TYPE_BITS
+from .tuples import TUPLE_BITS, TYPE_BITS, tuple_of_word
 
 #: Arc key: (role, previous message type, current message type).
 ArcKey = Tuple[Role, MessageType, MessageType]
@@ -38,11 +38,6 @@ class Tally:
 
     hits: int = 0
     refs: int = 0
-
-    def add(self, hit: bool) -> None:
-        self.refs += 1
-        if hit:
-            self.hits += 1
 
     @property
     def accuracy(self) -> float:
@@ -57,13 +52,6 @@ class ArcStats:
     """Per-transition statistics backing Figures 6/7 and Table 8."""
 
     tallies: Dict[ArcKey, Tally] = field(default_factory=dict)
-
-    def add(self, key: ArcKey, hit: bool) -> None:
-        tally = self.tallies.get(key)
-        if tally is None:
-            tally = Tally()
-            self.tallies[key] = tally
-        tally.add(hit)
 
     def total_refs(self, role: Optional[Role] = None) -> int:
         return sum(
@@ -141,116 +129,22 @@ def evaluate_trace(
 
     Returns:
         An :class:`EvaluationResult`.
-    """
-    if predictor_factory is None and not OBS.pred:
-        # The default Cosmos-bank replay runs the fused flat kernel
-        # inline (no per-event method dispatch or Observation objects);
-        # per-event observability capture needs the object-at-a-time
-        # loop below.
-        return _evaluate_trace_flat(
-            events, config, checkpoint_iterations, track_arcs
-        )
 
-    bank = PredictorBank(config, factory=predictor_factory)
-    overall = Tally()
-    by_role: Dict[Role, Tally] = {Role.CACHE: Tally(), Role.DIRECTORY: Tally()}
-    arcs = ArcStats()
-    last_type: Dict[Tuple[int, Role, int], MessageType] = {}
-
-    remaining_checkpoints = sorted(set(checkpoint_iterations))
-    checkpoints: List[IterationCheckpoint] = []
-    current_iteration: Optional[int] = None
-
-    def snapshot(iteration: int) -> IterationCheckpoint:
-        return IterationCheckpoint(
-            iteration=iteration,
-            overall=Tally(overall.hits, overall.refs),
-            by_role={
-                role: Tally(tally.hits, tally.refs)
-                for role, tally in by_role.items()
-            },
-            arcs={
-                key: Tally(tally.hits, tally.refs)
-                for key, tally in arcs.tallies.items()
-            },
-        )
-
-    def flush_checkpoints(next_iteration: Optional[int]) -> None:
-        """Emit any checkpoints fully covered before ``next_iteration``."""
-        nonlocal remaining_checkpoints
-        while remaining_checkpoints and (
-            next_iteration is None
-            or remaining_checkpoints[0] < next_iteration
-        ):
-            checkpoints.append(snapshot(remaining_checkpoints.pop(0)))
-
-    for event in events:
-        if current_iteration is not None and event.iteration > current_iteration:
-            flush_checkpoints(event.iteration)
-        current_iteration = event.iteration
-
-        observation = bank.observe(event)
-        hit = observation.hit
-        if OBS.pred:
-            predicted = observation.predicted
-            OBS.emit(
-                event.time,
-                "pred",
-                "observe",
-                event.node,
-                event.block,
-                {
-                    "role": str(event.role),
-                    "hit": hit,
-                    "predicted": (
-                        f"P{predicted[0]} {predicted[1].name}"
-                        if predicted is not None
-                        else None
-                    ),
-                    "actual": f"P{event.sender} {event.mtype.name}",
-                },
-            )
-        overall.add(hit)
-        by_role[event.role].add(hit)
-        if track_arcs:
-            arc_block = (event.node, event.role, event.block)
-            previous = last_type.get(arc_block)
-            if previous is not None:
-                arcs.add((event.role, previous, event.mtype), hit)
-            last_type[arc_block] = event.mtype
-
-    flush_checkpoints(None)
-    bank.fold_metrics()
-    return EvaluationResult(
-        config=config,
-        overall=overall,
-        by_role=by_role,
-        arcs=arcs,
-        checkpoints=checkpoints,
-        overhead=bank.overhead,
-    )
-
-
-def _evaluate_trace_flat(
-    events: Iterable[TraceEvent],
-    config: Optional[CosmosConfig],
-    checkpoint_iterations: Iterable[int],
-    track_arcs: bool,
-) -> EvaluationResult:
-    """The default-bank replay, inlined over flat predictor state.
-
-    Semantically identical to the generic loop in :func:`evaluate_trace`
-    with ``predictor_factory=None`` (the differential suite and the
-    ``tests/data/eval_goldens.json`` goldens pin this), but the per-event
-    work is the fused :meth:`CosmosPredictor.observe_word` kernel written
+    One loop serves every kind of module.  For the default Cosmos bank
+    it runs the fused :meth:`CosmosPredictor.observe_word` kernel written
     out over each module's ``_mht``/``_phts`` dicts: small-int packing,
-    dict lookups, and list-slot counter bumps -- no method dispatch, no
-    ``Observation`` allocation, no enum hashing.  A capacity-bounded
-    bank calls the predictor's own eviction hooks at the same points and
-    in the same order as the kernel, so both evict the same victims.
-    The bank is asked for a predictor only on a module's first touch.
+    dict lookups and list-slot counter bumps, with no method dispatch,
+    ``Observation`` allocation or enum hashing.  A capacity-bounded bank
+    calls the predictor's own eviction hooks at the same points and in
+    the same order as the kernel, so both evict the same victims.  A
+    factory's modules (baselines, armed predictors, an explicit
+    ``CosmosPredictor`` factory) go through their ``observe`` method
+    instead, and the loop scores the returned ``Observation`` into the
+    same per-module counters.  The differential suite and the
+    ``tests/data/eval_goldens.json`` goldens pin that both agree.
     """
-    bank = PredictorBank(config)
+    bank = PredictorBank(config, factory=predictor_factory)
+    inline = predictor_factory is None
     cosmos_config = bank.config
     depth_full_at = 1 << (TUPLE_BITS * cosmos_config.depth)
     full_mask = depth_full_at - 1
@@ -260,16 +154,19 @@ def _evaluate_trace_flat(
     mhr_bounded = bool(cosmos_config.mhr_capacity)
     pht_bounded = bool(cosmos_config.pht_capacity)
     bounded = mhr_bounded or pht_bounded
+    obs_pred = OBS.pred
     directory = Role.DIRECTORY
 
     # Module state, keyed ``(node << 1) | role-bit``:
     # [mht, phts, predictions, hits, no_prediction, last-type-by-block,
-    #  predictor, MHR clock] -- the dicts are the predictor's own, so the
-    # bank's CosmosPredictor objects see every update for free.
+    #  predictor, MHR clock].  For an inline module the dicts are the
+    # predictor's own, so the bank's CosmosPredictor objects see every
+    # update for free; a factory module leaves the three state slots
+    # ``None``.  The bank is asked for a predictor only on a module's
+    # first touch.
     modules: Dict[int, list] = {}
     # (role-bit << 8) | (prev type << 4) | current type -> [hits, refs];
-    # insertion order is first-occurrence order, same as the generic
-    # loop's tuple-keyed ArcStats.
+    # insertion order is first-occurrence order.
     arc_counts: Dict[int, list] = {}
 
     remaining = sorted(set(checkpoint_iterations))
@@ -277,20 +174,20 @@ def _evaluate_trace_flat(
     track_iterations = bool(remaining)
     current_iteration: Optional[int] = None
 
-    def snapshot(iteration: int) -> IterationCheckpoint:
-        overall, by_role = _fold_module_tallies(modules)
-        return IterationCheckpoint(
-            iteration=iteration,
-            overall=overall,
-            by_role=by_role,
-            arcs=_arc_tallies(arc_counts),
-        )
-
     def flush_checkpoints(next_iteration: Optional[int]) -> None:
+        """Emit any checkpoints fully covered before ``next_iteration``."""
         while remaining and (
             next_iteration is None or remaining[0] < next_iteration
         ):
-            checkpoints.append(snapshot(remaining.pop(0)))
+            overall, by_role = _fold_module_tallies(modules)
+            checkpoints.append(
+                IterationCheckpoint(
+                    iteration=remaining.pop(0),
+                    overall=overall,
+                    by_role=by_role,
+                    arcs=_arc_tallies(arc_counts),
+                )
+            )
 
     for event in events:
         if track_iterations:
@@ -307,64 +204,104 @@ def _evaluate_trace_flat(
         module = modules.get(module_key)
         if module is None:
             predictor = bank.predictor_for(event.node, role)
-            module = modules[module_key] = [
-                predictor._mht, predictor._phts, 0, 0, 0, {},
-                predictor, predictor._mhr_clock,
-            ]
-        block = event.block
-        word = (event.sender << TYPE_BITS) | event.mtype
-        key = block // macro if macro is not None else block
-
-        mht = module[0]
-        hist = mht.get(key)
-        hit = False
-        if hist is None:
-            module[4] += 1
-            mht[key] = (1 << TUPLE_BITS) | word
-            if bounded:
-                module[6]._bound_mhr_insert(key)
-        else:
-            if mhr_bounded:
-                if module[7] is None:
-                    del mht[key]  # re-inserted below == move to LRU tail
-                else:
-                    module[7].touch(key)
-            if hist >= depth_full_at:
-                phts = module[1]
-                pht = phts.get(key)
-                if pht is None:
-                    pht = phts[key] = {}
-                entry = pht.get(hist)
-                if entry is None:
-                    module[4] += 1
-                    pht[hist] = [word, 0]
-                    if bounded:
-                        module[6]._bound_pht_insert(key, hist)
-                else:
-                    stored = entry[0]
-                    counter = entry[1]
-                    if confidence == 0 or counter >= confidence:
-                        module[2] += 1
-                        if stored == word:
-                            module[3] += 1
-                            hit = True
-                    else:
-                        module[4] += 1
-                    if stored == word:
-                        if counter < max_count:
-                            entry[1] = counter + 1
-                    elif counter > 0:
-                        entry[1] = counter - 1
-                    else:
-                        entry[0] = word
-                    if pht_bounded:
-                        module[6]._touch_pht(key, hist)
-                mht[key] = depth_full_at | (
-                    ((hist << TUPLE_BITS) | word) & full_mask
-                )
+            if inline:
+                module = [
+                    predictor._mht, predictor._phts, 0, 0, 0, {},
+                    predictor, predictor._mhr_clock,
+                ]
             else:
+                module = [None, None, 0, 0, 0, {}, predictor, None]
+            modules[module_key] = module
+        block = event.block
+        hit = False
+
+        if inline:
+            predicted = -1
+            word = (event.sender << TYPE_BITS) | event.mtype
+            key = block // macro if macro is not None else block
+            mht = module[0]
+            hist = mht.get(key)
+            if hist is None:
                 module[4] += 1
-                mht[key] = (hist << TUPLE_BITS) | word
+                mht[key] = (1 << TUPLE_BITS) | word
+                if bounded:
+                    module[6]._bound_mhr_insert(key)
+            else:
+                if mhr_bounded:
+                    if module[7] is None:
+                        del mht[key]  # re-inserted below == LRU tail
+                    else:
+                        module[7].touch(key)
+                if hist >= depth_full_at:
+                    phts = module[1]
+                    pht = phts.get(key)
+                    if pht is None:
+                        pht = phts[key] = {}
+                    entry = pht.get(hist)
+                    if entry is None:
+                        module[4] += 1
+                        pht[hist] = [word, 0]
+                        if bounded:
+                            module[6]._bound_pht_insert(key, hist)
+                    else:
+                        stored = entry[0]
+                        counter = entry[1]
+                        if confidence == 0 or counter >= confidence:
+                            predicted = stored
+                            module[2] += 1
+                            if stored == word:
+                                module[3] += 1
+                                hit = True
+                        else:
+                            module[4] += 1
+                        if stored == word:
+                            if counter < max_count:
+                                entry[1] = counter + 1
+                        elif counter > 0:
+                            entry[1] = counter - 1
+                        else:
+                            entry[0] = word
+                        if pht_bounded:
+                            module[6]._touch_pht(key, hist)
+                    mht[key] = depth_full_at | (
+                        ((hist << TUPLE_BITS) | word) & full_mask
+                    )
+                else:
+                    module[4] += 1
+                    mht[key] = (hist << TUPLE_BITS) | word
+        else:
+            observation = module[6].observe(block, (event.sender, event.mtype))
+            predicted = observation.predicted
+            if predicted is None:
+                module[4] += 1
+            else:
+                module[2] += 1
+                if observation.hit:
+                    module[3] += 1
+                    hit = True
+
+        if obs_pred:
+            if inline:
+                predicted = (
+                    tuple_of_word(predicted) if predicted >= 0 else None
+                )
+            OBS.emit(
+                event.time,
+                "pred",
+                "observe",
+                event.node,
+                block,
+                {
+                    "role": str(role),
+                    "hit": hit,
+                    "predicted": (
+                        f"P{predicted[0]} {predicted[1].name}"
+                        if predicted is not None
+                        else None
+                    ),
+                    "actual": f"P{event.sender} {event.mtype.name}",
+                },
+            )
 
         if track_arcs:
             last_type = module[5]
@@ -384,13 +321,14 @@ def _evaluate_trace_flat(
 
     flush_checkpoints(None)
 
-    # Hand the counters back to the bank's predictors, then run the same
-    # end-of-replay fold as the generic loop.
-    for module in modules.values():
-        predictor = module[6]
-        predictor.predictions = module[2]
-        predictor.hits = module[3]
-        predictor.no_prediction = module[4]
+    if inline:
+        # Hand the counters back to the bank's predictors; a factory's
+        # predictors kept their own.
+        for module in modules.values():
+            predictor = module[6]
+            predictor.predictions = module[2]
+            predictor.hits = module[3]
+            predictor.no_prediction = module[4]
     bank.fold_metrics()
 
     overall, by_role = _fold_module_tallies(modules)
@@ -407,7 +345,7 @@ def _evaluate_trace_flat(
 def _fold_module_tallies(
     modules: Dict[int, list]
 ) -> Tuple[Tally, Dict[Role, Tally]]:
-    """Overall and per-role tallies from the flat loop's module states."""
+    """Overall and per-role tallies from the replay loop's module states."""
     by_role = {Role.CACHE: Tally(), Role.DIRECTORY: Tally()}
     for module_key, module in modules.items():
         tally = by_role[

@@ -18,10 +18,10 @@ policies to pick victims:
   entries therefore survive several sweeps of cold traffic.
 
 :class:`ClockOrder` implements the latter two.  The predictor's kernel
-and the inlined replay loop drive it with the same
-``touch``/``discard``/``victim`` call sequence on the same integer keys,
-which is what makes their eviction decisions identical (the
-differential suite pins this).
+and the copy of it that ``evaluate_trace`` inlines for the default
+Cosmos bank drive it with the same ``touch``/``discard``/``victim`` call
+sequence on the same integer keys, which is what makes their eviction
+decisions identical (the differential suite pins this).
 
 Externally removed keys (corruption losses, ``forget``) are *lazily*
 reaped: ``discard`` only drops the use count, and the stale ring slot is

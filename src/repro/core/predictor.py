@@ -79,8 +79,9 @@ def train_entry(entry: List[int], word: int, max_count: int) -> None:
     confirmation raises the counter up to ``max_count``, a misprediction
     lowers it, and only a misprediction at zero replaces the prediction.
     With ``max_count = 0`` every misprediction replaces it (Table 6's
-    "no filter" column).  :meth:`CosmosPredictor.observe_word` and the
-    replay loop in :mod:`repro.core.evaluation` inline this rule.
+    "no filter" column).  :meth:`CosmosPredictor.observe_word` and
+    :func:`~repro.core.evaluation.evaluate_trace`, for the default
+    Cosmos bank, inline this rule.
     """
     stored, counter = entry
     if stored == word:
@@ -252,9 +253,10 @@ class CosmosPredictor:
     # capacity bounding (mhr_capacity / pht_capacity; core/eviction.py)
     # ------------------------------------------------------------------
     #
-    # The kernel and the inlined replay loop in core/evaluation.py call
-    # these hooks at the same points in the same order with the same
-    # integer keys, so their eviction decisions are identical.  Live PHT
+    # The kernel and evaluate_trace's inlined default-bank kernel in
+    # core/evaluation.py call these hooks at the same points in the same
+    # order with the same integer keys, so their eviction decisions are
+    # identical.  Live PHT
     # totals are kept incrementally (O(1) accounting even while
     # thrashing), and peaks are noted just before any removal, the only
     # moments a table can shrink, so ``peak_*_entries`` stays exact

@@ -11,7 +11,9 @@ Three subcommands:
 Both replays then verify the acceptance invariants: zero incorrect
 non-degraded responses (the mirror oracle) and every lost shard
 re-admitted through its circuit breaker.  They exit non-zero when
-either fails.
+either fails.  The oracle replays from fresh predictors, so both refuse
+(exit 2) a ``--checkpoint-dir`` that already holds checkpoints of the
+same service configuration: its shards would warm-start from them.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import sys
 from typing import Optional
 
 from ..core.eviction import EVICTION_POLICIES
+from ..errors import ServeError
 from ..sim.metrics import METRICS, dump_metrics_json
 from .chaos import ChaosScript
 from .client import ServeClient
 from .config import ServeConfig
 from .frontend import PredictionService
 from .loadgen import replay_trace, verify_predictions
+from .state import own_checkpoints
 
 WORKLOADS = ("appbt", "barnes", "dsmc", "moldyn", "unstructured", "zipf")
 
@@ -232,7 +236,32 @@ def _cmd_stat(args) -> int:
     return 0
 
 
+def _refuse_warm_start(args) -> None:
+    """Refuse a checkpoint directory this replay's shards would
+    warm-start from: :func:`verify_predictions` replays every tenant
+    from a fresh predictor and would count the learned answers wrong."""
+    if args.checkpoint_dir is None:
+        return
+    config = _config_of(args)
+    warm = own_checkpoints(
+        args.checkpoint_dir, config.shards, config.fingerprint()
+    )
+    if warm:
+        raise ServeError(
+            f"--checkpoint-dir {args.checkpoint_dir} already holds "
+            f"{len(warm)} shard checkpoint(s) of this service "
+            f"configuration (e.g. {warm[-1].name}); {args.command} "
+            f"checks answers against cold-started predictors, so use an "
+            f"empty directory or another --seed"
+        )
+
+
 def _cmd_replay(args, chaos_script: Optional[ChaosScript]) -> int:
+    try:
+        _refuse_warm_start(args)
+    except ServeError as exc:
+        print(f"repro-serve {args.command}: {exc}", file=sys.stderr)
+        return 2
     METRICS.reset()
     events = _events_for(args)
     if chaos_script is not None:

@@ -23,7 +23,7 @@ format or fingerprint is neither kept in a slot nor deleted.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import pickle
 
@@ -96,6 +96,20 @@ def _written_by(path: Path, fingerprint: str) -> bool:
 def shard_checkpoints(directory: Union[str, Path], shard: int) -> list:
     """This shard's checkpoint files, oldest first."""
     return sorted(Path(directory).glob(f"shard-{shard:02d}-*.ckpt"))
+
+
+def own_checkpoints(
+    directory: Union[str, Path], shards: int, fingerprint: str
+) -> List[Path]:
+    """The checkpoints in ``directory`` a service with ``fingerprint``
+    would warm-start its ``shards`` shards from, oldest first per shard.
+    """
+    return [
+        path
+        for shard in range(shards)
+        for path in shard_checkpoints(directory, shard)
+        if _written_by(path, fingerprint)
+    ]
 
 
 def load_shard_checkpoint(

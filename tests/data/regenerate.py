@@ -64,10 +64,11 @@ EVAL_CHECKPOINTS = (2, 4)
 
 
 def _eval_entry(events, config) -> dict:
-    """One trace replayed by the generic object-at-a-time loop.
+    """One trace replayed through ``CosmosPredictor.observe``.
 
-    An explicit predictor factory forces that loop, so the golden stays
-    independent of the inlined flat loop it checks.
+    An explicit predictor factory sends every event through the
+    predictor's own method instead of the replay loop's inlined kernel,
+    so the golden stays independent of the kernel copy it checks.
     """
     from repro.core.evaluation import evaluate_trace
     from repro.core.predictor import CosmosPredictor

@@ -51,6 +51,9 @@ def _spawn(run_dir, cache_dir):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
+        # Its own process group, so a kill can reach the spawn pool's
+        # workers and resource tracker too.
+        start_new_session=True,
     )
 
 
@@ -100,7 +103,10 @@ class TestKillMinusNine:
         process = _spawn(run_dir, cache_dir)
         try:
             recorded = _wait_for_records(run_dir, 2, process)
-            process.kill()  # SIGKILL: no handlers, no cleanup, no flush
+            # SIGKILL: no handlers, no cleanup, no flush.  Killing the
+            # whole group leaves no orphaned pool worker holding the
+            # test's output pipe open.
+            os.killpg(process.pid, signal.SIGKILL)
         finally:
             process.wait(timeout=30)
         assert process.returncode == -signal.SIGKILL

@@ -28,3 +28,23 @@ def test_bench_fails_when_the_oracle_counts_a_wrong_answer(
     assert code == 1
     assert '"wrong": 1' in out.out
     assert "bench run FAILED: 1 incorrect non-degraded" in out.err
+
+
+def test_second_run_over_its_own_checkpoints_is_refused(capsys, tmp_path):
+    """The second run's shards would warm-start from the first run's
+    checkpoints and the cold-start oracle would count their learned
+    answers wrong; it is refused before the service starts instead."""
+    argv = [
+        "bench", "--shards", "1", "--observations", "80",
+        "--checkpoint-every", "16", "--checkpoint-dir", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "already holds" in out.err
+    assert "shard checkpoint(s) of this service configuration" in out.err
+    # Another seed is another configuration: its shards start cold.
+    assert cli.main(argv + ["--seed", "1"]) == 0, capsys.readouterr().err
