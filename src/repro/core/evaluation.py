@@ -43,9 +43,6 @@ class Tally:
     def accuracy(self) -> float:
         return self.hits / self.refs if self.refs else 0.0
 
-    def merged(self, other: "Tally") -> "Tally":
-        return Tally(hits=self.hits + other.hits, refs=self.refs + other.refs)
-
 
 @dataclass
 class ArcStats:

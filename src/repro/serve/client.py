@@ -94,6 +94,38 @@ class ServeClient:
             raise ConnectionResetError("service closed the connection")
         return line
 
+    async def _attempt(self, payload: bytes, slow_read_s: float = 0.0):
+        """One round trip, bounded by the policy's attempt deadline.
+
+        A loop timer cancels the calling task at the deadline, and only
+        that cancellation turns into :class:`asyncio.TimeoutError`.
+        (``asyncio.wait_for`` runs each attempt in a Task of its own
+        before Python 3.12; ``asyncio.timeout`` is 3.11+.)
+        """
+        task = asyncio.current_task()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(
+            self.policy.attempt_timeout_ms / 1_000.0, expire
+        )
+        try:
+            return await self._roundtrip(payload, slow_read_s)
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            # 3.11+ counts cancellations: consume ours, and stay
+            # cancelled if someone else cancelled the task as well.
+            if hasattr(task, "uncancel") and task.uncancel() > 0:
+                raise
+            raise asyncio.TimeoutError() from None
+        finally:
+            timer.cancel()
+
     async def observe(
         self,
         tenant: str,
@@ -123,11 +155,8 @@ class ServeClient:
         last_error = "no attempt made"
         for _attempt in range(self.policy.max_retries + 1):
             try:
-                line = await asyncio.wait_for(
-                    self._roundtrip(request, slow_read_s),
-                    timeout=self.policy.attempt_timeout_ms / 1_000.0,
-                )
-            except (asyncio.TimeoutError, TimeoutError):
+                line = await self._attempt(request, slow_read_s)
+            except asyncio.TimeoutError:
                 # The attempt may have been admitted server-side; the
                 # retransmission below is answered from the dedupe
                 # cache if so -- never trained twice.
@@ -160,10 +189,7 @@ class ServeClient:
 
     async def stat(self) -> dict:
         """The service's per-shard state (circuit breakers, counters)."""
-        line = await asyncio.wait_for(
-            self._roundtrip(b'{"op":"stat"}\n'),
-            timeout=self.policy.attempt_timeout_ms / 1_000.0,
-        )
+        line = await self._attempt(b'{"op":"stat"}\n')
         return json.loads(line.decode("utf-8"))
 
     async def _reset(self) -> None:

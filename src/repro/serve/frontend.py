@@ -17,9 +17,10 @@ consistent-hash ring, the supervisor, and two small front-end tables:
   erroring: prediction consumers are speculative by design (paper
   Section 2), so a cheaper guess is strictly better than no answer.
 
-Request handling never blocks the event loop: supervisor admission is a
-brief lock, and waiting on the worker's answer is an awaited future
-with ``deadline_ms`` bounding it.
+Request handling never blocks the event loop: the supervisor drives
+the worker pipes from the loop itself (one small message in a pipe at a
+time), and waiting on the worker's answer is an awaited future that a
+loop timer fails once ``deadline_ms`` has passed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ from .supervisor import Backpressure, ShardSupervisor, WorkerDown
 DEDUPE_CAPACITY = 4_096
 
 
+def _expire(future: asyncio.Future) -> None:
+    """Deadline timer: give up on a worker answer still outstanding."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class PredictionService:
     """The service: listener + ring + supervisor + fallback."""
 
@@ -61,6 +68,7 @@ class PredictionService:
         self._last: Dict[Tuple[str, int], int] = {}
         self._dedupe: "OrderedDict[Tuple[str, int], Response]" = OrderedDict()
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: The bound port (useful with ``port=0``), set by :meth:`start`.
         self.port: Optional[int] = None
 
@@ -69,6 +77,7 @@ class PredictionService:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         self.supervisor.start()
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port
@@ -186,11 +195,11 @@ class PredictionService:
             # answer degraded right now.
             response = self._degraded(seq, fallback, shard, ordinal, start)
         else:
+            deadline = self._loop.call_later(
+                self.config.deadline_ms / 1_000.0, _expire, future
+            )
             try:
-                result = await asyncio.wait_for(
-                    asyncio.wrap_future(future),
-                    timeout=self.config.deadline_ms / 1_000.0,
-                )
+                result = await future
                 # A budgeted worker answers for real even while evicting;
                 # the truthy-string tag lets clients (and the oracle)
                 # distinguish "degraded because budget bit" from a full
@@ -211,7 +220,7 @@ class PredictionService:
                     "serve.latency.ok_us",
                     (time.perf_counter() - start) * 1e6,
                 )
-            except (asyncio.TimeoutError, TimeoutError):
+            except asyncio.TimeoutError:
                 METRICS.inc("serve.deadline.missed")
                 response = self._degraded(
                     seq, fallback, shard, ordinal, start
@@ -220,6 +229,8 @@ class PredictionService:
                 response = self._degraded(
                     seq, fallback, shard, ordinal, start
                 )
+            finally:
+                deadline.cancel()
         self._dedupe[key] = response
         while len(self._dedupe) > DEDUPE_CAPACITY:
             self._dedupe.popitem(last=False)

@@ -1,18 +1,23 @@
 """The shard supervisor: spawn, watch, kill, restore, re-admit.
 
-One :class:`ShardSupervisor` owns the worker-process pool.  Per shard it
-keeps a duplex pipe, a pump thread that ships admitted observations to
-the worker one at a time (the pipe's FIFO order *is* the shard's
-training order), and a circuit breaker:
+One :class:`ShardSupervisor` owns the worker-process pool and drives
+every worker's duplex pipe from the front-end's event-loop thread.  Per
+shard it keeps a FIFO of admitted requests and lets at most one of them
+sit in the pipe: the loop sends it, a reader callback on the pipe
+(``loop.add_reader``) takes the answer and sends the next.  The pipe
+then never holds more than one small message, so a send on the loop
+thread cannot block, and the FIFO order *is* the shard's training
+order.  Each shard also has a circuit breaker:
 
 * **CLOSED** -- healthy; observations flow through the bounded queue.
 * **OPEN** -- the worker crashed (pipe EOF) or blew its hang budget
   (a :class:`~repro.sim.watchdog.WatchdogConfig` wall-clock budget,
-  checked with ``Connection.poll``) and was SIGKILLed.  Admissions are
-  recorded in the shard's outbox but answered degraded by the
-  front-end; a restore thread spawns a replacement worker, warm-
-  restores it from the newest valid checkpoint, and replays the outbox
-  tail so no admitted learning is lost.
+  armed as one loop timer per request in the pipe) and was
+  SIGKILLed.  Admissions are recorded in the shard's outbox but
+  answered degraded by the front-end; a restore thread spawns a
+  replacement worker, warm-restores it from the newest valid
+  checkpoint, replays the outbox tail so no admitted learning is lost,
+  and hands the caught-up worker back to the loop.
 * **HALF_OPEN** -- the restored worker is caught up; the next
   :data:`PROBE_REQUESTS` successful round trips (real observations, or
   ping probes enqueued by :meth:`ShardSupervisor.probe_half_open`
@@ -30,11 +35,10 @@ checkpoints.
 
 from __future__ import annotations
 
-import queue
+import asyncio
 import tempfile
 import threading
 from collections import deque
-from concurrent.futures import Future, InvalidStateError
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -87,13 +91,26 @@ class Backpressure(ServeError):
     """
 
 
+
+
+#: One request waiting for, or sitting in, a worker's pipe: the message
+#: and the future its answer resolves (``None`` for a ping probe).
+_Request = Tuple[dict, Optional[asyncio.Future]]
+
+_PING = {"op": "ping"}
+
+
 class _Shard:
-    """Mutable per-shard bookkeeping, guarded by ``lock``."""
+    """Mutable per-shard bookkeeping.
+
+    ``lock`` guards what the restore thread shares with the loop: the
+    breaker state, ordinals, outbox and counters.  ``conn``,
+    ``pending``, ``sent`` and ``timer`` belong to the loop thread.
+    """
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.lock = threading.Lock()
-        self.queue: "queue.Queue" = queue.Queue()
         self.state = OPEN  # until start() brings the worker up
         self.epoch = 0
         self.ordinal = 0  # last admitted ordinal (1-based counter)
@@ -102,8 +119,14 @@ class _Shard:
         self.probes_left = 0
         self.outbox: Deque[Tuple[int, str, int, int]] = deque()
         self.proc = None
+        #: The worker's pipe while the loop drives it; ``None`` while
+        #: the shard is down or its replacement is catching up.
         self.conn = None
-        self.pump: Optional[threading.Thread] = None
+        #: Requests waiting for the pipe, oldest first.
+        self.pending: Deque[_Request] = deque()
+        #: The one request in the pipe, and its hang-budget timer.
+        self.sent: Optional[_Request] = None
+        self.timer: Optional[asyncio.TimerHandle] = None
         self.restores = 0
         self.breaker_opened = 0
         self.breaker_closed = 0
@@ -142,28 +165,32 @@ class ShardSupervisor:
         )
         self._shards = [_Shard(index) for index in range(config.shards)]
         self._stopping = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle (on the event-loop thread)
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         """Spawn every shard worker and wait for its ready handshake."""
+        self._loop = asyncio.get_running_loop()
         for shard in self._shards:
             proc, conn, restored = self._spawn(shard.index, epoch=0)
             with shard.lock:
-                shard.proc, shard.conn = proc, conn
+                shard.proc = proc
                 shard.trained = restored
                 shard.state = CLOSED
-            self._start_pump(shard, proc, conn, epoch=0)
+            self._attach(shard, proc, conn)
 
     def stop(self) -> None:
         """Tear the pool down (SIGKILL; state is in the checkpoints)."""
         self._stopping = True
         for shard in self._shards:
-            shard.queue.put(None)
-        for shard in self._shards:
-            proc = shard.proc
+            if shard.conn is not None:
+                self._detach(shard)
+            self._fail_requests(shard, "service stopping")
+            with shard.lock:
+                proc = shard.proc
             if proc is not None and proc.is_alive():
                 proc.kill()
             if proc is not None:
@@ -219,7 +246,7 @@ class ShardSupervisor:
 
     def try_submit(
         self, index: int, tenant: str, block: int, word: int
-    ) -> Tuple[int, Optional[Future]]:
+    ) -> Tuple[int, Optional[asyncio.Future]]:
         """Admit one observation into shard ``index``.
 
         Returns ``(ordinal, future)``; the future resolves to the
@@ -240,63 +267,19 @@ class ShardSupervisor:
                 shard.outbox.append((shard.ordinal, tenant, block, word))
                 METRICS.inc("serve.admit.buffered")
                 return shard.ordinal, None
-            if shard.inflight >= self.config.queue_depth:
-                METRICS.inc("serve.shed.queue")
-                raise Backpressure(f"shard {index} queue full")
-            shard.ordinal += 1
-            shard.outbox.append((shard.ordinal, tenant, block, word))
-            future: Future = Future()
-            shard.inflight += 1
-            shard.queue.put(
-                (shard.ordinal, tenant, block, word, future)
-            )
-            METRICS.inc("serve.admit.queued")
-            return shard.ordinal, future
-
-    # ------------------------------------------------------------------
-    # pump: one thread per live worker
-    # ------------------------------------------------------------------
-
-    def _start_pump(self, shard: _Shard, proc, conn, epoch: int) -> None:
-        pump = threading.Thread(
-            target=self._pump,
-            args=(shard, proc, conn, epoch),
-            name=f"serve-pump-{shard.index}",
-            daemon=True,
-        )
-        shard.pump = pump
-        pump.start()
-
-    def _roundtrip(self, conn, payload: dict) -> Optional[dict]:
-        """One send/recv against a worker; ``None`` = dead or hung."""
-        try:
-            conn.send(payload)
-            if not conn.poll(self._budget.wall_clock_s):
-                return None  # hang budget blown
-            return conn.recv()
-        except (EOFError, OSError, BrokenPipeError):
-            return None
-
-    def _pump(self, shard: _Shard, proc, conn, epoch: int) -> None:
-        while True:
-            item = shard.queue.get()
-            if item is None:
-                return
-            if item[0] == "ping":
-                response = self._roundtrip(conn, {"op": "ping"})
-                if response is None:
-                    self._fail_shard(
-                        shard, proc, epoch, Future(), inflight=False
-                    )
-                    return
-                with shard.lock:
-                    if response.get("mem") is not None:
-                        shard.mem = response["mem"]
-                    self._count_probe(shard)
-                continue
-            ordinal, tenant, block, word, future = item
-            response = self._roundtrip(
-                conn,
+            full = shard.inflight >= self.config.queue_depth
+            if not full:
+                shard.ordinal += 1
+                ordinal = shard.ordinal
+                shard.outbox.append((ordinal, tenant, block, word))
+                shard.inflight += 1
+        if full:
+            METRICS.inc("serve.shed.queue")
+            self._drain(shard)
+            raise Backpressure(f"shard {index} queue full")
+        future = self._loop.create_future()
+        shard.pending.append(
+            (
                 {
                     "op": "observe",
                     "seq": ordinal,
@@ -304,23 +287,100 @@ class ShardSupervisor:
                     "block": block,
                     "word": word,
                 },
+                future,
             )
-            if response is None:
-                self._fail_shard(shard, proc, epoch, future)
-                return
-            with shard.lock:
+        )
+        METRICS.inc("serve.admit.queued")
+        self._send_next(shard)
+        return ordinal, future
+
+    # ------------------------------------------------------------------
+    # the pipe, driven from the event loop
+    # ------------------------------------------------------------------
+
+    def _attach(self, shard: _Shard, proc, conn) -> None:
+        """Start driving a ready worker's pipe from the loop."""
+        if self._stopping:
+            conn.close()
+            if proc.is_alive():
+                proc.kill()
+            return
+        shard.conn = conn
+        self._loop.add_reader(conn.fileno(), self._on_readable, shard)
+        self._send_next(shard)
+
+    def _detach(self, shard: _Shard) -> None:
+        """Stop driving the shard's pipe: no reader, no timer, closed."""
+        self._loop.remove_reader(shard.conn.fileno())
+        if shard.timer is not None:
+            shard.timer.cancel()
+            shard.timer = None
+        shard.conn.close()
+        shard.conn = None
+
+    def _send_next(self, shard: _Shard) -> None:
+        """Ship the oldest pending request if the pipe is free."""
+        if shard.sent is not None or shard.conn is None or not shard.pending:
+            return
+        shard.sent = shard.pending.popleft()
+        try:
+            shard.conn.send(shard.sent[0])
+        except OSError:
+            self._fail_shard(shard)
+            return
+        shard.timer = self._loop.call_later(
+            self._budget.wall_clock_s, self._fail_shard, shard
+        )
+
+    def _drain(self, shard: _Shard) -> None:
+        """Take an answer already waiting in the pipe, if there is one.
+
+        A burst of requests is admitted within one loop iteration, so
+        the reader callback gets no turn until it ends.  Each shed
+        reads the pipe instead: the slot its answer frees goes to the
+        next arrival, and the worker gets its next request at once.
+        """
+        if shard.sent is not None and shard.conn.poll():
+            self._on_readable(shard)
+
+    def _on_readable(self, shard: _Shard) -> None:
+        """The worker answered the request in its pipe, or died."""
+        try:
+            response = shard.conn.recv()
+        except (EOFError, OSError):
+            self._fail_shard(shard)
+            return
+        shard.timer.cancel()
+        shard.timer = None
+        _message, future = shard.sent
+        shard.sent = None
+        with shard.lock:
+            if response.get("mem") is not None:
+                shard.mem = response["mem"]
+            if future is not None:
                 shard.inflight -= 1
                 shard.trained = response["trained"]
-                if response.get("mem") is not None:
-                    shard.mem = response["mem"]
                 self._trim_outbox(shard, response["ckpt"])
-                self._count_probe(shard)
-            try:
-                future.set_result(response)
-            except InvalidStateError:
-                # The deadline already answered degraded; the training
-                # still counted, which is exactly what we want.
-                METRICS.inc("serve.response.late")
+            self._count_probe(shard)
+        self._send_next(shard)
+        if future is None:
+            return
+        if future.done():
+            # The deadline already answered degraded; the training
+            # still counted, which is exactly what we want.
+            METRICS.inc("serve.response.late")
+        else:
+            future.set_result(response)
+
+    def _roundtrip(self, conn, payload: dict) -> Optional[dict]:
+        """One blocking send/recv (restore thread); ``None`` = dead or hung."""
+        try:
+            conn.send(payload)
+            if not conn.poll(self._budget.wall_clock_s):
+                return None  # hang budget blown
+            return conn.recv()
+        except (EOFError, OSError, BrokenPipeError):
+            return None
 
     def _count_probe(self, shard: _Shard) -> None:
         """One successful round trip while HALF_OPEN; caller holds lock."""
@@ -343,9 +403,11 @@ class ShardSupervisor:
         """
         for shard in self._shards:
             with shard.lock:
-                if shard.state == HALF_OPEN and shard.queue.empty():
-                    shard.queue.put(("ping",))
-                    METRICS.inc("serve.probe.sent")
+                half_open = shard.state == HALF_OPEN
+            if half_open and not shard.pending:
+                shard.pending.append((_PING, None))
+                METRICS.inc("serve.probe.sent")
+                self._send_next(shard)
 
     def _trim_outbox(self, shard: _Shard, reported_ckpt: int) -> None:
         """Drop outbox entries a warm restore can never need.
@@ -364,76 +426,76 @@ class ShardSupervisor:
     # failure handling and warm restore
     # ------------------------------------------------------------------
 
-    def _fail_future(self, future: Future, reason: str) -> None:
-        try:
-            future.set_exception(WorkerDown(reason))
-        except InvalidStateError:
-            pass
+    def _fail_requests(self, shard: _Shard, reason: str) -> int:
+        """Fail the shard's queued and in-pipe observations.
 
-    def _fail_shard(
-        self,
-        shard: _Shard,
-        proc,
-        epoch: int,
-        future: Future,
-        inflight: bool = True,
-    ) -> None:
-        """The worker died or hung: open the breaker, kill, restore.
-
-        ``inflight=False`` when the failed round trip was a health ping
-        (pings never entered the admission accounting).
+        Returns how many observations there were (pings do not count).
         """
-        if self._stopping:
-            self._fail_future(future, "service stopping")
-            return
+        requests = list(shard.pending)
+        if shard.sent is not None:
+            requests.append(shard.sent)
+        shard.pending.clear()
+        shard.sent = None
+        failed = 0
+        for _message, future in requests:
+            if future is None:
+                continue
+            failed += 1
+            if not future.done():
+                future.set_exception(WorkerDown(reason))
+        return failed
+
+    def _fail_shard(self, shard: _Shard) -> None:
+        """The worker died or hung: open the breaker, then restore.
+
+        Runs on the loop thread (pipe EOF, a failed send, or an expired
+        hang timer); the restore thread does the slow part -- reaping
+        the dead worker and spawning its replacement.
+        """
+        if shard.conn is None:
+            return  # already failed
+        self._detach(shard)
+        epoch = shard.epoch
         reason = f"shard {shard.index} worker (epoch {epoch}) down or hung"
+        failed = self._fail_requests(shard, reason)
         with shard.lock:
             shard.state = OPEN
             shard.breaker_opened += 1
-            if inflight:
-                shard.inflight -= 1
-            self._fail_future(future, reason)
-            while True:
-                try:
-                    item = shard.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None or item[0] == "ping":
-                    continue
-                shard.inflight -= 1
-                self._fail_future(item[4], reason)
-            outbox_depth = len(shard.outbox)
+            shard.inflight -= failed
+            proc = shard.proc
             trained = shard.trained
+            outbox_depth = len(shard.outbox)
         METRICS.inc("serve.breaker.opened")
         if OBS.proto:
             OBS.emit(0, "serve", "breaker_open", shard.index, 0,
                      {"epoch": epoch, "trained": trained})
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=10)
-        save_bundle(
-            {
-                "kind": "serve-worker-forensics",
-                "shard": shard.index,
-                "epoch": epoch,
-                "reason": reason,
-                "exitcode": proc.exitcode,
-                "trained_reported": trained,
-                "outbox_depth": outbox_depth,
-                "budget": {"wall_clock_s": self._budget.wall_clock_s},
-            },
-            self.checkpoint_dir
-            / f"forensics-shard{shard.index:02d}-epoch{epoch}.json",
-        )
+        forensics = {
+            "kind": "serve-worker-forensics",
+            "shard": shard.index,
+            "epoch": epoch,
+            "reason": reason,
+            "trained_reported": trained,
+            "outbox_depth": outbox_depth,
+            "budget": {"wall_clock_s": self._budget.wall_clock_s},
+        }
         threading.Thread(
             target=self._restore,
-            args=(shard,),
+            args=(shard, proc, forensics),
             name=f"serve-restore-{shard.index}",
             daemon=True,
         ).start()
 
-    def _restore(self, shard: _Shard) -> None:
-        """Bring a dead shard back: spawn, warm-restore, replay, probe."""
+    def _restore(self, shard: _Shard, dead, forensics: dict) -> None:
+        """Bring a dead shard back: reap, spawn, warm-restore, replay."""
+        if dead.is_alive():
+            dead.kill()
+        dead.join(timeout=10)
+        epoch = forensics["epoch"]
+        save_bundle(
+            {**forensics, "exitcode": dead.exitcode},
+            self.checkpoint_dir
+            / f"forensics-shard{shard.index:02d}-epoch{epoch}.json",
+        )
         while not self._stopping:
             epoch = shard.epoch + 1
             try:
@@ -451,44 +513,61 @@ class ShardSupervisor:
                 # checkpoint: observations in the gap are lost learning
                 # (documented degraded mode -- see docs/serving.md).
                 METRICS.inc("serve.restore.gap")
-            replayed = restored
-            alive = True
-            while alive:
-                with shard.lock:
-                    pending = [
-                        entry for entry in shard.outbox
-                        if entry[0] > replayed
-                    ]
-                    if not pending:
-                        shard.proc, shard.conn = proc, conn
-                        shard.trained = replayed
-                        shard.state = HALF_OPEN
-                        shard.probes_left = PROBE_REQUESTS
-                        METRICS.inc("serve.breaker.half_open")
-                        self._start_pump(shard, proc, conn, epoch)
-                        return
-                for ordinal, tenant, block, word in pending:
-                    response = self._roundtrip(
-                        conn,
-                        {
-                            "op": "observe",
-                            "seq": ordinal,
-                            "tenant": tenant,
-                            "block": block,
-                            "word": word,
-                            "replay": True,
-                        },
+            if self._replay(shard, proc, conn, restored):
+                # Caught up and HALF_OPEN: admissions from here on wait
+                # in the pending queue until the loop takes the pipe.
+                try:
+                    self._loop.call_soon_threadsafe(
+                        self._attach, shard, proc, conn
                     )
-                    if response is None:
-                        alive = False
-                        break
-                    replayed = ordinal
-                    METRICS.inc("serve.restore.replayed")
-                    with shard.lock:
-                        self._trim_outbox(shard, response["ckpt"])
+                except RuntimeError:  # the loop is closed: service gone
+                    conn.close()
+                    proc.kill()
+                return
+            conn.close()
             if proc.is_alive():
                 proc.kill()
             proc.join(timeout=10)
+
+    def _replay(self, shard: _Shard, proc, conn, replayed: int) -> bool:
+        """Replay the outbox tail into a restored worker (restore thread).
+
+        ``True`` once the worker has caught up with every admission; the
+        shard is then HALF_OPEN.  ``False`` if the worker died or hung,
+        or the service is stopping.
+        """
+        while True:
+            with shard.lock:
+                if self._stopping:
+                    return False
+                pending = [
+                    entry for entry in shard.outbox if entry[0] > replayed
+                ]
+                if not pending:
+                    shard.proc = proc
+                    shard.trained = replayed
+                    shard.state = HALF_OPEN
+                    shard.probes_left = PROBE_REQUESTS
+                    METRICS.inc("serve.breaker.half_open")
+                    return True
+            for ordinal, tenant, block, word in pending:
+                response = self._roundtrip(
+                    conn,
+                    {
+                        "op": "observe",
+                        "seq": ordinal,
+                        "tenant": tenant,
+                        "block": block,
+                        "word": word,
+                        "replay": True,
+                    },
+                )
+                if response is None:
+                    return False
+                replayed = ordinal
+                METRICS.inc("serve.restore.replayed")
+                with shard.lock:
+                    self._trim_outbox(shard, response["ckpt"])
 
     # ------------------------------------------------------------------
     # introspection

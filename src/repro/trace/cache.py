@@ -22,12 +22,16 @@ corrupt file is removed and the caller re-simulates.  Writes are atomic
 (a temp file moved into place with ``os.replace``) so concurrent workers
 never observe a half-written trace.  Bump :data:`FORMAT_VERSION`
 whenever the row encoding or the simulator's timing model changes
-meaning: old entries then simply stop matching and are re-simulated.
+meaning: old entries then simply stop matching and are re-simulated,
+and the first :meth:`TraceCache.store` of each cache instance deletes
+every entry an older format wrote (the version is part of each key's
+digest, so such entries can never be hit again).
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
 import sys
 from array import array
 from dataclasses import asdict, dataclass
@@ -94,6 +98,7 @@ class TraceCache:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self._swept = False
 
     def path_for(self, key: TraceCacheKey) -> Path:
         return self.root / key.digest[:2] / f"{key.digest}.trace"
@@ -142,6 +147,9 @@ class TraceCache:
 
     def store(self, key: TraceCacheKey, rows: array) -> Path:
         """Atomically write a trace's rows under ``key``; return the path."""
+        if not self._swept:
+            self._swept = True
+            self.sweep_old_formats()
         path = self.path_for(key)
         with METRICS.timer("trace.cache.store"):
             payload = rows.tobytes()
@@ -160,3 +168,33 @@ class TraceCache:
             )
         METRICS.inc("trace.cache.stored")
         return path
+
+    def sweep_old_formats(self) -> int:
+        """Delete entries written by an older :data:`FORMAT_VERSION`.
+
+        Only the header frame of each entry is read.  Entries of a
+        *newer* format are kept -- another checkout may share this
+        directory -- and so are unreadable ones, which :meth:`load`
+        removes if their key is ever asked for.  Returns the number of
+        entries deleted.
+        """
+        removed = 0
+        for path in self.root.glob("*/*.trace"):
+            try:
+                with open(path, "rb") as handle:
+                    header = pickle.load(handle)
+                stale = (
+                    header.get("magic") == _HEADER_MAGIC
+                    and header.get("format") < FORMAT_VERSION
+                )
+            except Exception:
+                continue  # unreadable, or not a header we wrote
+            if stale:
+                try:
+                    path.unlink()
+                except OSError:
+                    continue  # another process swept it first
+                removed += 1
+        if removed:
+            METRICS.inc("trace.cache.swept", removed)
+        return removed

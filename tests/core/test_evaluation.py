@@ -45,11 +45,6 @@ class TestTally:
     def test_empty_accuracy(self):
         assert Tally().accuracy == 0.0
 
-    def test_merge(self):
-        merged = Tally(hits=1, refs=2).merged(Tally(hits=1, refs=1))
-        assert merged.hits == 2
-        assert merged.refs == 3
-
 
 class TestEvaluateTrace:
     def test_periodic_trace_converges(self):

@@ -1,0 +1,152 @@
+"""The front-end's event loop: never held up by a worker, few wake-ups.
+
+The supervisor drives every shard worker's pipe from the event-loop
+thread, so two properties matter: a worker that is slow to answer must
+not delay answers from the other shards (nothing on the loop thread may
+block on a pipe), and a closed-loop observation should cost a small,
+fixed number of event-loop iterations.
+"""
+
+import asyncio
+import cProfile
+import pstats
+import time
+
+from repro.protocol.messages import MessageType
+from repro.serve.chaos import ChaosScript
+from repro.serve.client import ServeClient
+from repro.serve.config import ServeConfig
+from repro.serve.frontend import PredictionService
+from repro.serve.hashring import HashRing
+from repro.serve.protocol import Status
+
+from .common import synthetic_events
+
+MTYPE = int(MessageType.GET_RO_RESPONSE)
+TENANT = "n0.cache"
+
+#: Shard 0's worker sleeps this long before answering its first
+#: observation.
+STALL_MS = 400.0
+
+
+def _blocks_on(shard, count, shards=2):
+    """The first ``count`` block addresses the ring routes to ``shard``."""
+    ring = HashRing(shards)
+    blocks = []
+    candidate = 0
+    while len(blocks) < count:
+        if ring.shard_for(TENANT, candidate) == shard:
+            blocks.append(candidate)
+        candidate += 64
+    return blocks
+
+
+def test_a_stalled_worker_never_holds_up_the_other_shard(tmp_path):
+    async def main():
+        chaos = ChaosScript.parse(f"stall:shard=0,at=1,ms={STALL_MS:g}")
+        config = ServeConfig(
+            shards=2, deadline_ms=250.0, hang_timeout_ms=2_000.0
+        )
+        service = PredictionService(
+            config, chaos=chaos, checkpoint_dir=tmp_path
+        )
+        await service.start()
+        (stalled_block,) = _blocks_on(0, 1)
+        healthy_blocks = _blocks_on(1, 20)
+        try:
+            async with ServeClient(
+                "127.0.0.1", service.port, "stalled"
+            ) as stalled, ServeClient(
+                "127.0.0.1", service.port, "healthy"
+            ) as healthy:
+                # Shard 0's first observation, not awaited: its worker
+                # sits in the scripted stall while we go on.
+                pending = asyncio.ensure_future(
+                    stalled.observe(TENANT, stalled_block, 0, MTYPE)
+                )
+                for _ in range(200):
+                    shards = (await healthy.stat())["shards"]
+                    if shards[0]["inflight"] == 1:
+                        break
+                    await asyncio.sleep(0.005)
+                else:
+                    raise AssertionError("stalled observation never admitted")
+                # The front-end serves one connection's requests in
+                # order, so the healthy traffic uses its own connection.
+                started = time.perf_counter()
+                latencies = []
+                for block in healthy_blocks:
+                    before = time.perf_counter()
+                    response = await healthy.observe(TENANT, block, 1, MTYPE)
+                    latencies.append(time.perf_counter() - before)
+                    assert response.status == Status.OK
+                    assert response.shard == 1
+                    assert not response.degraded
+                elapsed = time.perf_counter() - started
+                still_stalled = not pending.done()
+                late = await pending
+        finally:
+            await service.stop()
+        # Every healthy answer came back while shard 0 was still asleep,
+        # each far inside the stall.
+        assert still_stalled
+        assert max(latencies) < 0.25 * STALL_MS / 1_000.0, latencies
+        assert elapsed < 0.5 * STALL_MS / 1_000.0, elapsed
+        # The stalled observation itself missed its deadline.
+        assert late.status == Status.OK
+        assert late.degraded
+
+    asyncio.run(main())
+
+
+#: Closed-loop observations measured under the profiler, after warm-up.
+OBSERVATIONS = 200
+#: Event-loop iterations one closed-loop observation may cost, with the
+#: client in the service's own loop: the request reaches the server's
+#: reader, the server task admits and ships it to the worker, the
+#: worker's answer wakes the reader callback, the server task writes the
+#: response, the client's reader gets it, the client task resumes.
+MAX_ITERATIONS_PER_OBSERVATION = 6
+
+
+def test_a_closed_loop_observation_costs_at_most_six_loop_iterations(
+    tmp_path,
+):
+    async def main():
+        events = synthetic_events(OBSERVATIONS + 20, seed=1)
+        service = PredictionService(
+            ServeConfig(shards=2, seed=1), checkpoint_dir=tmp_path
+        )
+        await service.start()
+        profiler = cProfile.Profile()
+        try:
+            async with ServeClient(
+                "127.0.0.1", service.port, "iterations"
+            ) as client:
+                for index, event in enumerate(events):
+                    if index == len(events) - OBSERVATIONS:
+                        profiler.enable()
+                    response = await client.observe(
+                        TENANT, event.block, event.sender, int(event.mtype)
+                    )
+                    assert response.status == Status.OK
+                    assert not response.degraded
+                profiler.disable()
+        finally:
+            profiler.disable()
+            await service.stop()
+        return profiler
+
+    profiler = asyncio.run(main())
+    iterations = sum(
+        calls
+        for (filename, _line, name), (_primitive, calls, *_rest) in (
+            pstats.Stats(profiler).stats.items()
+        )
+        if name == "_run_once" and filename.endswith("base_events.py")
+    )
+    assert iterations > 0
+    assert iterations <= MAX_ITERATIONS_PER_OBSERVATION * OBSERVATIONS, (
+        iterations / OBSERVATIONS
+    )

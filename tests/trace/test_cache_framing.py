@@ -106,3 +106,39 @@ def test_content_check_failure_is_a_miss(tmp_path, payload, overrides):
     assert cache.load(key()) is None
     assert not path.exists()
     assert METRICS.counter("trace.cache.corrupt") == 1
+
+
+def test_first_store_sweeps_entries_of_older_formats(tmp_path):
+    # Entries keyed under other descriptors, one per format: the format
+    # is part of the key digest, so an older entry is never hit again.
+    def plant(name, version):
+        path = tmp_path / name[:2] / f"{name}.trace"
+        write_framed(path, MAGIC, version, content_header(), PAYLOAD)
+        return path
+
+    older = plant("aa" + "0" * 62, FORMAT_VERSION - 1)
+    current = plant("bb" + "0" * 62, FORMAT_VERSION)
+    newer = plant("cc" + "0" * 62, FORMAT_VERSION + 1)
+    garbage = tmp_path / "dd" / ("dd" + "0" * 62 + ".trace")
+    garbage.parent.mkdir()
+    garbage.write_bytes(b"not a pickle")
+
+    cache = TraceCache(tmp_path)
+    assert cache.load(key()) is None  # loads never sweep
+    assert older.exists()
+    METRICS.reset()
+    stored = cache.store(key(), ROWS)
+    assert not older.exists()
+    assert METRICS.counter("trace.cache.swept") == 1
+    # A newer checkout may share the directory; unreadable entries are
+    # left to load's own corruption handling.
+    assert current.exists() and newer.exists() and garbage.exists()
+    assert cache.load(key()) == EVENTS
+
+    # Once per cache instance: a later store does not rescan.
+    late = plant("ee" + "0" * 62, FORMAT_VERSION - 1)
+    cache.store(key(), ROWS)
+    assert late.exists()
+    assert stored.exists()
+    assert TraceCache(tmp_path).sweep_old_formats() == 1
+    assert not late.exists()
