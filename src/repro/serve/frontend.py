@@ -3,12 +3,15 @@
 One :class:`PredictionService` owns a TCP listener (JSON lines), the
 consistent-hash ring, the supervisor, and two small front-end tables:
 
-* the **dedupe cache** -- ``(client, seq) -> response``, bounded FIFO.
+* the **dedupe cache** -- ``(client, seq) -> answer``, bounded FIFO.
   A retransmitted request (client deadline fired, or the connection
   dropped mid-response) is answered from cache without training again:
   the same idempotency-by-sequence-number discipline as
-  :mod:`repro.protocol.recovery`.  ``RETRY_AFTER`` rejections are never
-  cached -- they admitted nothing, so the retry must be processed fresh.
+  :mod:`repro.protocol.recovery`.  A key is registered as in flight
+  before admission, so a retransmission that arrives while the first
+  attempt still waits on its worker awaits that attempt's answer.
+  ``RETRY_AFTER`` rejections are never cached -- they admitted nothing,
+  so the retry must be processed fresh.
 * the **fallback table** -- last observed word per ``(tenant, block)``,
   the :class:`~repro.predictors.last_message.LastMessagePredictor`
   discipline kept at the front so it survives any worker.  While a
@@ -66,7 +69,10 @@ class PredictionService:
             config, chaos=chaos, checkpoint_dir=checkpoint_dir
         )
         self._last: Dict[Tuple[str, int], int] = {}
-        self._dedupe: "OrderedDict[Tuple[str, int], Response]" = OrderedDict()
+        #: The future of each recent answer, registered at admission.
+        self._dedupe: "OrderedDict[Tuple[str, int], asyncio.Future]" = (
+            OrderedDict()
+        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: The bound port (useful with ``port=0``), set by :meth:`start`.
@@ -78,7 +84,7 @@ class PredictionService:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self.supervisor.start()
+        await self.supervisor.start()
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port
         )
@@ -166,7 +172,9 @@ class PredictionService:
         cached = self._dedupe.get(key)
         if cached is not None:
             METRICS.inc("serve.dedupe.hit")
-            return cached
+            # A first attempt still in flight shares its answer when it
+            # comes, rather than the observation training twice.
+            return await asyncio.shield(cached)
         tenant = record["tenant"]
         block = record["block"]
         word = pack((record["sender"], MessageType(record["mtype"])))
@@ -174,11 +182,13 @@ class PredictionService:
         # The fallback prediction must be read *before* this observation
         # trains the table: "the next message repeats the last one".
         fallback = self._last.get((tenant, block), -1)
+        answered = self._dedupe[key] = self._loop.create_future()
         try:
             ordinal, future = self.supervisor.try_submit(
                 shard, tenant, block, word
             )
         except Backpressure:
+            del self._dedupe[key]
             METRICS.inc("serve.response.retry_after")
             # Deliberately not cached: nothing was admitted, so the
             # client's retry of this seq must be processed for real.
@@ -231,7 +241,7 @@ class PredictionService:
                 )
             finally:
                 deadline.cancel()
-        self._dedupe[key] = response
+        answered.set_result(response)
         while len(self._dedupe) > DEDUPE_CAPACITY:
             self._dedupe.popitem(last=False)
         return response

@@ -1,23 +1,26 @@
 """The shard supervisor: spawn, watch, kill, restore, re-admit.
 
 One :class:`ShardSupervisor` owns the worker-process pool and drives
-every worker's duplex pipe from the front-end's event-loop thread.  Per
-shard it keeps a FIFO of admitted requests and lets at most one of them
-sit in the pipe: the loop sends it, a reader callback on the pipe
-(``loop.add_reader``) takes the answer and sends the next.  The pipe
-then never holds more than one small message, so a send on the loop
-thread cannot block, and the FIFO order *is* the shard's training
-order.  Each shard also has a circuit breaker:
+every worker's duplex pipe from the front-end's event loop, for the
+worker's whole life: its ready handshake, the replay that catches a
+replacement up, observations and pings.  Per shard it keeps a FIFO of
+admitted requests and lets at most one of them sit in the pipe: the
+loop sends it, a reader callback on the pipe (``loop.add_reader``)
+takes the answer and sends the next.  The pipe then never holds more
+than one small message, so a send on the loop cannot block, and the
+FIFO order *is* the shard's training order.  Each shard also has a
+circuit breaker:
 
 * **CLOSED** -- healthy; observations flow through the bounded queue.
 * **OPEN** -- the worker crashed (pipe EOF) or blew its hang budget
   (a :class:`~repro.sim.watchdog.WatchdogConfig` wall-clock budget,
   armed as one loop timer per request in the pipe) and was
   SIGKILLed.  Admissions are recorded in the shard's outbox but
-  answered degraded by the front-end; a restore thread spawns a
-  replacement worker, warm-restores it from the newest valid
-  checkpoint, replays the outbox tail so no admitted learning is lost,
-  and hands the caught-up worker back to the loop.
+  answered degraded by the front-end.  Once the loop sees the dead
+  worker's sentinel it reaps it and spawns a replacement, which warm-
+  restores from the newest valid checkpoint; the pipe then replays the
+  outbox tail into it, one entry at a time, so no admitted learning is
+  lost.
 * **HALF_OPEN** -- the restored worker is caught up; the next
   :data:`PROBE_REQUESTS` successful round trips (real observations, or
   ping probes enqueued by :meth:`ShardSupervisor.probe_half_open`
@@ -25,10 +28,10 @@ order.  Each shard also has a circuit breaker:
   breaker and re-admit the shard.  Any failure: back to OPEN.
 
 Every admitted observation gets a shard-local ordinal; the outbox keeps
-``(ordinal, tenant, block, word)`` back to one checkpoint interval
-behind the worker's last *reported* checkpoint, which is exactly enough
-to warm-restore even when the newest checkpoint file is torn and the
-loader falls back one frame.  Worker deaths leave a forensic bundle
+its observe message back to one checkpoint interval behind the worker's
+last *reported* checkpoint, which is exactly enough to warm-restore
+even when the newest checkpoint file is torn and the loader falls back
+one frame.  Worker deaths leave a forensic bundle
 (JSON, via :func:`repro.obs.bundle.save_bundle`) next to the
 checkpoints.
 """
@@ -37,10 +40,8 @@ from __future__ import annotations
 
 import asyncio
 import tempfile
-import threading
 from collections import deque
 from multiprocessing import get_context
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Deque, List, Optional, Tuple
 
@@ -61,7 +62,8 @@ HALF_OPEN = "half_open"
 #: its ready handshake.  Start-up is not an observation, so the hang
 #: budget does not apply; this bound only catches a worker that is alive
 #: but wedged, far above any real start-up (about half a second).  A
-#: worker that dies during start-up fails at once, not after this wait.
+#: worker that dies during start-up fails at once (pipe EOF), not after
+#: this wait.
 READY_TIMEOUT_S = 60.0
 
 #: Admitted-but-unshipped observations tolerated while a shard is down
@@ -91,36 +93,38 @@ class Backpressure(ServeError):
     """
 
 
-
-
 #: One request waiting for, or sitting in, a worker's pipe: the message
-#: and the future its answer resolves (``None`` for a ping probe).
+#: and the future its answer resolves (``None`` for a ping probe, a
+#: replayed observation or the ready handshake).
 _Request = Tuple[dict, Optional[asyncio.Future]]
 
 _PING = {"op": "ping"}
 
+#: Sits in a fresh worker's pipe slot until its ready handshake arrives;
+#: never sent (the worker speaks first).
+_READY = {"op": "ready"}
+
 
 class _Shard:
-    """Mutable per-shard bookkeeping.
-
-    ``lock`` guards what the restore thread shares with the loop: the
-    breaker state, ordinals, outbox and counters.  ``conn``,
-    ``pending``, ``sent`` and ``timer`` belong to the loop thread.
-    """
+    """Mutable per-shard bookkeeping, all of it owned by the loop."""
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.lock = threading.Lock()
-        self.state = OPEN  # until start() brings the worker up
+        self.state = OPEN  # until the first worker is caught up
         self.epoch = 0
         self.ordinal = 0  # last admitted ordinal (1-based counter)
         self.inflight = 0
         self.trained = 0  # last trained count reported by the worker
+        #: While OPEN: the last ordinal the current worker holds (its
+        #: restored checkpoint, then each replayed entry).
+        self.held = 0
         self.probes_left = 0
-        self.outbox: Deque[Tuple[int, str, int, int]] = deque()
+        #: The observe messages admitted since one checkpoint interval
+        #: behind the worker's last reported checkpoint, oldest first.
+        self.outbox: Deque[dict] = deque()
         self.proc = None
-        #: The worker's pipe while the loop drives it; ``None`` while
-        #: the shard is down or its replacement is catching up.
+        #: The worker's pipe while the loop drives it; ``None`` from a
+        #: failure until the replacement is spawned.
         self.conn = None
         #: Requests waiting for the pipe, oldest first.
         self.pending: Deque[_Request] = deque()
@@ -166,21 +170,28 @@ class ShardSupervisor:
         self._shards = [_Shard(index) for index in range(config.shards)]
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Resolved once every first-incarnation worker is caught up.
+        self._started: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
-    # lifecycle (on the event-loop thread)
+    # lifecycle
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Spawn every shard worker and wait for its ready handshake."""
+    async def start(self) -> None:
+        """Spawn every shard worker, then await all ready handshakes.
+
+        Raises :class:`~repro.errors.ServeError` (after tearing the pool
+        down) if a worker dies or wedges during start-up.
+        """
         self._loop = asyncio.get_running_loop()
+        self._started = self._loop.create_future()
         for shard in self._shards:
-            proc, conn, restored = self._spawn(shard.index, epoch=0)
-            with shard.lock:
-                shard.proc = proc
-                shard.trained = restored
-                shard.state = CLOSED
-            self._attach(shard, proc, conn)
+            self._spawn(shard, epoch=0)
+        try:
+            await self._started
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self) -> None:
         """Tear the pool down (SIGKILL; state is in the checkpoints)."""
@@ -189,21 +200,22 @@ class ShardSupervisor:
             if shard.conn is not None:
                 self._detach(shard)
             self._fail_requests(shard, "service stopping")
-            with shard.lock:
-                proc = shard.proc
-            if proc is not None and proc.is_alive():
+            proc = shard.proc
+            if proc is None:
+                continue
+            self._loop.remove_reader(proc.sentinel)  # a pending reap
+            if proc.is_alive():
                 proc.kill()
-            if proc is not None:
-                proc.join(timeout=10)
+            proc.join(timeout=10)
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
 
-    def _spawn(self, index: int, epoch: int):
-        """Start one worker; returns ``(proc, conn, restored_trained)``."""
+    def _spawn(self, shard: _Shard, epoch: int) -> None:
+        """Start one worker and drive its pipe; its handshake comes next."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         actions = (
-            self.chaos.worker_actions(index)
+            self.chaos.worker_actions(shard.index)
             if epoch == 0
             else {"kill_at": (), "stall_at": {}}
         )
@@ -211,7 +223,7 @@ class ShardSupervisor:
             target=worker_main,
             args=(
                 child_conn,
-                index,
+                shard.index,
                 self.config,
                 str(self.checkpoint_dir),
                 epoch,
@@ -221,27 +233,17 @@ class ShardSupervisor:
         )
         proc.start()
         child_conn.close()
-        if not wait([parent_conn, proc.sentinel], READY_TIMEOUT_S):
-            proc.kill()
-            proc.join(timeout=10)
-            raise ServeError(
-                f"shard {index} worker (epoch {epoch}) never became ready "
-                f"within {READY_TIMEOUT_S:g}s"
-            )
-        try:
-            if not parent_conn.poll():
-                raise EOFError("worker exited without a handshake")
-            ready = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            proc.join(timeout=10)
-            raise ServeError(
-                f"shard {index} worker (epoch {epoch}) died during its "
-                f"ready handshake"
-            ) from exc
-        return proc, parent_conn, ready["trained"]
+        shard.proc = proc
+        shard.epoch = epoch
+        shard.conn = parent_conn
+        self._loop.add_reader(parent_conn.fileno(), self._on_readable, shard)
+        shard.sent = (_READY, None)
+        shard.timer = self._loop.call_later(
+            READY_TIMEOUT_S, self._fail_shard, shard
+        )
 
     # ------------------------------------------------------------------
-    # admission (called from the front-end's event loop thread)
+    # admission (called from the front-end's event loop)
     # ------------------------------------------------------------------
 
     def try_submit(
@@ -258,38 +260,29 @@ class ShardSupervisor:
         admitted.
         """
         shard = self._shards[index]
-        with shard.lock:
-            if len(shard.outbox) >= MAX_BACKLOG:
-                METRICS.inc("serve.shed.backlog")
-                raise Backpressure(f"shard {index} backlog full")
-            if shard.state == OPEN:
-                shard.ordinal += 1
-                shard.outbox.append((shard.ordinal, tenant, block, word))
-                METRICS.inc("serve.admit.buffered")
-                return shard.ordinal, None
-            full = shard.inflight >= self.config.queue_depth
-            if not full:
-                shard.ordinal += 1
-                ordinal = shard.ordinal
-                shard.outbox.append((ordinal, tenant, block, word))
-                shard.inflight += 1
-        if full:
+        if len(shard.outbox) >= MAX_BACKLOG:
+            METRICS.inc("serve.shed.backlog")
+            raise Backpressure(f"shard {index} backlog full")
+        if shard.state != OPEN and shard.inflight >= self.config.queue_depth:
             METRICS.inc("serve.shed.queue")
             self._drain(shard)
             raise Backpressure(f"shard {index} queue full")
+        shard.ordinal += 1
+        ordinal = shard.ordinal
+        message = {
+            "op": "observe",
+            "seq": ordinal,
+            "tenant": tenant,
+            "block": block,
+            "word": word,
+        }
+        shard.outbox.append(message)
+        if shard.state == OPEN:
+            METRICS.inc("serve.admit.buffered")
+            return ordinal, None
+        shard.inflight += 1
         future = self._loop.create_future()
-        shard.pending.append(
-            (
-                {
-                    "op": "observe",
-                    "seq": ordinal,
-                    "tenant": tenant,
-                    "block": block,
-                    "word": word,
-                },
-                future,
-            )
-        )
+        shard.pending.append((message, future))
         METRICS.inc("serve.admit.queued")
         self._send_next(shard)
         return ordinal, future
@@ -297,17 +290,6 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # the pipe, driven from the event loop
     # ------------------------------------------------------------------
-
-    def _attach(self, shard: _Shard, proc, conn) -> None:
-        """Start driving a ready worker's pipe from the loop."""
-        if self._stopping:
-            conn.close()
-            if proc.is_alive():
-                proc.kill()
-            return
-        shard.conn = conn
-        self._loop.add_reader(conn.fileno(), self._on_readable, shard)
-        self._send_next(shard)
 
     def _detach(self, shard: _Shard) -> None:
         """Stop driving the shard's pipe: no reader, no timer, closed."""
@@ -319,10 +301,20 @@ class ShardSupervisor:
         shard.conn = None
 
     def _send_next(self, shard: _Shard) -> None:
-        """Ship the oldest pending request if the pipe is free."""
-        if shard.sent is not None or shard.conn is None or not shard.pending:
+        """Ship the next request if the pipe is free.
+
+        While the shard is OPEN that is the outbox entry after the last
+        one its worker holds; once nothing is left to replay, the
+        oldest pending request.
+        """
+        if shard.sent is not None or shard.conn is None:
             return
-        shard.sent = shard.pending.popleft()
+        if shard.state == OPEN:
+            shard.sent = self._next_replay(shard)
+        if shard.sent is None:
+            if not shard.pending:
+                return
+            shard.sent = shard.pending.popleft()
         try:
             shard.conn.send(shard.sent[0])
         except OSError:
@@ -352,16 +344,25 @@ class ShardSupervisor:
             return
         shard.timer.cancel()
         shard.timer = None
-        _message, future = shard.sent
+        message, future = shard.sent
         shard.sent = None
-        with shard.lock:
-            if response.get("mem") is not None:
-                shard.mem = response["mem"]
-            if future is not None:
-                shard.inflight -= 1
-                shard.trained = response["trained"]
+        if response.get("mem") is not None:
+            shard.mem = response["mem"]
+        if shard.state == OPEN:
+            # Catching up: the ready handshake, or a replayed entry.
+            if message is _READY:
+                self._on_ready(shard, response["trained"])
+            else:
+                shard.held = message["seq"]
+                METRICS.inc("serve.restore.replayed")
                 self._trim_outbox(shard, response["ckpt"])
-            self._count_probe(shard)
+            self._send_next(shard)
+            return
+        if future is not None:
+            shard.inflight -= 1
+            shard.trained = response["trained"]
+            self._trim_outbox(shard, response["ckpt"])
+        self._count_probe(shard)
         self._send_next(shard)
         if future is None:
             return
@@ -372,18 +373,46 @@ class ShardSupervisor:
         else:
             future.set_result(response)
 
-    def _roundtrip(self, conn, payload: dict) -> Optional[dict]:
-        """One blocking send/recv (restore thread); ``None`` = dead or hung."""
-        try:
-            conn.send(payload)
-            if not conn.poll(self._budget.wall_clock_s):
-                return None  # hang budget blown
-            return conn.recv()
-        except (EOFError, OSError, BrokenPipeError):
-            return None
+    def _on_ready(self, shard: _Shard, restored: int) -> None:
+        """A worker's handshake: it holds ordinals up to ``restored``."""
+        shard.held = restored
+        if shard.epoch == 0:
+            return
+        shard.restores += 1
+        METRICS.inc("serve.restore.count")
+        if shard.outbox and restored < shard.outbox[0]["seq"] - 1:
+            # The outbox does not reach back to the restored
+            # checkpoint: observations in the gap are lost learning
+            # (documented degraded mode -- see docs/serving.md).
+            METRICS.inc("serve.restore.gap")
+
+    def _next_replay(self, shard: _Shard) -> Optional[_Request]:
+        """The next outbox entry the worker lacks, or ``None`` once caught up.
+
+        Outbox ordinals are contiguous, so the entry after ``held`` is
+        found by index.  Catching up makes the shard HALF_OPEN (CLOSED
+        for a first incarnation, which has nothing to prove).
+        """
+        outbox = shard.outbox
+        if outbox:
+            index = max(shard.held + 1 - outbox[0]["seq"], 0)
+            if index < len(outbox):
+                return outbox[index], None
+        shard.trained = shard.held
+        if shard.epoch == 0:
+            shard.state = CLOSED
+            if not self._started.done() and all(
+                other.state != OPEN for other in self._shards
+            ):
+                self._started.set_result(None)
+        else:
+            shard.state = HALF_OPEN
+            shard.probes_left = PROBE_REQUESTS
+            METRICS.inc("serve.breaker.half_open")
+        return None
 
     def _count_probe(self, shard: _Shard) -> None:
-        """One successful round trip while HALF_OPEN; caller holds lock."""
+        """One successful round trip while HALF_OPEN."""
         if shard.state != HALF_OPEN:
             return
         shard.probes_left -= 1
@@ -402,9 +431,7 @@ class ShardSupervisor:
         half of "probing before re-admission".
         """
         for shard in self._shards:
-            with shard.lock:
-                half_open = shard.state == HALF_OPEN
-            if half_open and not shard.pending:
+            if shard.state == HALF_OPEN and not shard.pending:
                 shard.pending.append((_PING, None))
                 METRICS.inc("serve.probe.sent")
                 self._send_next(shard)
@@ -415,11 +442,11 @@ class ShardSupervisor:
         Retention reaches one full checkpoint interval *behind* the
         worker's last reported checkpoint: if that newest frame is torn,
         the loader falls back one frame (``KEEP_CHECKPOINTS == 2``) and
-        replay must cover the gap.  Caller holds ``shard.lock``.
+        replay must cover the gap.
         """
         horizon = reported_ckpt - self.config.checkpoint_every
         outbox = shard.outbox
-        while outbox and outbox[0][0] <= horizon:
+        while outbox and outbox[0]["seq"] <= horizon:
             outbox.popleft()
 
     # ------------------------------------------------------------------
@@ -446,128 +473,72 @@ class ShardSupervisor:
         return failed
 
     def _fail_shard(self, shard: _Shard) -> None:
-        """The worker died or hung: open the breaker, then restore.
+        """The worker died or hung: SIGKILL it, then restore.
 
-        Runs on the loop thread (pipe EOF, a failed send, or an expired
-        hang timer); the restore thread does the slow part -- reaping
-        the dead worker and spawning its replacement.
+        Runs on pipe EOF, a failed send, or an expired hang or ready
+        timer.  A serving worker's death opens the breaker; a worker
+        that had not caught up yet fails start-up (first incarnation)
+        or is simply replaced again.  Either way the loop reaps the
+        worker once its sentinel fires.
         """
         if shard.conn is None:
             return  # already failed
         self._detach(shard)
+        proc = shard.proc
+        proc.kill()
         epoch = shard.epoch
         reason = f"shard {shard.index} worker (epoch {epoch}) down or hung"
         failed = self._fail_requests(shard, reason)
-        with shard.lock:
+        forensics = None
+        if shard.state != OPEN:
             shard.state = OPEN
             shard.breaker_opened += 1
             shard.inflight -= failed
-            proc = shard.proc
-            trained = shard.trained
-            outbox_depth = len(shard.outbox)
-        METRICS.inc("serve.breaker.opened")
-        if OBS.proto:
-            OBS.emit(0, "serve", "breaker_open", shard.index, 0,
-                     {"epoch": epoch, "trained": trained})
-        forensics = {
-            "kind": "serve-worker-forensics",
-            "shard": shard.index,
-            "epoch": epoch,
-            "reason": reason,
-            "trained_reported": trained,
-            "outbox_depth": outbox_depth,
-            "budget": {"wall_clock_s": self._budget.wall_clock_s},
-        }
-        threading.Thread(
-            target=self._restore,
-            args=(shard, proc, forensics),
-            name=f"serve-restore-{shard.index}",
-            daemon=True,
-        ).start()
-
-    def _restore(self, shard: _Shard, dead, forensics: dict) -> None:
-        """Bring a dead shard back: reap, spawn, warm-restore, replay."""
-        if dead.is_alive():
-            dead.kill()
-        dead.join(timeout=10)
-        epoch = forensics["epoch"]
-        save_bundle(
-            {**forensics, "exitcode": dead.exitcode},
-            self.checkpoint_dir
-            / f"forensics-shard{shard.index:02d}-epoch{epoch}.json",
-        )
-        while not self._stopping:
-            epoch = shard.epoch + 1
-            try:
-                proc, conn, restored = self._spawn(shard.index, epoch)
-            except ServeError:
-                METRICS.inc("serve.restore.spawn_failed")
-                continue
-            with shard.lock:
-                shard.epoch = epoch
-                shard.restores += 1
-                oldest = shard.outbox[0][0] if shard.outbox else None
-            METRICS.inc("serve.restore.count")
-            if oldest is not None and restored < oldest - 1:
-                # The outbox does not reach back to the restored
-                # checkpoint: observations in the gap are lost learning
-                # (documented degraded mode -- see docs/serving.md).
-                METRICS.inc("serve.restore.gap")
-            if self._replay(shard, proc, conn, restored):
-                # Caught up and HALF_OPEN: admissions from here on wait
-                # in the pending queue until the loop takes the pipe.
-                try:
-                    self._loop.call_soon_threadsafe(
-                        self._attach, shard, proc, conn
+            METRICS.inc("serve.breaker.opened")
+            if OBS.proto:
+                OBS.emit(0, "serve", "breaker_open", shard.index, 0,
+                         {"epoch": epoch, "trained": shard.trained})
+            forensics = {
+                "kind": "serve-worker-forensics",
+                "shard": shard.index,
+                "epoch": epoch,
+                "reason": reason,
+                "trained_reported": shard.trained,
+                "outbox_depth": len(shard.outbox),
+                "budget": {"wall_clock_s": self._budget.wall_clock_s},
+            }
+        elif epoch == 0:
+            if not self._started.done():
+                self._started.set_exception(
+                    ServeError(
+                        f"shard {shard.index} worker (epoch 0) died or "
+                        f"hung before its ready handshake"
                     )
-                except RuntimeError:  # the loop is closed: service gone
-                    conn.close()
-                    proc.kill()
-                return
-            conn.close()
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=10)
-
-    def _replay(self, shard: _Shard, proc, conn, replayed: int) -> bool:
-        """Replay the outbox tail into a restored worker (restore thread).
-
-        ``True`` once the worker has caught up with every admission; the
-        shard is then HALF_OPEN.  ``False`` if the worker died or hung,
-        or the service is stopping.
-        """
-        while True:
-            with shard.lock:
-                if self._stopping:
-                    return False
-                pending = [
-                    entry for entry in shard.outbox if entry[0] > replayed
-                ]
-                if not pending:
-                    shard.proc = proc
-                    shard.trained = replayed
-                    shard.state = HALF_OPEN
-                    shard.probes_left = PROBE_REQUESTS
-                    METRICS.inc("serve.breaker.half_open")
-                    return True
-            for ordinal, tenant, block, word in pending:
-                response = self._roundtrip(
-                    conn,
-                    {
-                        "op": "observe",
-                        "seq": ordinal,
-                        "tenant": tenant,
-                        "block": block,
-                        "word": word,
-                        "replay": True,
-                    },
                 )
-                if response is None:
-                    return False
-                replayed = ordinal
-                METRICS.inc("serve.restore.replayed")
-                with shard.lock:
-                    self._trim_outbox(shard, response["ckpt"])
+            return  # start() tears the pool down
+        else:
+            METRICS.inc("serve.restore.spawn_failed")
+        self._loop.add_reader(
+            proc.sentinel, self._restore, shard, proc, forensics
+        )
+
+    def _restore(self, shard: _Shard, dead, forensics: Optional[dict]) -> None:
+        """The dead worker's sentinel fired: reap it, spawn its successor.
+
+        ``forensics`` is the bundle of a serving worker's death; a
+        replacement that failed before catching up leaves none.
+        """
+        self._loop.remove_reader(dead.sentinel)
+        dead.join()
+        if forensics is not None:
+            save_bundle(
+                {**forensics, "exitcode": dead.exitcode},
+                self.checkpoint_dir
+                / f"forensics-shard{shard.index:02d}"
+                f"-epoch{forensics['epoch']}.json",
+            )
+        if not self._stopping:
+            self._spawn(shard, shard.epoch + 1)
 
     # ------------------------------------------------------------------
     # introspection
@@ -575,22 +546,19 @@ class ShardSupervisor:
 
     def stats(self) -> List[dict]:
         """Per-shard state for the ``stat`` control operation."""
-        report = []
-        for shard in self._shards:
-            with shard.lock:
-                report.append(
-                    {
-                        "shard": shard.index,
-                        "state": shard.state,
-                        "epoch": shard.epoch,
-                        "admitted": shard.ordinal,
-                        "trained": shard.trained,
-                        "inflight": shard.inflight,
-                        "outbox": len(shard.outbox),
-                        "restores": shard.restores,
-                        "breaker_opened": shard.breaker_opened,
-                        "breaker_closed": shard.breaker_closed,
-                        "memory": shard.mem,
-                    }
-                )
-        return report
+        return [
+            {
+                "shard": shard.index,
+                "state": shard.state,
+                "epoch": shard.epoch,
+                "admitted": shard.ordinal,
+                "trained": shard.trained,
+                "inflight": shard.inflight,
+                "outbox": len(shard.outbox),
+                "restores": shard.restores,
+                "breaker_opened": shard.breaker_opened,
+                "breaker_closed": shard.breaker_closed,
+                "memory": shard.mem,
+            }
+            for shard in self._shards
+        ]

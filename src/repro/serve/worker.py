@@ -8,6 +8,13 @@ checkpoint, respond.  The pipe is FIFO, so the shard's training order
 *is* its admission order -- the property every recovery guarantee in
 this package leans on.
 
+The pipe protocol is small.  Once warm-restored, the worker speaks
+first: ``{"op": "ready", "trained": N}``.  After that every request is
+an ``observe`` (answered ``observed``; an outbox replay after a restore
+is an ordinary observation) or a ``ping`` (answered ``pong``).  There
+is no stop message: the supervisor ends a worker with SIGKILL, and its
+state is in the checkpoints.
+
 Determinism around crashes comes from careful sequencing per
 observation: **train, stall (chaos), checkpoint, respond, die
 (chaos)**.  A scripted kill fires only after the response for its
@@ -50,11 +57,11 @@ def worker_main(
     ``conn`` is the child end of a duplex pipe.  The worker first warm-
     restores from the newest valid shard checkpoint, then announces
     ``{"op": "ready", "trained": N}`` so the supervisor knows where
-    outbox replay must start, then serves observations until the pipe
-    closes or a ``stop`` arrives.
+    outbox replay must start, then serves observations and pings until
+    the pipe closes (the supervisor ends a worker with SIGKILL).
     """
     # Workers must not inherit the parent's interrupt handling: the
-    # supervisor owns worker lifetime (stop message or SIGKILL).
+    # supervisor owns worker lifetime (SIGKILL).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     METRICS.reset()
     random.seed(derive_seed("serve-shard", str(shard), None, config.seed))
@@ -83,17 +90,13 @@ def worker_main(
     kill_at = set(chaos.get("kill_at", ())) if epoch == 0 else set()
     stall_at = dict(chaos.get("stall_at", {})) if epoch == 0 else {}
 
-    conn.send({"op": "ready", "shard": shard, "trained": trained})
+    conn.send({"op": "ready", "trained": trained})
     while True:
         try:
             request = conn.recv()
         except (EOFError, OSError):
             return
-        op = request.get("op")
-        if op == "stop":
-            conn.send({"op": "stopped", "trained": trained})
-            return
-        if op == "ping":
+        if request["op"] == "ping":
             conn.send(
                 {
                     "op": "pong",
@@ -130,7 +133,6 @@ def worker_main(
             "predicted": predicted,
             "trained": trained,
             "ckpt": last_checkpoint,
-            "replay": bool(request.get("replay")),
         }
         if evicting:
             response["evicting"] = True

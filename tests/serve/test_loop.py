@@ -9,6 +9,7 @@ fixed number of event-loop iterations.
 
 import asyncio
 import cProfile
+import logging
 import pstats
 import time
 
@@ -20,7 +21,7 @@ from repro.serve.frontend import PredictionService
 from repro.serve.hashring import HashRing
 from repro.serve.protocol import Status
 
-from .common import synthetic_events
+from .common import synthetic_events, wait_all_closed
 
 MTYPE = int(MessageType.GET_RO_RESPONSE)
 TENANT = "n0.cache"
@@ -98,6 +99,51 @@ def test_a_stalled_worker_never_holds_up_the_other_shard(tmp_path):
         assert late.degraded
 
     asyncio.run(main())
+
+
+#: The longest a loop callback may run in debug mode before asyncio
+#: logs it; a worker's start-up (imports, warm restore) takes several
+#: times this, so waiting for one on the loop cannot pass unnoticed.
+SLOW_CALLBACK_S = 0.1
+
+
+def test_nothing_blocks_the_loop_through_start_kill_and_restore(
+    tmp_path, caplog
+):
+    async def main():
+        asyncio.get_running_loop().slow_callback_duration = SLOW_CALLBACK_S
+        chaos = ChaosScript.parse("kill:shard=0,at=5")
+        service = PredictionService(
+            ServeConfig(shards=1), chaos=chaos, checkpoint_dir=tmp_path
+        )
+        await service.start()
+        try:
+            async with ServeClient(
+                "127.0.0.1", service.port, "unblocked"
+            ) as client:
+                degraded = 0
+                for index in range(10):
+                    response = await client.observe(
+                        TENANT, 64 * index, 0, MTYPE
+                    )
+                    assert response.status == Status.OK
+                    degraded += bool(response.degraded)
+                assert await wait_all_closed(client)
+                shard = (await client.stat())["shards"][0]
+        finally:
+            await service.stop()
+        assert degraded >= 1
+        assert shard["restores"] == 1
+        assert shard["trained"] == shard["admitted"] == 10
+
+    caplog.set_level(logging.WARNING, logger="asyncio")
+    asyncio.run(main(), debug=True)
+    slow = [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and "took" in record.getMessage()
+    ]
+    assert not slow, slow
 
 
 #: Closed-loop observations measured under the profiler, after warm-up.

@@ -66,6 +66,46 @@ def test_retransmitted_sequence_is_answered_from_cache():
     asyncio.run(main())
 
 
+def test_retransmission_of_an_in_flight_sequence_trains_once(tmp_path):
+    async def main():
+        METRICS.reset()
+        # The worker sits 300 ms on the first observation, well inside
+        # the service deadline, while each client attempt gives up after
+        # 100 ms: the retransmissions arrive while the first attempt is
+        # still waiting on the worker.
+        chaos = ChaosScript.parse("stall:shard=0,at=1,ms=300")
+        config = ServeConfig(
+            shards=1, deadline_ms=2_000.0, hang_timeout_ms=5_000.0
+        )
+        service = PredictionService(
+            config, chaos=chaos, checkpoint_dir=tmp_path
+        )
+        await service.start()
+        try:
+            async with ServeClient(
+                "127.0.0.1",
+                service.port,
+                "impatient",
+                RetryPolicy(attempt_timeout_ms=100.0),
+            ) as client:
+                response = await client.observe(
+                    "n0.cache", 64, 0, int(MessageType.GET_RO_RESPONSE)
+                )
+                shard = (await client.stat())["shards"][0]
+        finally:
+            await service.stop()
+        assert METRICS.counter("serve.client.timeout") >= 1
+        assert response.status == Status.OK
+        assert not response.degraded
+        assert response.index == 1
+        # One observation, admitted and trained once however often it
+        # was sent.
+        assert shard["admitted"] == shard["trained"] == 1
+        assert METRICS.counter("serve.dedupe.hit") >= 1
+
+    asyncio.run(main())
+
+
 async def _raw_observe(port, client, seq):
     """One attempt with no retry loop, so RETRY_AFTER is visible."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)

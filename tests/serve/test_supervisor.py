@@ -10,7 +10,11 @@ state, not an approximation of it.
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 
+from repro.core.tuples import pack
 from repro.protocol.messages import MessageType
 from repro.serve.chaos import ChaosScript
 from repro.serve.client import ServeClient
@@ -24,8 +28,9 @@ from repro.serve.loadgen import (
 )
 from repro.serve.protocol import Status
 from repro.serve.supervisor import PROBE_REQUESTS
+from repro.sim.metrics import METRICS
 
-from .common import synthetic_events
+from .common import synthetic_events, wait_all_closed
 
 KILL_AT = 30
 
@@ -224,3 +229,72 @@ def test_start_up_is_not_bounded_by_the_hang_budget(tmp_path):
             await service.stop()
 
     asyncio.run(main())
+
+
+async def _kill_new_child(known_pids):
+    """SIGKILL the first worker process not in ``known_pids``."""
+    for _ in range(5_000):
+        for child in multiprocessing.active_children():
+            if child.pid not in known_pids:
+                os.kill(child.pid, signal.SIGKILL)
+                return child.pid
+        await asyncio.sleep(0.002)
+    raise AssertionError("no replacement worker was spawned")
+
+
+def test_a_replacement_that_dies_before_its_handshake_is_replaced(tmp_path):
+    async def main():
+        METRICS.reset()
+        events = synthetic_events(60, seed=7)
+        chaos = ChaosScript.parse("kill:shard=0,at=10")
+        config = ServeConfig(shards=1, checkpoint_every=8, seed=7)
+        service = PredictionService(
+            config, chaos=chaos, checkpoint_dir=tmp_path
+        )
+        await service.start()
+        first_workers = {
+            child.pid for child in multiprocessing.active_children()
+        }
+        results = []
+        killed = None
+        try:
+            async with ServeClient(
+                "127.0.0.1", service.port, "respawn"
+            ) as client:
+                for event in events:
+                    response = await client.observe(
+                        tenant_of(event),
+                        event.block,
+                        event.sender,
+                        int(event.mtype),
+                    )
+                    results.append(
+                        ObservationResult(
+                            tenant=tenant_of(event),
+                            block=event.block,
+                            word=pack((event.sender, event.mtype)),
+                            shard=response.shard,
+                            index=response.index,
+                            degraded=response.degraded,
+                            predicted=response.predicted,
+                        )
+                    )
+                    if response.degraded and killed is None:
+                        # The scripted kill fired: the replacement is
+                        # still importing, far from its handshake.
+                        killed = await _kill_new_child(first_workers)
+                assert await wait_all_closed(client)
+                shard = (await client.stat())["shards"][0]
+        finally:
+            await service.stop()
+        return results, shard, killed
+
+    results, shard, killed = asyncio.run(main())
+    assert killed is not None
+    assert METRICS.counter("serve.restore.spawn_failed") == 1
+    assert shard["state"] == "closed"
+    assert shard["trained"] == shard["admitted"] == 60
+    _checked, wrong = verify_predictions(results)
+    assert wrong == 0
+    # Only the serving worker's death leaves a bundle.
+    assert len(list(tmp_path.glob("forensics-*.json"))) == 1
