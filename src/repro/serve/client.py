@@ -15,10 +15,12 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import ServeError
 from ..sim.metrics import METRICS
-from .protocol import Request, Response, Status, decode_response
+from .protocol import LineFramer, Request, Response, Status, decode_response
+from .timer import LazyTimer
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,69 @@ class RetryPolicy:
         return min(self.max_delay_ms, current_ms * self.backoff)
 
 
+class _Connection(LineFramer):
+    """The client's end of one connection: one awaited line at a time.
+
+    The attempt deadline fails the read waiter itself, through one
+    lazily re-armed loop timer per connection; losing the connection
+    fails it with :class:`ConnectionResetError`.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        super().__init__()
+        self._loop = loop
+        self._waiter: Optional[asyncio.Future] = None
+        self._lost: Optional[BaseException] = None
+        self._deadline = LazyTimer(loop, self._expire)
+        #: Resolved once the transport is gone.
+        self.closed = loop.create_future()
+
+    def inbox_updated(self) -> None:
+        waiter = self._waiter
+        if waiter is not None:
+            line = self.take_line()
+            if line is not None:
+                self._waiter = None
+                self._deadline.disarm()
+                if not waiter.done():
+                    waiter.set_result(line)
+
+    def eof_received(self) -> None:
+        self._gone(ConnectionResetError("service closed the connection"))
+
+    def connection_lost(self, exc) -> None:
+        self._gone(
+            exc or ConnectionResetError("service closed the connection")
+        )
+        self._deadline.cancel()
+        self.transport = None
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def _gone(self, exc: BaseException) -> None:
+        if self._lost is None:
+            self._lost = exc
+        self._fail(self._lost)
+
+    def _expire(self) -> None:
+        self._fail(asyncio.TimeoutError())
+
+    def _fail(self, exc: BaseException) -> None:
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(exc)
+
+    def expect_line(self, timeout_s: float) -> asyncio.Future:
+        """A future for the next line, failed after ``timeout_s``."""
+        waiter = self._waiter = self._loop.create_future()
+        if self._lost is not None:
+            self._fail(self._lost)
+        else:
+            self._deadline.arm(self._loop.time() + timeout_s)
+            self.inbox_updated()
+        return waiter
+
+
 class ServeClient:
     """One connection to the service, with retry and idempotency."""
 
@@ -54,8 +119,7 @@ class ServeClient:
         self.client_id = client_id
         self.policy = policy
         self._seq = 0
-        self._reader = None
-        self._writer = None
+        self._connection: Optional[_Connection] = None
 
     async def __aenter__(self) -> "ServeClient":
         await self.connect()
@@ -65,66 +129,41 @@ class ServeClient:
         await self.close()
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        loop = asyncio.get_running_loop()
+        _transport, self._connection = await loop.create_connection(
+            lambda: _Connection(loop), self.host, self.port
         )
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._writer = None
-            self._reader = None
-
-    async def _roundtrip(self, payload: bytes, slow_read_s: float = 0.0):
-        """One attempt: write, (optionally dawdle), read one line."""
-        if self._writer is None:
-            await self.connect()
-        self._writer.write(payload)
-        await self._writer.drain()
-        if slow_read_s:
-            # Scripted slow-client behaviour (chaos `slow` action): the
-            # response sits in the kernel buffer while we dawdle.
-            await asyncio.sleep(slow_read_s)
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionResetError("service closed the connection")
-        return line
+        connection, self._connection = self._connection, None
+        if connection is not None and connection.transport is not None:
+            connection.transport.close()
+            await connection.closed
 
     async def _attempt(self, payload: bytes, slow_read_s: float = 0.0):
-        """One round trip, bounded by the policy's attempt deadline.
+        """One round trip: write, (optionally dawdle), read one line.
 
-        A loop timer cancels the calling task at the deadline, and only
-        that cancellation turns into :class:`asyncio.TimeoutError`.
-        (``asyncio.wait_for`` runs each attempt in a Task of its own
-        before Python 3.12; ``asyncio.timeout`` is 3.11+.)
+        The policy's attempt deadline fails the read with
+        :class:`asyncio.TimeoutError`; one that passes during a scripted
+        dawdle surfaces when the dawdle ends.
         """
-        task = asyncio.current_task()
-        expired = False
-
-        def expire() -> None:
-            nonlocal expired
-            expired = True
-            task.cancel()
-
-        timer = asyncio.get_running_loop().call_later(
-            self.policy.attempt_timeout_ms / 1_000.0, expire
+        if self._connection is None:
+            await self.connect()
+        connection = self._connection
+        waiter = connection.expect_line(
+            self.policy.attempt_timeout_ms / 1_000.0
         )
         try:
-            return await self._roundtrip(payload, slow_read_s)
-        except asyncio.CancelledError:
-            if not expired:
-                raise
-            # 3.11+ counts cancellations: consume ours, and stay
-            # cancelled if someone else cancelled the task as well.
-            if hasattr(task, "uncancel") and task.uncancel() > 0:
-                raise
-            raise asyncio.TimeoutError() from None
+            if connection.transport is not None:
+                connection.transport.write(payload)
+            if slow_read_s:
+                # Scripted slow-client behaviour (chaos `slow` action):
+                # the response waits while we dawdle.
+                await asyncio.sleep(slow_read_s)
+            return await waiter
         finally:
-            timer.cancel()
+            if not waiter.done():
+                waiter.cancel()  # an outside cancellation
 
     async def observe(
         self,
@@ -162,14 +201,14 @@ class ServeClient:
                 # cache if so -- never trained twice.
                 METRICS.inc("serve.client.timeout")
                 last_error = "attempt deadline exceeded"
-                await self._reset()
+                await self.close()
                 await asyncio.sleep(delay_ms / 1_000.0)
                 delay_ms = self.policy.next_delay(delay_ms)
                 continue
             except (ConnectionResetError, BrokenPipeError, OSError):
                 METRICS.inc("serve.client.reconnect")
                 last_error = "connection lost"
-                await self._reset()
+                await self.close()
                 await asyncio.sleep(delay_ms / 1_000.0)
                 delay_ms = self.policy.next_delay(delay_ms)
                 continue
@@ -191,10 +230,3 @@ class ServeClient:
         """The service's per-shard state (circuit breakers, counters)."""
         line = await self._attempt(b'{"op":"stat"}\n')
         return json.loads(line.decode("utf-8"))
-
-    async def _reset(self) -> None:
-        try:
-            await self.close()
-        except OSError:
-            self._writer = None
-            self._reader = None

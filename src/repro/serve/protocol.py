@@ -17,12 +17,17 @@ JSON lines rather than pickles: the protocol crosses a trust boundary
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..errors import ServeError
 from ..protocol.messages import MessageType
+
+#: The longest line either end accepts, excluding its newline: asyncio
+#: streams' default limit.
+MAX_LINE = 64 * 1024
 
 
 class Status:
@@ -46,20 +51,20 @@ class Request:
     mtype: int
 
     def encode(self) -> bytes:
+        # The schema is fixed, so only the two strings go through
+        # ``json.dumps``; the line is byte-identical to dumping the
+        # whole dict with ``separators=(",", ":")``.
         return (
-            json.dumps(
-                {
-                    "op": "observe",
-                    "client": self.client,
-                    "seq": self.seq,
-                    "tenant": self.tenant,
-                    "block": self.block,
-                    "sender": self.sender,
-                    "mtype": self.mtype,
-                },
-                separators=(",", ":"),
+            '{"op":"observe","client":%s,"seq":%d,"tenant":%s,"block":%d,'
+            '"sender":%d,"mtype":%d}\n'
+            % (
+                json.dumps(self.client),
+                self.seq,
+                json.dumps(self.tenant),
+                self.block,
+                self.sender,
+                self.mtype,
             )
-            + "\n"
         ).encode("utf-8")
 
 
@@ -94,21 +99,30 @@ class Response:
         return tuple_of_word(self.predicted)
 
     def encode(self) -> bytes:
-        record = {
-            "seq": self.seq,
-            "status": self.status,
-            "predicted": self.predicted,
-            "degraded": self.degraded,
-            "shard": self.shard,
-            "index": self.index,
-        }
-        if self.status == Status.RETRY_AFTER:
-            record["retry_after_ms"] = self.retry_after_ms
-        if self.error is not None:
-            record["error"] = self.error
-        return (json.dumps(record, separators=(",", ":")) + "\n").encode(
-            "utf-8"
+        # Written like Request.encode: byte-identical to dumping the
+        # record dict, ``json.dumps`` only where a string needs escaping.
+        degraded = self.degraded
+        line = (
+            '{"seq":%d,"status":%s,"predicted":%d,"degraded":%s,'
+            '"shard":%d,"index":%d'
+            % (
+                self.seq,
+                json.dumps(self.status),
+                self.predicted,
+                "false"
+                if degraded is False
+                else "true"
+                if degraded is True
+                else json.dumps(degraded),
+                self.shard,
+                self.index,
+            )
         )
+        if self.status == Status.RETRY_AFTER:
+            line += ',"retry_after_ms":' + json.dumps(self.retry_after_ms)
+        if self.error is not None:
+            line += ',"error":' + json.dumps(self.error)
+        return (line + "}\n").encode("utf-8")
 
 
 def decode_request(line: bytes) -> dict:
@@ -171,3 +185,65 @@ def decode_response(line: bytes) -> Response:
         retry_after_ms=record.get("retry_after_ms", 0.0),
         error=record.get("error"),
     )
+
+
+class LineFramer(asyncio.BufferedProtocol):
+    """Newline framing for one connection, read into one reusable buffer.
+
+    A ``BufferedProtocol`` picks the size of each socket read.  A plain
+    ``Protocol`` makes asyncio's selector transport ``recv`` 256 KiB per
+    read, and in a fresh process each such allocation is an ``mmap``,
+    which makes a loopback round trip several times slower (see
+    ``docs/performance.md``).
+
+    Received bytes collect in an inbox; subclasses react in
+    :meth:`inbox_updated` and pull whole lines with :meth:`take_line`,
+    so a line can wait in the inbox until its reader is ready for it.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = memoryview(bytearray(MAX_LINE))
+        self._inbox = bytearray()
+        #: Inbox bytes already searched for a newline.
+        self._scanned = 0
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._inbox += self._buffer[:nbytes]
+        self.inbox_updated()
+
+    def inbox_updated(self) -> None:
+        """Bytes were added to the inbox."""
+
+    def buffered(self) -> int:
+        """Bytes received but not yet taken as lines."""
+        return len(self._inbox)
+
+    def take_line(self, final: bool = False) -> Optional[bytes]:
+        """The next whole line, newline included, or ``None``.
+
+        With ``final`` (the peer sent EOF) an unterminated tail counts
+        as the last line.  Raises :class:`~repro.errors.ServeError` for
+        a line over :data:`MAX_LINE` bytes.
+        """
+        inbox = self._inbox
+        end = inbox.find(b"\n", self._scanned)
+        if end < 0:
+            if len(inbox) > MAX_LINE:
+                raise ServeError(f"line over {MAX_LINE} bytes")
+            if not (final and inbox):
+                self._scanned = len(inbox)
+                return None
+            end = len(inbox) - 1
+        elif end > MAX_LINE:
+            raise ServeError(f"line over {MAX_LINE} bytes")
+        line = bytes(inbox[: end + 1])
+        del inbox[: end + 1]
+        self._scanned = 0
+        return line

@@ -6,21 +6,21 @@ worker's whole life: its ready handshake, the replay that catches a
 replacement up, observations and pings.  Per shard it keeps a FIFO of
 admitted requests and lets at most one of them sit in the pipe: the
 loop sends it, a reader callback on the pipe (``loop.add_reader``)
-takes the answer and sends the next.  The pipe then never holds more
-than one small message, so a send on the loop cannot block, and the
-FIFO order *is* the shard's training order.  Each shard also has a
-circuit breaker:
+takes the answer, sends the next, and only then hands the answer to
+the request's callback.  The pipe then never holds more than one small
+message, so a send on the loop cannot block, and the FIFO order *is*
+the shard's training order.  Each shard also has a circuit breaker:
 
 * **CLOSED** -- healthy; observations flow through the bounded queue.
 * **OPEN** -- the worker crashed (pipe EOF) or blew its hang budget
-  (a :class:`~repro.sim.watchdog.WatchdogConfig` wall-clock budget,
-  armed as one loop timer per request in the pipe) and was
-  SIGKILLed.  Admissions are recorded in the shard's outbox but
-  answered degraded by the front-end.  Once the loop sees the dead
-  worker's sentinel it reaps it and spawns a replacement, which warm-
-  restores from the newest valid checkpoint; the pipe then replays the
-  outbox tail into it, one entry at a time, so no admitted learning is
-  lost.
+  (a :class:`~repro.sim.watchdog.WatchdogConfig` wall-clock budget
+  for the request in the pipe, kept by one lazily re-armed loop timer
+  per shard) and was SIGKILLed.  Admissions are recorded in the
+  shard's outbox but answered degraded by the front-end.  Once the
+  loop sees the dead worker's sentinel it reaps it and spawns a
+  replacement, which warm-restores from the newest valid checkpoint;
+  the pipe then replays the outbox tail into it, one entry at a time,
+  so no admitted learning is lost.
 * **HALF_OPEN** -- the restored worker is caught up; the next
   :data:`PROBE_REQUESTS` successful round trips (real observations, or
   ping probes enqueued by :meth:`ShardSupervisor.probe_half_open`
@@ -43,7 +43,7 @@ import tempfile
 from collections import deque
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import ServeError
 from ..obs.bundle import save_bundle
@@ -52,6 +52,7 @@ from ..sim.metrics import METRICS
 from ..sim.watchdog import WatchdogConfig
 from .chaos import ChaosScript
 from .config import ServeConfig
+from .timer import LazyTimer
 from .worker import worker_main
 
 CLOSED = "closed"
@@ -93,10 +94,14 @@ class Backpressure(ServeError):
     """
 
 
+#: Receives an admitted observation's outcome: the worker's response
+#: dict, or the :class:`WorkerDown` that lost it.
+Callback = Callable[[object], None]
+
 #: One request waiting for, or sitting in, a worker's pipe: the message
-#: and the future its answer resolves (``None`` for a ping probe, a
+#: and the callback its answer goes to (``None`` for a ping probe, a
 #: replayed observation or the ready handshake).
-_Request = Tuple[dict, Optional[asyncio.Future]]
+_Request = Tuple[dict, Optional[Callback]]
 
 _PING = {"op": "ping"}
 
@@ -128,9 +133,10 @@ class _Shard:
         self.conn = None
         #: Requests waiting for the pipe, oldest first.
         self.pending: Deque[_Request] = deque()
-        #: The one request in the pipe, and its hang-budget timer.
+        #: The one request in the pipe, and the timer that enforces its
+        #: hang budget (or the ready timeout); set by ``start``.
         self.sent: Optional[_Request] = None
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.hang: Optional[LazyTimer] = None
         self.restores = 0
         self.breaker_opened = 0
         self.breaker_closed = 0
@@ -186,6 +192,7 @@ class ShardSupervisor:
         self._loop = asyncio.get_running_loop()
         self._started = self._loop.create_future()
         for shard in self._shards:
+            shard.hang = LazyTimer(self._loop, self._fail_shard, shard)
             self._spawn(shard, epoch=0)
         try:
             await self._started
@@ -199,7 +206,7 @@ class ShardSupervisor:
         for shard in self._shards:
             if shard.conn is not None:
                 self._detach(shard)
-            self._fail_requests(shard, "service stopping")
+            self._fail(self._take_requests(shard), "service stopping")
             proc = shard.proc
             if proc is None:
                 continue
@@ -238,26 +245,25 @@ class ShardSupervisor:
         shard.conn = parent_conn
         self._loop.add_reader(parent_conn.fileno(), self._on_readable, shard)
         shard.sent = (_READY, None)
-        shard.timer = self._loop.call_later(
-            READY_TIMEOUT_S, self._fail_shard, shard
-        )
+        shard.hang.arm(self._loop.time() + READY_TIMEOUT_S)
 
     # ------------------------------------------------------------------
     # admission (called from the front-end's event loop)
     # ------------------------------------------------------------------
 
     def try_submit(
-        self, index: int, tenant: str, block: int, word: int
-    ) -> Tuple[int, Optional[asyncio.Future]]:
+        self, index: int, tenant: str, block: int, word: int, done: Callback
+    ) -> Tuple[int, bool]:
         """Admit one observation into shard ``index``.
 
-        Returns ``(ordinal, future)``; the future resolves to the
-        worker's response dict.  A ``None`` future means the breaker is
-        open: the observation is safely in the outbox (it will train on
-        restore) but the caller must answer degraded right now.  Raises
-        :class:`Backpressure` when admission would exceed the queue
-        depth or the outbox backlog bound -- in that case *nothing* was
-        admitted.
+        Returns ``(ordinal, queued)``.  A queued observation's outcome
+        goes to ``done``, never before this call returns: the worker's
+        response dict, or a :class:`WorkerDown`.  Not queued means the
+        breaker is open: the observation is safely in the outbox (it
+        will train on restore), ``done`` is never called, and the caller
+        must answer degraded right now.  Raises :class:`Backpressure`
+        when admission would exceed the queue depth or the outbox
+        backlog bound -- in that case *nothing* was admitted.
         """
         shard = self._shards[index]
         if len(shard.outbox) >= MAX_BACKLOG:
@@ -279,13 +285,12 @@ class ShardSupervisor:
         shard.outbox.append(message)
         if shard.state == OPEN:
             METRICS.inc("serve.admit.buffered")
-            return ordinal, None
+            return ordinal, False
         shard.inflight += 1
-        future = self._loop.create_future()
-        shard.pending.append((message, future))
+        shard.pending.append((message, done))
         METRICS.inc("serve.admit.queued")
         self._send_next(shard)
-        return ordinal, future
+        return ordinal, True
 
     # ------------------------------------------------------------------
     # the pipe, driven from the event loop
@@ -294,9 +299,7 @@ class ShardSupervisor:
     def _detach(self, shard: _Shard) -> None:
         """Stop driving the shard's pipe: no reader, no timer, closed."""
         self._loop.remove_reader(shard.conn.fileno())
-        if shard.timer is not None:
-            shard.timer.cancel()
-            shard.timer = None
+        shard.hang.cancel()
         shard.conn.close()
         shard.conn = None
 
@@ -318,11 +321,11 @@ class ShardSupervisor:
         try:
             shard.conn.send(shard.sent[0])
         except OSError:
-            self._fail_shard(shard)
+            # Failed on the loop's next turn: try_submit never answers
+            # the observation it is admitting.
+            self._loop.call_soon(self._fail_shard, shard)
             return
-        shard.timer = self._loop.call_later(
-            self._budget.wall_clock_s, self._fail_shard, shard
-        )
+        shard.hang.arm(self._loop.time() + self._budget.wall_clock_s)
 
     def _drain(self, shard: _Shard) -> None:
         """Take an answer already waiting in the pipe, if there is one.
@@ -336,15 +339,19 @@ class ShardSupervisor:
             self._on_readable(shard)
 
     def _on_readable(self, shard: _Shard) -> None:
-        """The worker answered the request in its pipe, or died."""
+        """The worker answered the request in its pipe, or died.
+
+        The request's callback runs last, once the shard's bookkeeping
+        is done and the next request is in the pipe: it may admit the
+        connection's next observation right away.
+        """
         try:
             response = shard.conn.recv()
         except (EOFError, OSError):
             self._fail_shard(shard)
             return
-        shard.timer.cancel()
-        shard.timer = None
-        message, future = shard.sent
+        shard.hang.disarm()
+        message, done = shard.sent
         shard.sent = None
         if response.get("mem") is not None:
             shard.mem = response["mem"]
@@ -358,20 +365,14 @@ class ShardSupervisor:
                 self._trim_outbox(shard, response["ckpt"])
             self._send_next(shard)
             return
-        if future is not None:
+        if done is not None:
             shard.inflight -= 1
             shard.trained = response["trained"]
             self._trim_outbox(shard, response["ckpt"])
         self._count_probe(shard)
         self._send_next(shard)
-        if future is None:
-            return
-        if future.done():
-            # The deadline already answered degraded; the training
-            # still counted, which is exactly what we want.
-            METRICS.inc("serve.response.late")
-        else:
-            future.set_result(response)
+        if done is not None:
+            done(response)
 
     def _on_ready(self, shard: _Shard, restored: int) -> None:
         """A worker's handshake: it holds ordinals up to ``restored``."""
@@ -453,24 +454,24 @@ class ShardSupervisor:
     # failure handling and warm restore
     # ------------------------------------------------------------------
 
-    def _fail_requests(self, shard: _Shard, reason: str) -> int:
-        """Fail the shard's queued and in-pipe observations.
+    @staticmethod
+    def _take_requests(shard: _Shard) -> List[Callback]:
+        """Empty the shard's queue and pipe slot.
 
-        Returns how many observations there were (pings do not count).
+        Returns the callbacks of the observations among them.
         """
         requests = list(shard.pending)
         if shard.sent is not None:
             requests.append(shard.sent)
         shard.pending.clear()
         shard.sent = None
-        failed = 0
-        for _message, future in requests:
-            if future is None:
-                continue
-            failed += 1
-            if not future.done():
-                future.set_exception(WorkerDown(reason))
-        return failed
+        return [done for _message, done in requests if done is not None]
+
+    @staticmethod
+    def _fail(callbacks: List[Callback], reason: str) -> None:
+        """Tell each lost observation's callback (after the bookkeeping)."""
+        for done in callbacks:
+            done(WorkerDown(reason))
 
     def _fail_shard(self, shard: _Shard) -> None:
         """The worker died or hung: SIGKILL it, then restore.
@@ -488,12 +489,12 @@ class ShardSupervisor:
         proc.kill()
         epoch = shard.epoch
         reason = f"shard {shard.index} worker (epoch {epoch}) down or hung"
-        failed = self._fail_requests(shard, reason)
+        lost = self._take_requests(shard)
         forensics = None
         if shard.state != OPEN:
             shard.state = OPEN
             shard.breaker_opened += 1
-            shard.inflight -= failed
+            shard.inflight -= len(lost)
             METRICS.inc("serve.breaker.opened")
             if OBS.proto:
                 OBS.emit(0, "serve", "breaker_open", shard.index, 0,
@@ -521,6 +522,7 @@ class ShardSupervisor:
         self._loop.add_reader(
             proc.sentinel, self._restore, shard, proc, forensics
         )
+        self._fail(lost, reason)
 
     def _restore(self, shard: _Shard, dead, forensics: Optional[dict]) -> None:
         """The dead worker's sentinel fired: reap it, spawn its successor.

@@ -35,13 +35,70 @@ import os
 import random
 import signal
 import time
+from typing import Dict, Tuple
 
-from ..core.memory import memory_report
+from ..core.config import CosmosConfig
+from ..core.memory import MemoryTotals, memory_report
 from ..core.predictor import CosmosPredictor
 from ..parallel.seeds import derive_seed
 from ..sim.metrics import METRICS
 from .config import ServeConfig
 from .state import load_latest_shard_state, save_shard_checkpoint
+
+
+class ShardBanks:
+    """One shard's per-tenant predictor banks and their memory report.
+
+    Under a memory budget every response carries the report, so its
+    totals are kept running: each observation counts its tenant's bank
+    out before training and back in after, in O(1) however many tenants
+    the shard holds.  Unbudgeted workers report only on ``pong``, and
+    sum the banks then.
+    """
+
+    def __init__(
+        self, pconfig: CosmosConfig, restored: Dict[str, CosmosPredictor]
+    ) -> None:
+        self.pconfig = pconfig
+        self.banks = restored
+        for tenant, bank in restored.items():
+            if bank.config != pconfig:
+                # Budgets are not in the fingerprint, so the checkpoint
+                # may predate this budget or policy: take its tables
+                # over and evict down to the budget now rather than
+                # serving over it until traffic happens by.
+                predictor = self.banks[tenant] = CosmosPredictor(pconfig)
+                predictor.adopt(bank)
+                predictor.enforce_capacity()
+        self._totals = (
+            MemoryTotals(pconfig, self.banks.values())
+            if pconfig.mhr_capacity or pconfig.pht_capacity
+            else None
+        )
+
+    def observe(self, tenant: str, block: int, word: int) -> Tuple[int, bool]:
+        """Train ``tenant``'s bank: ``(prediction, evicted)``."""
+        predictor = self.banks.get(tenant)
+        if predictor is None:
+            predictor = self.banks[tenant] = CosmosPredictor(self.pconfig)
+        totals = self._totals
+        if totals is not None:
+            totals.add(predictor, -1)
+        evictions = predictor.evictions_mhr + predictor.evictions_pht
+        predicted = predictor.observe_word(block, word)
+        if totals is not None:
+            totals.add(predictor)
+        return predicted, (
+            predictor.evictions_mhr + predictor.evictions_pht
+        ) != evictions
+
+    def memory(self) -> dict:
+        """This shard's predictor memory, over its tenant banks."""
+        if self._totals is not None:
+            report = self._totals.report()
+        else:
+            report = memory_report(self.pconfig, self.banks.values())
+        return {"tenants": len(self.banks), **report}
 
 
 def worker_main(
@@ -68,24 +125,11 @@ def worker_main(
     fingerprint = config.fingerprint()
     pconfig = config.predictor_config()
     bounded = bool(config.tenant_mhr_budget or config.tenant_pht_budget)
-    trained, banks, _path = load_latest_shard_state(
+    trained, restored, _path = load_latest_shard_state(
         checkpoint_dir, shard, fingerprint
     )
-    for tenant, restored in banks.items():
-        if restored.config != pconfig:
-            # Budgets are not in the fingerprint, so the checkpoint may
-            # predate this budget or policy: take its tables over and
-            # evict down to the budget now rather than serving over it
-            # until traffic happens by.
-            predictor = banks[tenant] = CosmosPredictor(pconfig)
-            predictor.adopt(restored)
-            predictor.enforce_capacity()
+    banks = ShardBanks(pconfig, restored)
     last_checkpoint = trained
-
-    def memory() -> dict:
-        """This shard's predictor memory, over its tenant banks."""
-        report = memory_report(pconfig, banks.values())
-        return {"tenants": len(banks), **report}
 
     kill_at = set(chaos.get("kill_at", ())) if epoch == 0 else set()
     stall_at = dict(chaos.get("stall_at", {})) if epoch == 0 else {}
@@ -101,7 +145,7 @@ def worker_main(
                 {
                     "op": "pong",
                     "trained": trained,
-                    "mem": memory(),
+                    "mem": banks.memory(),
                 }
             )
             continue
@@ -109,22 +153,16 @@ def worker_main(
         # after this line dies, which is what makes the supervisor's
         # "response received == training happened" accounting exact
         # in the other direction: no response, no harm in replaying.
-        tenant = request["tenant"]
-        predictor = banks.get(tenant)
-        if predictor is None:
-            predictor = banks[tenant] = CosmosPredictor(pconfig)
-        evictions = predictor.evictions_mhr + predictor.evictions_pht
-        predicted = predictor.observe_word(request["block"], request["word"])
-        evicting = (
-            predictor.evictions_mhr + predictor.evictions_pht
-        ) != evictions
+        predicted, evicting = banks.observe(
+            request["tenant"], request["block"], request["word"]
+        )
         trained += 1
         stall_s = stall_at.get(trained)
         if stall_s:
             time.sleep(stall_s)
         if trained % config.checkpoint_every == 0:
             save_shard_checkpoint(
-                checkpoint_dir, shard, trained, fingerprint, banks
+                checkpoint_dir, shard, trained, fingerprint, banks.banks
             )
             last_checkpoint = trained
         response = {
@@ -137,7 +175,7 @@ def worker_main(
         if evicting:
             response["evicting"] = True
         if bounded:
-            response["mem"] = memory()
+            response["mem"] = banks.memory()
         conn.send(response)
         if trained in kill_at:
             # The response above is already written into the pipe; this

@@ -22,8 +22,9 @@ from repro.serve.chaos import ChaosScript
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.frontend import PredictionService
-from repro.serve.loadgen import replay_trace, verify_predictions
+from repro.serve.loadgen import replay_trace, tenant_of, verify_predictions
 from repro.serve.state import save_shard_checkpoint
+from repro.serve.worker import ShardBanks
 from repro.sim.metrics import METRICS
 
 from .common import synthetic_events, wait_all_closed
@@ -234,3 +235,29 @@ class TestWarmRestoreEnforcement:
         # to the budget at startup.
         assert memory["mhr_live"] <= 2 * BUDGET
         assert memory["evictions_mhr"] >= 2 * (10 - BUDGET)
+
+
+class TestRunningMemoryTotals:
+    @staticmethod
+    def _assert_exact(banks, pconfig):
+        assert banks.memory() == {
+            "tenants": len(banks.banks),
+            **memory_report(pconfig, banks.banks.values()),
+        }
+
+    def test_totals_equal_the_full_report_after_every_observation(self):
+        pconfig = _config(eviction="clock").predictor_config()
+        # Restored state over the budget: the constructor adopts and
+        # evicts it, then counts it once.
+        restored, _trained = _oversized_banks()
+        banks = ShardBanks(pconfig, restored)
+        self._assert_exact(banks, pconfig)
+        evicting = 0
+        for event in synthetic_events(400, seed=SEED, nodes=3, blocks=12):
+            _predicted, evicted = banks.observe(
+                tenant_of(event), event.block, pack(event.tuple)
+            )
+            evicting += evicted
+            self._assert_exact(banks, pconfig)
+        assert evicting > 0
+        assert len(banks.banks) == 3  # two restored tenants, one new

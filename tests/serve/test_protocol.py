@@ -1,6 +1,10 @@
 """The wire format: round trips, validation, malformed input."""
 
+import json
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.protocol.messages import MessageType
@@ -89,3 +93,80 @@ def test_malformed_response_raises_serve_error():
         decode_response(b"garbage\n")
     with pytest.raises(ServeError):
         decode_response(b'{"seq": 1}\n')
+
+
+# ----------------------------------------------------------------------
+# the fixed-schema encoders against json.dumps
+# ----------------------------------------------------------------------
+
+#: Any string a JSON line can carry, lone surrogates included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+NATURALS = st.integers(min_value=0, max_value=2**70)
+
+
+def _dumped(record):
+    return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+@given(
+    client=ANY_TEXT,
+    tenant=ANY_TEXT,
+    seq=NATURALS,
+    block=NATURALS,
+    sender=NATURALS,
+    mtype=NATURALS,
+)
+@example(
+    client='q"uote\\back\x00\x1f ', tenant="\ud800é", seq=0, block=0,
+    sender=0, mtype=0,
+)
+def test_request_encoding_is_byte_identical_to_json_dumps(
+    client, tenant, seq, block, sender, mtype
+):
+    request = Request(
+        client=client, seq=seq, tenant=tenant, block=block, sender=sender,
+        mtype=mtype,
+    )
+    assert request.encode() == _dumped(
+        {
+            "op": "observe",
+            "client": client,
+            "seq": seq,
+            "tenant": tenant,
+            "block": block,
+            "sender": sender,
+            "mtype": mtype,
+        }
+    )
+
+
+@given(
+    seq=NATURALS,
+    status=st.sampled_from([Status.OK, Status.RETRY_AFTER, Status.ERROR]),
+    predicted=NATURALS | st.just(-1),
+    degraded=st.sampled_from([False, True, "evicting"]),
+    shard=NATURALS | st.just(-1),
+    index=NATURALS | st.just(-1),
+    retry_after_ms=st.floats(),
+    error=st.none() | ANY_TEXT,
+)
+def test_response_encoding_is_byte_identical_to_json_dumps(
+    seq, status, predicted, degraded, shard, index, retry_after_ms, error
+):
+    response = Response(
+        seq=seq, status=status, predicted=predicted, degraded=degraded,
+        shard=shard, index=index, retry_after_ms=retry_after_ms, error=error,
+    )
+    record = {
+        "seq": seq,
+        "status": status,
+        "predicted": predicted,
+        "degraded": degraded,
+        "shard": shard,
+        "index": index,
+    }
+    if status == Status.RETRY_AFTER:
+        record["retry_after_ms"] = retry_after_ms
+    if error is not None:
+        record["error"] = error
+    assert response.encode() == _dumped(record)

@@ -1,6 +1,8 @@
 """End-to-end service behaviour: correctness, idempotency, shedding."""
 
 import asyncio
+import json
+import logging
 
 from repro.core.tuples import pack
 from repro.protocol.messages import MessageType
@@ -9,7 +11,12 @@ from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.frontend import PredictionService
 from repro.serve.loadgen import replay_trace, verify_predictions
-from repro.serve.protocol import Request, Status, decode_response
+from repro.serve.protocol import (
+    MAX_LINE,
+    Request,
+    Status,
+    decode_response,
+)
 from repro.sim.metrics import METRICS
 
 from .common import synthetic_events
@@ -250,3 +257,98 @@ def test_stat_reports_every_shard():
         assert all(s["epoch"] == 0 for s in stat["shards"])
 
     asyncio.run(main())
+
+
+async def _line(reader):
+    """The next line, failing instead of hanging when none comes."""
+    return await asyncio.wait_for(reader.readline(), timeout=5.0)
+
+
+def _request(seq, block):
+    return Request(
+        client="framing",
+        seq=seq,
+        tenant="n0.cache",
+        block=block,
+        sender=0,
+        mtype=int(MessageType.GET_RO_RESPONSE),
+    ).encode()
+
+
+def test_split_and_coalesced_requests_are_each_answered_once_in_order():
+    async def main():
+        service = PredictionService(ServeConfig(shards=1))
+        await service.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        try:
+            # One request, one byte per write: the front-end sees the
+            # line arrive in pieces.
+            for byte in _request(0, 64):
+                writer.write(bytes([byte]))
+                await writer.drain()
+                await asyncio.sleep(0.001)
+            first = decode_response(await _line(reader))
+            # Two requests in one write: the second waits in the
+            # connection's buffer until the first is answered.
+            writer.write(_request(1, 128) + _request(2, 64))
+            await writer.drain()
+            second = decode_response(await _line(reader))
+            third = decode_response(await _line(reader))
+            # Nothing else was written: the next line answers a stat.
+            writer.write(b'{"op":"stat"}\n')
+            await writer.drain()
+            stat = json.loads(await _line(reader))
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await service.stop()
+        assert [r.seq for r in (first, second, third)] == [0, 1, 2]
+        assert [r.index for r in (first, second, third)] == [1, 2, 3]
+        assert all(
+            r.status == Status.OK and not r.degraded
+            for r in (first, second, third)
+        )
+        assert stat["op"] == "stat"
+        assert stat["shards"][0]["admitted"] == 3
+        assert stat["shards"][0]["trained"] == 3
+
+    asyncio.run(main())
+
+
+def test_an_overlong_request_line_is_answered_and_the_connection_closed(
+    caplog,
+):
+    async def main():
+        METRICS.reset()
+        service = PredictionService(ServeConfig(shards=1))
+        await service.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        try:
+            writer.write(b"x" * (MAX_LINE + 1))
+            await writer.drain()
+            answer = decode_response(await _line(reader))
+            closed = await _line(reader)
+            # The service itself keeps serving.
+            async with ServeClient(
+                "127.0.0.1", service.port, "after"
+            ) as client:
+                after = await client.observe(
+                    "n0.cache", 64, 0, int(MessageType.GET_RO_RESPONSE)
+                )
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await service.stop()
+        assert answer.status == Status.ERROR
+        assert str(MAX_LINE) in answer.error
+        assert closed == b""
+        assert METRICS.counter("serve.request.malformed") == 1
+        assert after.status == Status.OK
+
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    asyncio.run(main())
+    assert not [r for r in caplog.records if r.name == "asyncio"]
