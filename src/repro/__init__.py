@@ -30,55 +30,31 @@ Quickstart::
     print(f"overall accuracy: {result.overall_accuracy:.1%}")
 """
 
-from ._version import __version__
-from .core import (
-    CosmosConfig,
-    CosmosPredictor,
-    EvaluationResult,
-    MemoryOverhead,
-    PredictorBank,
-    evaluate_trace,
-)
-from .errors import (
-    ConfigError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    TraceError,
-    WorkloadError,
-)
-from .protocol import Message, MessageType, Role, StacheOptions
-from .sim import Machine, PAPER_PARAMS, SystemParams, simulate
-from .trace import TraceCollector, TraceEvent, load_trace, save_trace
-from .workloads import Workload, all_workloads, make_workload
+from ._lazy import lazy_exports
 
-__all__ = [
-    "ConfigError",
-    "CosmosConfig",
-    "CosmosPredictor",
-    "EvaluationResult",
-    "Machine",
-    "MemoryOverhead",
-    "Message",
-    "MessageType",
-    "PAPER_PARAMS",
-    "PredictorBank",
-    "ProtocolError",
-    "ReproError",
-    "Role",
-    "SimulationError",
-    "StacheOptions",
-    "SystemParams",
-    "TraceCollector",
-    "TraceError",
-    "TraceEvent",
-    "Workload",
-    "WorkloadError",
-    "__version__",
-    "all_workloads",
-    "evaluate_trace",
-    "load_trace",
-    "make_workload",
-    "save_trace",
-    "simulate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        "._version": ("__version__",),
+        ".core": (
+            "CosmosConfig",
+            "CosmosPredictor",
+            "EvaluationResult",
+            "MemoryOverhead",
+            "PredictorBank",
+            "evaluate_trace",
+        ),
+        ".errors": (
+            "ConfigError",
+            "ProtocolError",
+            "ReproError",
+            "SimulationError",
+            "TraceError",
+            "WorkloadError",
+        ),
+        ".protocol": ("Message", "MessageType", "Role", "StacheOptions"),
+        ".sim": ("Machine", "PAPER_PARAMS", "SystemParams", "simulate"),
+        ".trace": ("TraceCollector", "TraceEvent", "load_trace", "save_trace"),
+        ".workloads": ("Workload", "all_workloads", "make_workload"),
+    },
+)

@@ -1,44 +1,31 @@
 """Prediction-to-action integration and the Section 4.4 runtime model."""
 
-from .actions import (
-    ACTION_RULES,
-    ActionRule,
-    ProtocolAction,
-    RecoveryClass,
-    actions_for,
-    format_table2,
-)
-from .integration import (
-    AccelerationComparison,
-    PredictiveDirectoryController,
-    PredictiveMachine,
-    compare_acceleration,
-)
-from .model import (
-    SpeedupSeries,
-    figure5_series,
-    relative_time,
-    speedup,
-    speedup_percent,
-)
-from .speculative import SpeculationReport, replay_with_speculation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACTION_RULES",
-    "AccelerationComparison",
-    "ActionRule",
-    "PredictiveDirectoryController",
-    "PredictiveMachine",
-    "ProtocolAction",
-    "RecoveryClass",
-    "SpeculationReport",
-    "SpeedupSeries",
-    "actions_for",
-    "compare_acceleration",
-    "figure5_series",
-    "format_table2",
-    "relative_time",
-    "replay_with_speculation",
-    "speedup",
-    "speedup_percent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".actions": (
+            "ACTION_RULES",
+            "ActionRule",
+            "ProtocolAction",
+            "RecoveryClass",
+            "actions_for",
+            "format_table2",
+        ),
+        ".integration": (
+            "AccelerationComparison",
+            "PredictiveDirectoryController",
+            "PredictiveMachine",
+            "compare_acceleration",
+        ),
+        ".model": (
+            "SpeedupSeries",
+            "figure5_series",
+            "relative_time",
+            "speedup",
+            "speedup_percent",
+        ),
+        ".speculative": ("SpeculationReport", "replay_with_speculation"),
+    },
+)

@@ -1,67 +1,46 @@
 """Analyses over coherence-message traces and evaluation results."""
 
-from .accuracy import AccuracyRow, depth_sweep, filter_sweep
-from .adaptation import (
-    AdaptationCurve,
-    Transition,
-    TransitionSnapshot,
-    accuracy_curve,
-    transition_progress,
-)
-from .arcs import Arc, arcs_from_result, measure_arcs
-from .bounds import OptimalityBound, measure_bounds, optimal_table_accuracy
-from .dot import signature_graph_dot
-from .overhead import (
-    MacroblockPoint,
-    OverheadRow,
-    PreallocationReport,
-    macroblock_sweep,
-    overhead_sweep,
-    pht_size_histogram,
-    preallocation_report,
-)
-from .plotting import ascii_chart, sparkline
-from .report import render_matrix, render_table
-from .signatures import Signature, dominant_signature, extract_signatures
-from .traffic import (
-    FanoutStats,
-    TrafficSummary,
-    measure_fanout,
-    summarize_traffic,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccuracyRow",
-    "AdaptationCurve",
-    "Arc",
-    "FanoutStats",
-    "TrafficSummary",
-    "measure_fanout",
-    "summarize_traffic",
-    "MacroblockPoint",
-    "OptimalityBound",
-    "OverheadRow",
-    "measure_bounds",
-    "optimal_table_accuracy",
-    "PreallocationReport",
-    "macroblock_sweep",
-    "pht_size_histogram",
-    "preallocation_report",
-    "Signature",
-    "Transition",
-    "TransitionSnapshot",
-    "accuracy_curve",
-    "arcs_from_result",
-    "ascii_chart",
-    "signature_graph_dot",
-    "sparkline",
-    "depth_sweep",
-    "dominant_signature",
-    "extract_signatures",
-    "filter_sweep",
-    "measure_arcs",
-    "overhead_sweep",
-    "render_matrix",
-    "render_table",
-    "transition_progress",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".accuracy": ("AccuracyRow", "depth_sweep", "filter_sweep"),
+        ".adaptation": (
+            "AdaptationCurve",
+            "Transition",
+            "TransitionSnapshot",
+            "accuracy_curve",
+            "transition_progress",
+        ),
+        ".arcs": ("Arc", "arcs_from_result", "measure_arcs"),
+        ".bounds": (
+            "OptimalityBound",
+            "measure_bounds",
+            "optimal_table_accuracy",
+        ),
+        ".dot": ("signature_graph_dot",),
+        ".overhead": (
+            "MacroblockPoint",
+            "OverheadRow",
+            "PreallocationReport",
+            "macroblock_sweep",
+            "overhead_sweep",
+            "pht_size_histogram",
+            "preallocation_report",
+        ),
+        ".plotting": ("ascii_chart", "sparkline"),
+        ".report": ("render_matrix", "render_table"),
+        ".signatures": (
+            "Signature",
+            "dominant_signature",
+            "extract_signatures",
+        ),
+        ".traffic": (
+            "FanoutStats",
+            "TrafficSummary",
+            "measure_fanout",
+            "summarize_traffic",
+        ),
+    },
+)

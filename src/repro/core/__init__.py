@@ -1,31 +1,21 @@
 """The Cosmos coherence-message predictor (the paper's contribution)."""
 
-from .bank import PredictorBank
-from .config import CosmosConfig
-from .evaluation import (
-    ArcStats,
-    EvaluationResult,
-    IterationCheckpoint,
-    Tally,
-    evaluate_trace,
-)
-from .memory import MemoryOverhead
-from .predictor import CosmosPredictor, Observation
-from .tuples import MessageTuple, format_tuple, pack, unpack
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArcStats",
-    "CosmosConfig",
-    "CosmosPredictor",
-    "EvaluationResult",
-    "IterationCheckpoint",
-    "MemoryOverhead",
-    "MessageTuple",
-    "Observation",
-    "PredictorBank",
-    "Tally",
-    "evaluate_trace",
-    "format_tuple",
-    "pack",
-    "unpack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".bank": ("PredictorBank",),
+        ".config": ("CosmosConfig",),
+        ".evaluation": (
+            "ArcStats",
+            "EvaluationResult",
+            "IterationCheckpoint",
+            "Tally",
+            "evaluate_trace",
+        ),
+        ".memory": ("MemoryOverhead",),
+        ".predictor": ("CosmosPredictor", "Observation"),
+        ".tuples": ("MessageTuple", "format_tuple", "pack", "unpack"),
+    },
+)

@@ -1,126 +1,71 @@
 """Drivers regenerating every table and figure of the paper's evaluation."""
 
-from .bounds import BoundsResult, run_bounds
-from .common import (
-    DEFAULT_ITERATIONS,
-    clear_trace_cache,
-    get_trace,
-    iterations_for,
-    workload_for,
-)
-from .figure2 import Figure2Result, ProducerConsumerMicro, run_figure2
-from .figure5 import Figure5Result, run_figure5
-from .figure8 import (
-    Figure8Result,
-    MigratoryMicro,
-    SelfInvalidationMicro,
-    run_figure8,
-)
-from .figures6_7 import AppSignatures, Figures67Result, run_figures6_7
-from .hardware import (
-    CapacityPoint,
-    ConfidencePoint,
-    HardwareResult,
-    run_hardware,
-)
-from .integration import IntegrationResult, run_integration
-from .mispredict import MispredictProfileResult, run_mispredict_profile
-from .paper_data import (
-    PAPER_FIGURE5_EXAMPLE,
-    PAPER_TABLE5,
-    PAPER_TABLE6,
-    PAPER_TABLE7,
-    PAPER_TABLE8,
-    PAPER_TIME_TO_ADAPT,
-)
-from .protocols import (
-    ProtocolComparisonResult,
-    ProtocolPoint,
-    run_protocol_comparison,
-)
-from .replacement import (
-    ReplacementPoint,
-    ReplacementResult,
-    evaluate_with_history_loss,
-    run_replacement_study,
-)
-from .scaling import (
-    ScalingPoint,
-    ScalingResult,
-    SeedStudyResult,
-    run_scaling,
-    run_seed_study,
-)
-from .sensitivity import SensitivityResult, run_sensitivity
-from .table5 import Table5Result, run_table5
-from .table6 import Table6Result, run_table6
-from .table7 import Table7Result, run_table7
-from .table8 import (
-    TABLE8_CHECKPOINTS,
-    TABLE8_TRANSITIONS,
-    Table8Result,
-    run_table8,
-)
-from .traffic import TrafficResult, run_traffic
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AppSignatures",
-    "BoundsResult",
-    "DEFAULT_ITERATIONS",
-    "Figure2Result",
-    "Figure5Result",
-    "CapacityPoint",
-    "ConfidencePoint",
-    "Figure8Result",
-    "Figures67Result",
-    "HardwareResult",
-    "IntegrationResult",
-    "MigratoryMicro",
-    "MispredictProfileResult",
-    "PAPER_FIGURE5_EXAMPLE",
-    "PAPER_TABLE5",
-    "PAPER_TABLE6",
-    "PAPER_TABLE7",
-    "PAPER_TABLE8",
-    "PAPER_TIME_TO_ADAPT",
-    "ProducerConsumerMicro",
-    "ProtocolComparisonResult",
-    "ProtocolPoint",
-    "ReplacementPoint",
-    "ReplacementResult",
-    "ScalingPoint",
-    "ScalingResult",
-    "SeedStudyResult",
-    "SelfInvalidationMicro",
-    "SensitivityResult",
-    "TABLE8_CHECKPOINTS",
-    "TABLE8_TRANSITIONS",
-    "Table5Result",
-    "Table6Result",
-    "Table7Result",
-    "Table8Result",
-    "TrafficResult",
-    "clear_trace_cache",
-    "evaluate_with_history_loss",
-    "run_bounds",
-    "get_trace",
-    "iterations_for",
-    "run_figure2",
-    "run_figure5",
-    "run_figure8",
-    "run_figures6_7",
-    "run_hardware",
-    "run_integration",
-    "run_mispredict_profile",
-    "run_protocol_comparison",
-    "run_replacement_study",
-    "run_scaling",
-    "run_seed_study",
-    "run_sensitivity",
-    "run_table5",
-    "run_table6",
-    "run_table7",
-    "run_table8",
-    "run_traffic",
-    "workload_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".bounds": ("BoundsResult", "run_bounds"),
+        ".common": (
+            "DEFAULT_ITERATIONS",
+            "clear_trace_cache",
+            "get_trace",
+            "iterations_for",
+            "workload_for",
+        ),
+        ".figure2": ("Figure2Result", "ProducerConsumerMicro", "run_figure2"),
+        ".figure5": ("Figure5Result", "run_figure5"),
+        ".figure8": (
+            "Figure8Result",
+            "MigratoryMicro",
+            "SelfInvalidationMicro",
+            "run_figure8",
+        ),
+        ".figures6_7": ("AppSignatures", "Figures67Result", "run_figures6_7"),
+        ".hardware": (
+            "CapacityPoint",
+            "ConfidencePoint",
+            "HardwareResult",
+            "run_hardware",
+        ),
+        ".integration": ("IntegrationResult", "run_integration"),
+        ".mispredict": ("MispredictProfileResult", "run_mispredict_profile"),
+        ".paper_data": (
+            "PAPER_FIGURE5_EXAMPLE",
+            "PAPER_TABLE5",
+            "PAPER_TABLE6",
+            "PAPER_TABLE7",
+            "PAPER_TABLE8",
+            "PAPER_TIME_TO_ADAPT",
+        ),
+        ".protocols": (
+            "ProtocolComparisonResult",
+            "ProtocolPoint",
+            "run_protocol_comparison",
+        ),
+        ".replacement": (
+            "ReplacementPoint",
+            "ReplacementResult",
+            "evaluate_with_history_loss",
+            "run_replacement_study",
+        ),
+        ".scaling": (
+            "ScalingPoint",
+            "ScalingResult",
+            "SeedStudyResult",
+            "run_scaling",
+            "run_seed_study",
+        ),
+        ".sensitivity": ("SensitivityResult", "run_sensitivity"),
+        ".table5": ("Table5Result", "run_table5"),
+        ".table6": ("Table6Result", "run_table6"),
+        ".table7": ("Table7Result", "run_table7"),
+        ".table8": (
+            "TABLE8_CHECKPOINTS",
+            "TABLE8_TRANSITIONS",
+            "Table8Result",
+            "run_table8",
+        ),
+        ".traffic": ("TrafficResult", "run_traffic"),
+    },
+)

@@ -20,55 +20,38 @@ replayable, shrinkable ``.repro`` artifact:
 * :mod:`~repro.explore.cli` -- the ``repro-explore`` command.
 """
 
-from .artifact import ExploreArtifact, load_artifact, save_artifact
-from .network import DEFAULT_DEFER_CAP, ExploringNetwork
-from .oracles import DEFAULT_ORACLES, Oracle, parse_oracles
-from .runner import (
-    ExploreConfig,
-    ExploreReport,
-    EpisodeResult,
-    ReplayResult,
-    explore,
-    replay_artifact,
-)
-from .shrink import ShrinkResult, ddmin, shrink
-from .strategies import (
-    DEFER_REST,
-    STRATEGIES,
-    DeliveryPolicy,
-    DelayBoundedPolicy,
-    FifoPolicy,
-    PCTPolicy,
-    RandomWalkPolicy,
-    ReplayPolicy,
-    make_policy,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_DEFER_CAP",
-    "DEFAULT_ORACLES",
-    "DEFER_REST",
-    "DelayBoundedPolicy",
-    "DeliveryPolicy",
-    "EpisodeResult",
-    "ExploreArtifact",
-    "ExploreConfig",
-    "ExploreReport",
-    "ExploringNetwork",
-    "FifoPolicy",
-    "Oracle",
-    "PCTPolicy",
-    "RandomWalkPolicy",
-    "ReplayPolicy",
-    "ReplayResult",
-    "STRATEGIES",
-    "ShrinkResult",
-    "ddmin",
-    "explore",
-    "load_artifact",
-    "make_policy",
-    "parse_oracles",
-    "replay_artifact",
-    "save_artifact",
-    "shrink",
-]
+# ``shrink`` names both a function and the submodule defining it.  Were
+# it lazy, the first ``import repro.explore.shrink`` would bind the
+# module over the function's name, so this one submodule loads eagerly.
+from .shrink import ShrinkResult, ddmin, shrink
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".artifact": ("ExploreArtifact", "load_artifact", "save_artifact"),
+        ".network": ("DEFAULT_DEFER_CAP", "ExploringNetwork"),
+        ".oracles": ("DEFAULT_ORACLES", "Oracle", "parse_oracles"),
+        ".runner": (
+            "ExploreConfig",
+            "ExploreReport",
+            "EpisodeResult",
+            "ReplayResult",
+            "explore",
+            "replay_artifact",
+        ),
+        ".shrink": ("ShrinkResult", "ddmin", "shrink"),
+        ".strategies": (
+            "DEFER_REST",
+            "STRATEGIES",
+            "DeliveryPolicy",
+            "DelayBoundedPolicy",
+            "FifoPolicy",
+            "PCTPolicy",
+            "RandomWalkPolicy",
+            "ReplayPolicy",
+            "make_policy",
+        ),
+    },
+)

@@ -11,31 +11,25 @@ oracles actually bite.  ``repro-check`` (:mod:`repro.mc.cli`) is the
 command-line entry point.
 """
 
-from .abstraction import abstract_state, spot_project
-from .crossval import CrossValReport, RoundTrip, concretize, cross_validate
-from .explorer import (
-    ExploreResult,
-    Violation,
-    enumerate_space,
-    reachable_space,
-)
-from .model import KNOWN_MUTATIONS, MCConfig, Model
-from .mutations import MUTATIONS, live_patch
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CrossValReport",
-    "ExploreResult",
-    "KNOWN_MUTATIONS",
-    "MCConfig",
-    "MUTATIONS",
-    "Model",
-    "RoundTrip",
-    "Violation",
-    "abstract_state",
-    "concretize",
-    "cross_validate",
-    "enumerate_space",
-    "live_patch",
-    "reachable_space",
-    "spot_project",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".abstraction": ("abstract_state", "spot_project"),
+        ".crossval": (
+            "CrossValReport",
+            "RoundTrip",
+            "concretize",
+            "cross_validate",
+        ),
+        ".explorer": (
+            "ExploreResult",
+            "Violation",
+            "enumerate_space",
+            "reachable_space",
+        ),
+        ".model": ("KNOWN_MUTATIONS", "MCConfig", "Model"),
+        ".mutations": ("MUTATIONS", "live_patch"),
+    },
+)

@@ -29,90 +29,43 @@ Six cooperating pieces, all off by default and all zero-cost-when-off:
 See ``docs/observability.md`` for the end-to-end story.
 """
 
-# Only ``.log`` and ``.spans`` (dependency-free) are imported eagerly.
-# Everything else
-# resolves lazily via PEP 562: the hot-path modules (network, faults,
-# controllers) import ``OBS`` from this package, while ``.forensics``
-# pulls in the predictor/trace/sim stack -- importing it here eagerly
-# would close an import cycle back through those very hot-path modules.
-from .log import DEFAULT_CAPACITY, LEVELS, OBS, ObsLog
-from .spans import (
-    SEGMENT_KINDS,
-    SPANS,
-    SpanTracer,
-    Transaction,
-    build_transactions,
-    format_span_tree,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".bundle": ("build_failure_bundle", "save_bundle"),
+        ".critpath": (
+            "CriticalPath",
+            "CritPathSummary",
+            "Segment",
+            "attribute",
+            "critical_path",
+            "fold_critpath_metrics",
+            "replay_outcomes",
+            "summarize",
+        ),
+        ".forensics": (
+            "ForensicsReport",
+            "MispredictRecord",
+            "explain_trace",
+            "format_pattern",
+            "format_tuple",
+        ),
+        ".log": ("DEFAULT_CAPACITY", "LEVELS", "OBS", "ObsLog"),
+        ".manifest": ("OBS_SCHEMA_VERSION", "build_manifest"),
+        ".spans": (
+            "SEGMENT_KINDS",
+            "SPANS",
+            "SpanTracer",
+            "Transaction",
+            "build_transactions",
+            "format_span_tree",
+        ),
+        ".timeline": (
+            "export_trace_events",
+            "save_trace_events",
+            "validate_trace_events",
+        ),
+    },
 )
-
-_LAZY = {
-    "build_failure_bundle": ".bundle",
-    "save_bundle": ".bundle",
-    "ForensicsReport": ".forensics",
-    "MispredictRecord": ".forensics",
-    "explain_trace": ".forensics",
-    "format_pattern": ".forensics",
-    "format_tuple": ".forensics",
-    "OBS_SCHEMA_VERSION": ".manifest",
-    "build_manifest": ".manifest",
-    "export_trace_events": ".timeline",
-    "save_trace_events": ".timeline",
-    "validate_trace_events": ".timeline",
-    "CriticalPath": ".critpath",
-    "CritPathSummary": ".critpath",
-    "Segment": ".critpath",
-    "attribute": ".critpath",
-    "critical_path": ".critpath",
-    "fold_critpath_metrics": ".critpath",
-    "replay_outcomes": ".critpath",
-    "summarize": ".critpath",
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from importlib import import_module
-
-    value = getattr(import_module(target, __name__), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-__all__ = [
-    "CritPathSummary",
-    "CriticalPath",
-    "DEFAULT_CAPACITY",
-    "ForensicsReport",
-    "LEVELS",
-    "MispredictRecord",
-    "OBS",
-    "OBS_SCHEMA_VERSION",
-    "ObsLog",
-    "SEGMENT_KINDS",
-    "SPANS",
-    "Segment",
-    "SpanTracer",
-    "Transaction",
-    "attribute",
-    "build_failure_bundle",
-    "build_manifest",
-    "build_transactions",
-    "critical_path",
-    "explain_trace",
-    "fold_critpath_metrics",
-    "format_pattern",
-    "format_tuple",
-    "replay_outcomes",
-    "save_bundle",
-    "save_trace_events",
-    "export_trace_events",
-    "summarize",
-    "validate_trace_events",
-]

@@ -20,19 +20,14 @@ one.
   missing or failed shards.
 """
 
-from .journal import RunJournal, shard_digest
-from .plan import ExperimentShard, Plan, TraceShard, plan_run
-from .pool import ShardOutcome, run_plan
-from .seeds import derive_seed
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentShard",
-    "Plan",
-    "RunJournal",
-    "ShardOutcome",
-    "TraceShard",
-    "derive_seed",
-    "plan_run",
-    "run_plan",
-    "shard_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".journal": ("RunJournal", "shard_digest"),
+        ".plan": ("ExperimentShard", "Plan", "TraceShard", "plan_run"),
+        ".pool": ("ShardOutcome", "run_plan"),
+        ".seeds": ("derive_seed",),
+    },
+)

@@ -8,27 +8,20 @@ replayer, all behind the same :class:`MessagePredictor` interface as
 Cosmos.
 """
 
-from .base import MessagePredictor
-from .dsi import DSIPredictor
-from .last_message import LastMessagePredictor
-from .migratory import MigratoryPredictor
-from .most_common import MostCommonPredictor
-from .hybrid import HybridCosmos
-from .oracle import OraclePredictor
-from .set_predictor import SetCosmos
-from .static import StaticSignaturePredictor
-from .variants import GlobalHistoryCosmos, TypeOnlyCosmos
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DSIPredictor",
-    "GlobalHistoryCosmos",
-    "HybridCosmos",
-    "LastMessagePredictor",
-    "SetCosmos",
-    "TypeOnlyCosmos",
-    "MessagePredictor",
-    "MigratoryPredictor",
-    "MostCommonPredictor",
-    "OraclePredictor",
-    "StaticSignaturePredictor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".base": ("MessagePredictor",),
+        ".dsi": ("DSIPredictor",),
+        ".last_message": ("LastMessagePredictor",),
+        ".migratory": ("MigratoryPredictor",),
+        ".most_common": ("MostCommonPredictor",),
+        ".hybrid": ("HybridCosmos",),
+        ".oracle": ("OraclePredictor",),
+        ".set_predictor": ("SetCosmos",),
+        ".static": ("StaticSignaturePredictor",),
+        ".variants": ("GlobalHistoryCosmos", "TypeOnlyCosmos"),
+    },
+)

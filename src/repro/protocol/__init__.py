@@ -1,40 +1,26 @@
 """Coherence-protocol substrate: message vocabulary, states, and FSMs."""
 
-from .cache_ctrl import CacheController
-from .directory_ctrl import DirectoryController
-from .messages import (
-    CACHE_BOUND,
-    DIRECTORY_BOUND,
-    MESSAGE_DESCRIPTIONS,
-    TABLE1_TYPES,
-    Message,
-    MessageType,
-    Role,
-    format_table1,
-    parse_message_type,
-    receiver_role,
-)
-from .origin import OriginDirectoryController
-from .stache import DEFAULT_OPTIONS, StacheOptions
-from .state import CacheState, DirEntry, DirState
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_BOUND",
-    "DIRECTORY_BOUND",
-    "MESSAGE_DESCRIPTIONS",
-    "CacheController",
-    "CacheState",
-    "DEFAULT_OPTIONS",
-    "DirEntry",
-    "DirState",
-    "DirectoryController",
-    "Message",
-    "MessageType",
-    "OriginDirectoryController",
-    "Role",
-    "StacheOptions",
-    "TABLE1_TYPES",
-    "format_table1",
-    "parse_message_type",
-    "receiver_role",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".cache_ctrl": ("CacheController",),
+        ".directory_ctrl": ("DirectoryController",),
+        ".messages": (
+            "CACHE_BOUND",
+            "DIRECTORY_BOUND",
+            "MESSAGE_DESCRIPTIONS",
+            "TABLE1_TYPES",
+            "Message",
+            "MessageType",
+            "Role",
+            "format_table1",
+            "parse_message_type",
+            "receiver_role",
+        ),
+        ".origin": ("OriginDirectoryController",),
+        ".stache": ("DEFAULT_OPTIONS", "StacheOptions"),
+        ".state": ("CacheState", "DirEntry", "DirState"),
+    },
+)

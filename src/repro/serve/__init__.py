@@ -29,25 +29,18 @@ See ``docs/serving.md`` for the architecture and the per-scenario
 runbook; the CLI entry point is ``repro-serve``.
 """
 
-from .chaos import ChaosScript
-from .client import ServeClient
-from .config import ServeConfig
-from .frontend import PredictionService
-from .hashring import HashRing
-from .loadgen import LoadReport, replay_trace
-from .protocol import Request, Response, Status
-from .supervisor import ShardSupervisor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChaosScript",
-    "HashRing",
-    "LoadReport",
-    "PredictionService",
-    "Request",
-    "Response",
-    "ServeClient",
-    "ServeConfig",
-    "ShardSupervisor",
-    "Status",
-    "replay_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".chaos": ("ChaosScript",),
+        ".client": ("ServeClient",),
+        ".config": ("ServeConfig",),
+        ".frontend": ("PredictionService",),
+        ".hashring": ("HashRing",),
+        ".loadgen": ("LoadReport", "replay_trace"),
+        ".protocol": ("Request", "Response", "Status"),
+        ".supervisor": ("ShardSupervisor",),
+    },
+)

@@ -148,7 +148,9 @@ def decode_request(line: bytes) -> dict:
         ("sender", int),
         ("mtype", int),
     ):
-        if not isinstance(record.get(name), kind):
+        # An exact type check: JSON ``true``/``false`` decode to bools,
+        # which ``isinstance(..., int)`` would admit as 1 and 0.
+        if type(record.get(name)) is not kind:
             raise ServeError(
                 f"observe request field {name!r} missing or not "
                 f"{kind.__name__}: {record!r}"

@@ -1,27 +1,17 @@
 """Discrete-event machine simulator substrate."""
 
-from .engine import Engine
-from .machine import Machine, simulate
-from .memory_map import Allocator, MemoryMap
-from .metrics import METRICS, Metrics, dump_metrics_json
-from .network import Network
-from .node import Node
-from .params import PAPER_PARAMS, SystemParams
-from .stats import LatencySummary, summarize_latencies
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Allocator",
-    "Engine",
-    "LatencySummary",
-    "METRICS",
-    "Machine",
-    "Metrics",
-    "dump_metrics_json",
-    "summarize_latencies",
-    "MemoryMap",
-    "Network",
-    "Node",
-    "PAPER_PARAMS",
-    "SystemParams",
-    "simulate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".engine": ("Engine",),
+        ".machine": ("Machine", "simulate"),
+        ".memory_map": ("Allocator", "MemoryMap"),
+        ".metrics": ("METRICS", "Metrics", "dump_metrics_json"),
+        ".network": ("Network",),
+        ".node": ("Node",),
+        ".params": ("PAPER_PARAMS", "SystemParams"),
+        ".stats": ("LatencySummary", "summarize_latencies"),
+    },
+)

@@ -1,35 +1,23 @@
 """Coherence-message trace infrastructure."""
 
-from .cache import TraceCache, TraceCacheKey, trace_key
-from .collector import TraceCollector
-from .events import TraceEvent
-from .filters import (
-    blocks_touched,
-    by_block,
-    by_node,
-    by_role,
-    from_iteration,
-    iteration_span,
-    split_by_endpoint,
-    up_to_iteration,
-)
-from .io import iter_trace, load_trace, save_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TraceCache",
-    "TraceCacheKey",
-    "TraceCollector",
-    "TraceEvent",
-    "blocks_touched",
-    "by_block",
-    "by_node",
-    "by_role",
-    "from_iteration",
-    "iter_trace",
-    "iteration_span",
-    "load_trace",
-    "save_trace",
-    "split_by_endpoint",
-    "trace_key",
-    "up_to_iteration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".cache": ("TraceCache", "TraceCacheKey", "trace_key"),
+        ".collector": ("TraceCollector",),
+        ".events": ("TraceEvent",),
+        ".filters": (
+            "blocks_touched",
+            "by_block",
+            "by_node",
+            "by_role",
+            "from_iteration",
+            "iteration_span",
+            "split_by_endpoint",
+            "up_to_iteration",
+        ),
+        ".io": ("iter_trace", "load_trace", "save_trace"),
+    },
+)

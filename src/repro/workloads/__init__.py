@@ -1,43 +1,26 @@
 """Synthetic models of the paper's five scientific applications."""
 
-from .access import Access, Phase, read, read_modify_write, write
-from .appbt import AppBT
-from .barnes import Barnes
-from .base import Workload
-from .dsmc import DSMC
-from .moldyn import MolDyn
-from .registry import (
-    BENCHMARK_NAMES,
-    BENCHMARKS,
-    WORKLOAD_NAMES,
-    BenchmarkInfo,
-    all_workloads,
-    format_table4,
-    make_workload,
-)
-from .unstructured import Unstructured
-from .zipf import Zipf, ZipfSampler, zipf_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Access",
-    "AppBT",
-    "BENCHMARKS",
-    "BENCHMARK_NAMES",
-    "Barnes",
-    "BenchmarkInfo",
-    "DSMC",
-    "MolDyn",
-    "Phase",
-    "Unstructured",
-    "WORKLOAD_NAMES",
-    "Workload",
-    "Zipf",
-    "ZipfSampler",
-    "all_workloads",
-    "format_table4",
-    "make_workload",
-    "read",
-    "read_modify_write",
-    "write",
-    "zipf_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".access": ("Access", "Phase", "read", "read_modify_write", "write"),
+        ".appbt": ("AppBT",),
+        ".barnes": ("Barnes",),
+        ".base": ("Workload",),
+        ".dsmc": ("DSMC",),
+        ".moldyn": ("MolDyn",),
+        ".registry": (
+            "BENCHMARK_NAMES",
+            "BENCHMARKS",
+            "WORKLOAD_NAMES",
+            "BenchmarkInfo",
+            "all_workloads",
+            "format_table4",
+            "make_workload",
+        ),
+        ".unstructured": ("Unstructured",),
+        ".zipf": ("Zipf", "ZipfSampler", "zipf_trace"),
+    },
+)

@@ -84,6 +84,18 @@ def test_malformed_requests_raise_serve_error(line):
         decode_request(line)
 
 
+@pytest.mark.parametrize("field", ["seq", "block", "sender", "mtype"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_int_fields_are_refused(field, value):
+    record = {
+        "op": "observe", "client": "c", "seq": 1, "tenant": "t",
+        "block": 1, "sender": 0, "mtype": 0,
+    }
+    record[field] = value
+    with pytest.raises(ServeError, match=f"field {field!r}"):
+        decode_request(json.dumps(record).encode() + b"\n")
+
+
 def test_control_operations_pass_through():
     assert decode_request(b'{"op": "stat"}\n') == {"op": "stat"}
 

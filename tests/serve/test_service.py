@@ -317,6 +317,36 @@ def test_split_and_coalesced_requests_are_each_answered_once_in_order():
     asyncio.run(main())
 
 
+def test_a_boolean_seq_is_answered_as_an_error_and_trains_nothing():
+    async def main():
+        METRICS.reset()
+        service = PredictionService(ServeConfig(shards=1))
+        await service.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        try:
+            line = _request(1, 64).replace(b'"seq":1', b'"seq":true')
+            assert b'"seq":true' in line
+            writer.write(line)
+            await writer.drain()
+            answer = decode_response(await _line(reader))
+            writer.write(b'{"op":"stat"}\n')
+            await writer.drain()
+            stat = json.loads(await _line(reader))
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await service.stop()
+        assert answer.status == Status.ERROR
+        assert "'seq'" in answer.error
+        assert METRICS.counter("serve.request.malformed") == 1
+        assert stat["shards"][0]["admitted"] == 0
+        assert stat["shards"][0]["trained"] == 0
+
+    asyncio.run(main())
+
+
 def test_an_overlong_request_line_is_answered_and_the_connection_closed(
     caplog,
 ):

@@ -1,5 +1,8 @@
 """Tests for trace persistence."""
 
+import gzip
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TraceError
@@ -117,3 +120,86 @@ class TestMalformed:
         with open(path, "a") as handle:
             handle.write("\n   \n\t\n")
         assert load_trace(path) == sample_events()
+
+
+GOLDEN_TRACES = sorted(
+    (Path(__file__).parent.parent / "data").glob("*_quick_seed0.jsonl.gz")
+)
+
+
+class TestBulkLoad:
+    """``load_trace`` equals ``list(iter_trace(...))`` on every file."""
+
+    def test_five_golden_traces(self, tmp_path):
+        assert len(GOLDEN_TRACES) == 5
+        for golden in GOLDEN_TRACES:
+            path = tmp_path / golden.stem
+            path.write_bytes(gzip.decompress(golden.read_bytes()))
+            events = load_trace(path)
+            assert events, golden.name
+            assert events == list(iter_trace(path)), golden.name
+
+    def _expect_iter_trace_error(self, path, lineno):
+        with pytest.raises(TraceError) as streamed:
+            list(iter_trace(path))
+        with pytest.raises(TraceError) as loaded:
+            load_trace(path)
+        assert str(loaded.value) == str(streamed.value)
+        assert f"{path}:{lineno}:" in str(loaded.value)
+
+    def test_record_split_over_two_lines_is_refused(self, tmp_path):
+        # Joined, the two lines parse as two good records.
+        path = tmp_path / "split.jsonl"
+        path.write_text(
+            '[10,1,2,"c",64,0,6],[25,1,0,"d",64,2\n'
+            "2]\n"
+        )
+        self._expect_iter_trace_error(path, 1)
+
+    def test_two_records_on_one_line_are_refused(self, tmp_path):
+        path = tmp_path / "double.jsonl"
+        save_trace(sample_events()[:1], path)
+        with open(path, "a") as handle:
+            handle.write('[25,1,0,"d",64,2,2],[99,3,5,"c",4096,1,9]\n')
+        self._expect_iter_trace_error(path, 2)
+
+    def test_non_canonical_layout_loads_like_iter_trace(self, tmp_path):
+        path = tmp_path / "loose.jsonl"
+        path.write_bytes(
+            b"\r\n"
+            b'[10, 1, 2, "c", 64, 0, 6]\r\n'
+            b"\r\n"
+            b'  [25,1,0,"d",64,2,2]\r\n'
+            b"\n"
+            b'[99, 3,5,"c",4096,1,9]  \r\n'
+            b"\t\n"
+        )
+        assert load_trace(path) == list(iter_trace(path))
+        assert len(load_trace(path)) == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '[1,1,1,"x",0,0,0]',  # unknown role
+            '[1,1,1,"c",0,0,99]',  # unknown message type
+            '[1,1,1,"c",0,0,-1]',  # negative message type
+            '[1,1,1,"c",0,0,1.0]',  # float message type
+            '[1,1,1,"c",0,0,true]',  # boolean message type
+            '[1,1,1,"c",0,0]',  # six fields
+            '[1,1,1,"c",0,0,0,0]',  # eight fields
+            '[1,1,1,{"c":0},0,0,0]',  # object role
+        ],
+    )
+    def test_non_canonical_record_behaves_as_in_iter_trace(
+        self, tmp_path, line
+    ):
+        path = tmp_path / "odd.jsonl"
+        save_trace(sample_events(), path)
+        with open(path, "a") as handle:
+            handle.write(line + "\n")
+        try:
+            streamed = list(iter_trace(path))
+        except TraceError:
+            self._expect_iter_trace_error(path, 4)
+        else:
+            assert load_trace(path) == streamed
