@@ -41,38 +41,15 @@ import argparse
 import sys
 from typing import Iterable, List, Optional
 
-from .analysis.arcs import measure_arcs
-from .analysis.dot import signature_graph_dot
-from .analysis.report import render_table
-from .analysis.signatures import extract_signatures
-from .analysis.traffic import summarize_traffic
 from .core.config import CosmosConfig
-from .core.corruption import CorruptionProfile
-from .core.evaluation import evaluate_trace
 from .core.eviction import EVICTION_POLICIES
-from .core.predictor import CosmosPredictor, armed_factory
 from .errors import ReproError
-from .ioutil import atomic_write_text
-from .obs import (
-    OBS,
-    build_manifest,
-    explain_trace,
-    export_trace_events,
-    format_pattern,
-    save_trace_events,
-)
-from .protocol.messages import Role
-from .protocol.stache import StacheOptions
-from .sim.checkpoint import resume_simulation, simulate_with_checkpoints
 from .sim.faults import PRESETS, FaultProfile
-from .sim.machine import simulate
 from .sim.metrics import METRICS, dump_metrics_json
-from .sim.params import PAPER_PARAMS
 from .sim.watchdog import DEFAULT_WATCHDOG, Watchdog, WatchdogConfig
-from .trace.events import TraceEvent
-from .trace.io import load_trace, save_trace
-from .workloads.registry import BENCHMARK_NAMES, WORKLOAD_NAMES, make_workload
-from .workloads.zipf import zipf_trace
+
+# Each subcommand imports what only it uses (the simulator, the
+# workloads, the analyses), so no command pays for another's imports.
 
 #: Observability levels selectable from the command line.
 OBS_LEVEL_CHOICES = ("proto", "msg", "pred", "full")
@@ -109,6 +86,13 @@ def _watchdog_from_args(args: argparse.Namespace) -> Optional[Watchdog]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .obs import OBS
+    from .protocol.stache import StacheOptions
+    from .sim.checkpoint import simulate_with_checkpoints
+    from .sim.machine import simulate
+    from .trace.io import save_trace
+    from .workloads.registry import make_workload
+
     workload = make_workload(args.app)
     options = StacheOptions(
         half_migratory=not args.no_half_migratory,
@@ -166,6 +150,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     fault profile, RNG streams), so nothing needs re-specifying; the
     resulting trace is byte-identical to an uninterrupted run's.
     """
+    from .sim.checkpoint import resume_simulation
+    from .trace.io import save_trace
+
     watchdog = _watchdog_from_args(args)
     with METRICS.timer("trace.resume"):
         collector = resume_simulation(
@@ -182,6 +169,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 def _export_timeline(args: argparse.Namespace) -> None:
     """Write the captured event log as trace-event JSON (simulate)."""
+    from .obs import (
+        OBS,
+        build_manifest,
+        export_trace_events,
+        save_trace_events,
+    )
+    from .sim.params import PAPER_PARAMS
+
     manifest = build_manifest(
         "repro-trace simulate",
         app=args.app,
@@ -207,6 +202,13 @@ def _export_timeline(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .core.corruption import CorruptionProfile
+    from .core.evaluation import evaluate_trace
+    from .core.predictor import CosmosPredictor, armed_factory
+    from .trace.events import TraceEvent
+    from .trace.io import load_trace
+    from .workloads.zipf import zipf_trace
+
     if args.trace == "zipf":
         # Streamed, never materialized: bounded predictors replaying it
         # run in bounded memory regardless of distinct-block count.
@@ -276,6 +278,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .analysis.report import render_table
+    from .obs import explain_trace, format_pattern
+    from .trace.io import load_trace
+
     events = load_trace(args.trace)
     config = CosmosConfig(
         depth=args.depth,
@@ -351,6 +357,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_critical_path(args: argparse.Namespace) -> int:
     from .core.bank import PredictorBank
     from .experiments.common import iterations_for, workload_for
+    from .obs import (
+        OBS,
+        build_manifest,
+        export_trace_events,
+        save_trace_events,
+    )
     from .obs.critpath import (
         attributed_paths,
         fold_critpath_metrics,
@@ -358,6 +370,9 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
         summarize,
     )
     from .obs.spans import SPANS, build_transactions, format_span_tree
+    from .sim.machine import simulate
+    from .sim.params import PAPER_PARAMS
+    from .workloads.registry import make_workload
 
     if args.quick:
         workload = workload_for(args.app, quick=True)
@@ -468,12 +483,22 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .analysis.traffic import summarize_traffic
+    from .trace.io import load_trace
+
     events = load_trace(args.trace)
     print(summarize_traffic(events).format())
     return 0
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from .analysis.arcs import measure_arcs
+    from .analysis.dot import signature_graph_dot
+    from .analysis.signatures import extract_signatures
+    from .ioutil import atomic_write_text
+    from .protocol.messages import Role
+    from .trace.io import load_trace
+
     events = load_trace(args.trace)
     role = Role.CACHE if args.role == "cache" else Role.DIRECTORY
     arcs = measure_arcs(events, depth=1, min_ref_percent=args.min_ref)
@@ -560,6 +585,10 @@ def _add_watchdog_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The names only: the registry imports the workload modules, not the
+    # simulator.
+    from .workloads.registry import BENCHMARK_NAMES, WORKLOAD_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro-trace",
         description="Simulate and analyze coherence-message traces.",
@@ -830,6 +859,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.metrics_json:
+        from .obs import build_manifest
+
         dump_metrics_json(
             METRICS.snapshot(),
             args.metrics_json,

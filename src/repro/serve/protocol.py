@@ -22,12 +22,19 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ..core.tuples import SENDER_BITS
 from ..errors import ServeError
 from ..protocol.messages import MessageType
 
 #: The longest line either end accepts, excluding its newline: asyncio
 #: streams' default limit.
 MAX_LINE = 64 * 1024
+
+#: The largest sender a packed ``<sender, type>`` word holds.
+MAX_SENDER = (1 << SENDER_BITS) - 1
+
+#: ``seq`` and ``block`` must be below this (the int64 range).
+INT64_LIMIT = 1 << 63
 
 
 class Status:
@@ -166,6 +173,25 @@ def decode_request(line: bytes) -> dict:
         raise ServeError(
             f"observe request fields must be non-negative: {record!r}"
         )
+    if record["sender"] > MAX_SENDER:
+        raise ServeError(
+            f"observe request sender {record['sender']} does not fit in "
+            f"{SENDER_BITS} bits"
+        )
+    for name in ("seq", "block"):
+        # Shard pipe frames carry both as int64.
+        if record[name] >= INT64_LIMIT:
+            raise ServeError(
+                f"observe request field {name!r} is not below 2**63: "
+                f"{record[name]}"
+            )
+    for name in ("client", "tenant"):
+        try:
+            record[name].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ServeError(
+                f"observe request field {name!r} is not UTF-8 text: {exc}"
+            ) from exc
     return record
 
 

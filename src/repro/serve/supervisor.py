@@ -27,8 +27,14 @@ the shard's training order.  Each shard also has a circuit breaker:
   whenever a ``stat`` poll finds the shard half-open) close the
   breaker and re-admit the shard.  Any failure: back to OPEN.
 
+The pipe carries the binary frames of :mod:`repro.serve.worker`, each
+written with one ``os.write`` and read with one ``os.read``.  The frame
+I/O is done inline in this module's methods, not through helpers, so
+that its cost is this layer's in a profile and adds no call per
+observation.
+
 Every admitted observation gets a shard-local ordinal; the outbox keeps
-its observe message back to one checkpoint interval behind the worker's
+its observe frame back to one checkpoint interval behind the worker's
 last *reported* checkpoint, which is exactly enough to warm-restore
 even when the newest checkpoint file is torn and the loader falls back
 one frame.  Worker deaths leave a forensic bundle
@@ -39,6 +45,7 @@ checkpoints.
 from __future__ import annotations
 
 import asyncio
+import os
 import tempfile
 from collections import deque
 from multiprocessing import get_context
@@ -53,7 +60,22 @@ from ..sim.watchdog import WatchdogConfig
 from .chaos import ChaosScript
 from .config import ServeConfig
 from .timer import LazyTimer
-from .worker import worker_main
+from .worker import (
+    LENGTH,
+    MEMORY,
+    MEMORY_KEYS,
+    OBSERVE,
+    OBSERVE_TAG,
+    OBSERVED,
+    OBSERVED_TAG,
+    PING_FRAME,
+    PONG,
+    PONG_TAG,
+    READ_SIZE,
+    READY,
+    READY_TAG,
+    worker_main,
+)
 
 CLOSED = "closed"
 OPEN = "open"
@@ -94,20 +116,24 @@ class Backpressure(ServeError):
     """
 
 
-#: Receives an admitted observation's outcome: the worker's response
-#: dict, or the :class:`WorkerDown` that lost it.
+#: Receives an admitted observation's outcome: the worker's answer as
+#: ``{"predicted": word, "evicting": bool}``, or the
+#: :class:`WorkerDown` that lost it.
 Callback = Callable[[object], None]
 
-#: One request waiting for, or sitting in, a worker's pipe: the message
+#: One outbox entry: an observation's shard ordinal and its observe frame.
+_Entry = Tuple[int, bytes]
+
+#: One request waiting for, or sitting in, a worker's pipe: the entry
 #: and the callback its answer goes to (``None`` for a ping probe, a
 #: replayed observation or the ready handshake).
-_Request = Tuple[dict, Optional[Callback]]
+_Request = Tuple[_Entry, Optional[Callback]]
 
-_PING = {"op": "ping"}
+_PING = (0, PING_FRAME)
 
 #: Sits in a fresh worker's pipe slot until its ready handshake arrives;
 #: never sent (the worker speaks first).
-_READY = {"op": "ready"}
+_READY = (0, b"")
 
 
 class _Shard:
@@ -124,13 +150,15 @@ class _Shard:
         #: restored checkpoint, then each replayed entry).
         self.held = 0
         self.probes_left = 0
-        #: The observe messages admitted since one checkpoint interval
+        #: The observations admitted since one checkpoint interval
         #: behind the worker's last reported checkpoint, oldest first.
-        self.outbox: Deque[dict] = deque()
+        self.outbox: Deque[_Entry] = deque()
         self.proc = None
         #: The worker's pipe while the loop drives it; ``None`` from a
         #: failure until the replacement is spawned.
         self.conn = None
+        #: The pipe's file descriptor, which the frames go through.
+        self.fd = -1
         #: Requests waiting for the pipe, oldest first.
         self.pending: Deque[_Request] = deque()
         #: The one request in the pipe, and the timer that enforces its
@@ -243,7 +271,8 @@ class ShardSupervisor:
         shard.proc = proc
         shard.epoch = epoch
         shard.conn = parent_conn
-        self._loop.add_reader(parent_conn.fileno(), self._on_readable, shard)
+        shard.fd = parent_conn.fileno()
+        self._loop.add_reader(shard.fd, self._on_readable, shard)
         shard.sent = (_READY, None)
         shard.hang.arm(self._loop.time() + READY_TIMEOUT_S)
 
@@ -258,12 +287,13 @@ class ShardSupervisor:
 
         Returns ``(ordinal, queued)``.  A queued observation's outcome
         goes to ``done``, never before this call returns: the worker's
-        response dict, or a :class:`WorkerDown`.  Not queued means the
-        breaker is open: the observation is safely in the outbox (it
-        will train on restore), ``done`` is never called, and the caller
-        must answer degraded right now.  Raises :class:`Backpressure`
-        when admission would exceed the queue depth or the outbox
-        backlog bound -- in that case *nothing* was admitted.
+        answer (see :data:`Callback`), or a :class:`WorkerDown`.  Not
+        queued means the breaker is open: the observation is safely in
+        the outbox (it will train on restore), ``done`` is never called,
+        and the caller must answer degraded right now.  Raises
+        :class:`Backpressure` when admission would exceed the queue
+        depth or the outbox backlog bound -- in that case *nothing* was
+        admitted.
         """
         shard = self._shards[index]
         if len(shard.outbox) >= MAX_BACKLOG:
@@ -273,21 +303,24 @@ class ShardSupervisor:
             METRICS.inc("serve.shed.queue")
             self._drain(shard)
             raise Backpressure(f"shard {index} queue full")
-        shard.ordinal += 1
-        ordinal = shard.ordinal
-        message = {
-            "op": "observe",
-            "seq": ordinal,
-            "tenant": tenant,
-            "block": block,
-            "word": word,
-        }
-        shard.outbox.append(message)
+        # Packed before anything is counted: a value the frame cannot
+        # carry raises with nothing admitted.
+        ordinal = shard.ordinal + 1
+        data = tenant.encode("utf-8")
+        entry = (
+            ordinal,
+            OBSERVE.pack(
+                OBSERVE.size - 4 + len(data), OBSERVE_TAG, ordinal, block, word
+            )
+            + data,
+        )
+        shard.ordinal = ordinal
+        shard.outbox.append(entry)
         if shard.state == OPEN:
             METRICS.inc("serve.admit.buffered")
             return ordinal, False
         shard.inflight += 1
-        shard.pending.append((message, done))
+        shard.pending.append((entry, done))
         METRICS.inc("serve.admit.queued")
         self._send_next(shard)
         return ordinal, True
@@ -298,7 +331,7 @@ class ShardSupervisor:
 
     def _detach(self, shard: _Shard) -> None:
         """Stop driving the shard's pipe: no reader, no timer, closed."""
-        self._loop.remove_reader(shard.conn.fileno())
+        self._loop.remove_reader(shard.fd)
         shard.hang.cancel()
         shard.conn.close()
         shard.conn = None
@@ -318,8 +351,11 @@ class ShardSupervisor:
             if not shard.pending:
                 return
             shard.sent = shard.pending.popleft()
+        frame = shard.sent[0][1]
         try:
-            shard.conn.send(shard.sent[0])
+            written = os.write(shard.fd, frame)
+            while written < len(frame):
+                written += os.write(shard.fd, frame[written:])
         except OSError:
             # Failed on the loop's next turn: try_submit never answers
             # the observation it is admitting.
@@ -345,34 +381,63 @@ class ShardSupervisor:
         is done and the next request is in the pipe: it may admit the
         connection's next observation right away.
         """
+        fd = shard.fd
         try:
-            response = shard.conn.recv()
+            frame = os.read(fd, READ_SIZE)
+            # One read takes the whole frame unless it arrives in parts.
+            while (
+                len(frame) < 4
+                or len(frame) < 4 + LENGTH.unpack_from(frame)[0]
+            ):
+                more = os.read(fd, READ_SIZE)
+                if not more:
+                    raise EOFError("pipe closed")
+                frame += more
         except (EOFError, OSError):
             self._fail_shard(shard)
             return
+        entry, done = shard.sent
+        tag = frame[4]
+        if tag == OBSERVED_TAG and entry[0]:
+            _size, _tag, _seq, predicted, trained, ckpt, evicting = (
+                OBSERVED.unpack_from(frame)
+            )
+            if len(frame) > OBSERVED.size:
+                shard.mem = dict(
+                    zip(MEMORY_KEYS, MEMORY.unpack_from(frame, OBSERVED.size))
+                )
+        elif tag == PONG_TAG and entry is _PING:
+            _size, _tag, trained, *memory = PONG.unpack_from(frame)
+            shard.mem = dict(zip(MEMORY_KEYS, memory))
+        elif tag == READY_TAG and entry is _READY:
+            _size, _tag, trained = READY.unpack_from(frame)
+        else:
+            # Not the answer to the request in the pipe: a worker bug,
+            # handled like any other worker failure.
+            self._fail_shard(shard)
+            return
         shard.hang.disarm()
-        message, done = shard.sent
         shard.sent = None
-        if response.get("mem") is not None:
-            shard.mem = response["mem"]
         if shard.state == OPEN:
             # Catching up: the ready handshake, or a replayed entry.
-            if message is _READY:
-                self._on_ready(shard, response["trained"])
+            if entry is _READY:
+                self._on_ready(shard, trained)
             else:
-                shard.held = message["seq"]
+                shard.held = entry[0]
                 METRICS.inc("serve.restore.replayed")
-                self._trim_outbox(shard, response["ckpt"])
+                self._trim_outbox(shard, ckpt)
             self._send_next(shard)
             return
         if done is not None:
             shard.inflight -= 1
-            shard.trained = response["trained"]
-            self._trim_outbox(shard, response["ckpt"])
-        self._count_probe(shard)
-        self._send_next(shard)
+            shard.trained = trained
+            self._trim_outbox(shard, ckpt)
+        if shard.state == HALF_OPEN:
+            self._count_probe(shard)
+        if shard.pending:
+            self._send_next(shard)
         if done is not None:
-            done(response)
+            done({"predicted": predicted, "evicting": evicting})
 
     def _on_ready(self, shard: _Shard, restored: int) -> None:
         """A worker's handshake: it holds ordinals up to ``restored``."""
@@ -381,7 +446,7 @@ class ShardSupervisor:
             return
         shard.restores += 1
         METRICS.inc("serve.restore.count")
-        if shard.outbox and restored < shard.outbox[0]["seq"] - 1:
+        if shard.outbox and restored < shard.outbox[0][0] - 1:
             # The outbox does not reach back to the restored
             # checkpoint: observations in the gap are lost learning
             # (documented degraded mode -- see docs/serving.md).
@@ -396,7 +461,7 @@ class ShardSupervisor:
         """
         outbox = shard.outbox
         if outbox:
-            index = max(shard.held + 1 - outbox[0]["seq"], 0)
+            index = max(shard.held + 1 - outbox[0][0], 0)
             if index < len(outbox):
                 return outbox[index], None
         shard.trained = shard.held
@@ -414,8 +479,6 @@ class ShardSupervisor:
 
     def _count_probe(self, shard: _Shard) -> None:
         """One successful round trip while HALF_OPEN."""
-        if shard.state != HALF_OPEN:
-            return
         shard.probes_left -= 1
         if shard.probes_left <= 0:
             shard.state = CLOSED
@@ -447,7 +510,7 @@ class ShardSupervisor:
         """
         horizon = reported_ckpt - self.config.checkpoint_every
         outbox = shard.outbox
-        while outbox and outbox[0]["seq"] <= horizon:
+        while outbox and outbox[0][0] <= horizon:
             outbox.popleft()
 
     # ------------------------------------------------------------------
@@ -465,7 +528,7 @@ class ShardSupervisor:
             requests.append(shard.sent)
         shard.pending.clear()
         shard.sent = None
-        return [done for _message, done in requests if done is not None]
+        return [done for _entry, done in requests if done is not None]
 
     @staticmethod
     def _fail(callbacks: List[Callback], reason: str) -> None:

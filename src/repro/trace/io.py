@@ -7,6 +7,7 @@ rather than one object per line; field order is fixed and documented in
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 from pathlib import Path
@@ -114,9 +115,20 @@ def load_trace(path: Union[str, Path]) -> List[TraceEvent]:
     A file in the form :func:`save_trace` writes is parsed in bulk.  Any
     other file, a malformed one included, is read by :func:`iter_trace`,
     which accepts it or raises its usual :class:`TraceError`.
+
+    The cyclic garbage collector is paused while the events are built:
+    they hold no reference cycles, so its passes over the growing list
+    find nothing to free.  Its previous state is restored on return.
     """
-    events = _load_canonical(path)
-    return list(iter_trace(path)) if events is None else events
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        events = _load_canonical(path)
+        return list(iter_trace(path)) if events is None else events
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_canonical(path: Union[str, Path]) -> Optional[List[TraceEvent]]:

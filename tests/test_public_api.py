@@ -123,6 +123,16 @@ class TestImportGraph:
         ):
             assert module not in loaded, module
 
+    def test_cli_loads_no_simulator_workloads_or_analyses(self):
+        loaded = _modules_loaded_by("import repro.cli")
+        assert "repro.cli" in loaded
+        for module in (
+            "repro.sim.machine",
+            "repro.workloads",
+            "repro.analysis",
+        ):
+            assert module not in loaded, module
+
     def test_trace_replay_loads_no_simulator_or_cache(self):
         loaded = _modules_loaded_by(
             "import repro.core.evaluation, repro.trace.io"

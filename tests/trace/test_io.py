@@ -1,5 +1,6 @@
 """Tests for trace persistence."""
 
+import gc
 import gzip
 from pathlib import Path
 
@@ -52,6 +53,30 @@ class TestRoundTrip:
         path = tmp_path / "sim.jsonl"
         save_trace(producer_consumer_trace, path)
         assert load_trace(path) == list(producer_consumer_trace)
+
+
+class TestCollectorState:
+    """``load_trace`` pauses the cyclic GC and puts it back as it was."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_unchanged_after_a_good_load(self, tmp_path, collector):
+        path = tmp_path / "trace.jsonl"
+        save_trace(sample_events(), path)
+        assert load_trace(path) == sample_events()
+        assert gc.isenabled() is collector
+
+    def test_unchanged_after_a_trace_error(self, tmp_path, collector):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('[1,1,1,"c",0,0,99]\n')
+        with pytest.raises(TraceError):
+            load_trace(path)
+        assert gc.isenabled() is collector
 
 
 class TestMalformed:
