@@ -2,9 +2,10 @@
 
 ``tests/data/bank_goldens.json`` records every row of the quick moldyn
 critical-path comparison (including the ``last-message`` baseline), every
-point of the quick replacement study, and the forensics totals, history
+point of the quick replacement study, the forensics totals, history
 pattern counts and PHT-size histogram of ``explain_trace`` on the golden
-moldyn trace.  Each of these replays a trace through one predictor per
+moldyn trace, every score of the quick Figure 8 comparison, and
+``pht_size_histogram`` on the golden moldyn trace at depth 1.  Each of these replays a trace through one predictor per
 (node, role) module, so a change to how trace events reach predictors
 shows up here.  Regenerate with ``PYTHONPATH=src python
 tests/data/regenerate.py bank`` only for an intentional behaviour change.
@@ -40,7 +41,8 @@ def current(regenerate):
 
 
 @pytest.mark.parametrize(
-    "section", ["critical_path", "replacement", "forensics"]
+    "section",
+    ["critical_path", "replacement", "forensics", "figure8", "pht_histogram"],
 )
 def test_matches_golden(section, golden, current):
     assert current[section] == golden[section]

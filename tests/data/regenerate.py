@@ -297,13 +297,27 @@ def _forensics(app: str) -> dict:
     }
 
 
+#: The golden trace and depth at which the PHT-size histogram is pinned.
+PHT_HISTOGRAM_APP = "moldyn"
+PHT_HISTOGRAM_DEPTH = 1
+
+
 def bank_goldens() -> dict:
-    """Critical-path rows, replacement points and forensics totals."""
+    """Critical-path rows, replacement points, forensics totals, Figure 8
+    scores and the PHT-size histogram."""
+    from repro.analysis.overhead import pht_size_histogram
+    from repro.core.config import CosmosConfig
     from repro.experiments.critical_path import run_critical_path
+    from repro.experiments.figure8 import run_figure8
     from repro.experiments.replacement import run_replacement_study
 
     critical = run_critical_path(apps=["moldyn"], quick=True, seed=0)
     replacement = run_replacement_study(quick=True)
+    figure8 = run_figure8(quick=True, seed=0)
+    histogram = pht_size_histogram(
+        _golden_events(PHT_HISTOGRAM_APP),
+        CosmosConfig(depth=PHT_HISTOGRAM_DEPTH),
+    )
     return _plain(
         {
             "critical_path": {
@@ -315,6 +329,17 @@ def bank_goldens() -> dict:
             },
             "replacement": [asdict(point) for point in replacement.points],
             "forensics": _forensics("moldyn"),
+            "figure8": {
+                trace: [asdict(score) for score in scores]
+                for trace, scores in figure8.scores.items()
+            },
+            "pht_histogram": {
+                "app": PHT_HISTOGRAM_APP,
+                "depth": PHT_HISTOGRAM_DEPTH,
+                "histogram": {
+                    str(size): histogram[size] for size in sorted(histogram)
+                },
+            },
         }
     )
 
