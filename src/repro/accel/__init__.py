@@ -20,12 +20,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "compare_acceleration",
         ),
         ".model": (
+            "F",
+            "R",
             "SpeedupSeries",
             "figure5_series",
             "relative_time",
             "speedup",
             "speedup_percent",
         ),
-        ".speculative": ("SpeculationReport", "replay_with_speculation"),
     },
 )

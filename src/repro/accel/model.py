@@ -21,6 +21,14 @@ from typing import Iterable, List, Sequence, Tuple
 
 from ..errors import ConfigError
 
+#: Fraction of a correctly predicted message's delay still paid: the
+#: ``f`` every Section 4 measurement here uses.
+F = 0.3
+
+#: Extra delay fraction of a mispredicted message: the ``r`` every
+#: Section 4 measurement here uses.
+R = 0.5
+
 
 def relative_time(p: float, f: float, r: float) -> float:
     """Time with prediction / time without (the model's denominator)."""

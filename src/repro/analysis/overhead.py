@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
 from ..core.evaluation import evaluate_trace
 from ..core.memory import MemoryOverhead
@@ -65,9 +64,7 @@ def pht_size_histogram(
     scheme that statically preallocates a few entries per block and
     spills the rest to a shared pool (like LimitLESS directory entries).
     """
-    bank = PredictorBank(config)
-    for event in events:
-        bank.observe(event)
+    bank = evaluate_trace(events, config, track_arcs=False).bank
     histogram: Counter = Counter()
     for _key, predictor in bank:
         for size in predictor.pht_sizes():

@@ -355,7 +355,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
-    from .core.bank import PredictorBank
+    from .core.evaluation import evaluate_trace
     from .experiments.common import iterations_for, workload_for
     from .obs import (
         OBS,
@@ -411,8 +411,14 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
 
     latency_ns = PAPER_PARAMS.one_way_message_ns
     baseline = summarize(attributed_paths(transactions, {}, latency_ns))
-    bank = PredictorBank(CosmosConfig(depth=args.depth))
-    outcomes = replay_outcomes(collector.all_events, transactions, bank)
+    events = collector.all_events
+    column = evaluate_trace(
+        events,
+        CosmosConfig(depth=args.depth),
+        track_arcs=False,
+        record_outcomes=True,
+    ).outcomes
+    outcomes = replay_outcomes(events, transactions, column)
     paths = attributed_paths(transactions, outcomes, latency_ns)
     fold_critpath_metrics(paths)
 

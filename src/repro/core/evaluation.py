@@ -8,7 +8,9 @@ cache / directory module, as in the paper) and accumulates:
   the signature graphs of Figures 6 and 7;
 * cumulative per-iteration checkpoints for the adaptation analysis
   (Table 8 and the "time to adapt" discussion);
-* the memory-overhead quantities of Table 7 (for Cosmos banks).
+* the memory-overhead quantities of Table 7 (for Cosmos banks);
+* on request, a per-event outcome column (hit, miss or no prediction)
+  for callers that score individual messages.
 
 The evaluator works with any predictor implementing the
 :class:`repro.predictors.base.MessagePredictor` interface; by default it
@@ -17,6 +19,7 @@ builds Cosmos predictors from a :class:`CosmosConfig`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -30,6 +33,12 @@ from .tuples import TUPLE_BITS, TYPE_BITS, tuple_of_word
 
 #: Arc key: (role, previous message type, current message type).
 ArcKey = Tuple[Role, MessageType, MessageType]
+
+#: Outcome column values: the module's predictor made no prediction,
+#: predicted something else, or predicted this very message.
+NO_PREDICTION = -1
+MISS = 0
+HIT = 1
 
 
 @dataclass
@@ -86,6 +95,13 @@ class EvaluationResult:
     arcs: ArcStats
     checkpoints: List[IterationCheckpoint]
     overhead: Optional[MemoryOverhead]
+    #: The bank the trace was replayed through: its final tables and
+    #: per-module counters.  Results compare by what they measured.
+    bank: PredictorBank = field(compare=False, repr=False)
+    #: ``array('b')`` of :data:`HIT` / :data:`MISS` /
+    #: :data:`NO_PREDICTION`, one per event in trace order; ``None``
+    #: unless ``record_outcomes`` was asked for.
+    outcomes: Optional[array] = None
 
     @property
     def cache_accuracy(self) -> float:
@@ -110,6 +126,8 @@ def evaluate_trace(
     predictor_factory: Optional[PredictorFactory] = None,
     checkpoint_iterations: Iterable[int] = (),
     track_arcs: bool = True,
+    *,
+    record_outcomes: bool = False,
 ) -> EvaluationResult:
     """Replay ``events`` through per-module predictors and score them.
 
@@ -123,6 +141,8 @@ def evaluate_trace(
             statistics are snapshotted (events must arrive in
             non-decreasing iteration order for checkpoints to be exact).
         track_arcs: record per-arc statistics (small extra cost).
+        record_outcomes: fill ``EvaluationResult.outcomes`` with each
+            event's outcome.
 
     Returns:
         An :class:`EvaluationResult`.
@@ -152,6 +172,8 @@ def evaluate_trace(
     pht_bounded = bool(cosmos_config.pht_capacity)
     bounded = mhr_bounded or pht_bounded
     obs_pred = OBS.pred
+    outcomes = array("b") if record_outcomes else None
+    per_event = obs_pred or record_outcomes
     directory = Role.DIRECTORY
 
     # Module state, keyed ``(node << 1) | role-bit``:
@@ -277,28 +299,33 @@ def evaluate_trace(
                     module[3] += 1
                     hit = True
 
-        if obs_pred:
+        if per_event:
             if inline:
                 predicted = (
                     tuple_of_word(predicted) if predicted >= 0 else None
                 )
-            OBS.emit(
-                event.time,
-                "pred",
-                "observe",
-                event.node,
-                block,
-                {
-                    "role": str(role),
-                    "hit": hit,
-                    "predicted": (
-                        f"P{predicted[0]} {predicted[1].name}"
-                        if predicted is not None
-                        else None
-                    ),
-                    "actual": f"P{event.sender} {event.mtype.name}",
-                },
-            )
+            if outcomes is not None:
+                outcomes.append(
+                    NO_PREDICTION if predicted is None else HIT if hit else MISS
+                )
+            if obs_pred:
+                OBS.emit(
+                    event.time,
+                    "pred",
+                    "observe",
+                    event.node,
+                    block,
+                    {
+                        "role": str(role),
+                        "hit": hit,
+                        "predicted": (
+                            f"P{predicted[0]} {predicted[1].name}"
+                            if predicted is not None
+                            else None
+                        ),
+                        "actual": f"P{event.sender} {event.mtype.name}",
+                    },
+                )
 
         if track_arcs:
             last_type = module[5]
@@ -336,6 +363,8 @@ def evaluate_trace(
         arcs=ArcStats(tallies=_arc_tallies(arc_counts)),
         checkpoints=checkpoints,
         overhead=bank.overhead,
+        bank=bank,
+        outcomes=outcomes,
     )
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.report import render_table
-from ..core.bank import PredictorBank
+from ..accel.model import F, R
 from ..core.config import CosmosConfig
+from ..core.evaluation import evaluate_trace
 from ..obs.critpath import (
     CritPathSummary,
     attributed_paths,
@@ -54,7 +55,7 @@ class CriticalPathResult:
     def format(self) -> str:
         parts: List[str] = [
             "Critical-path composition by predictor (Cosmos depth "
-            f"{self.depth}; f=0.3, r=0.5 as in Section 4).\n"
+            f"{self.depth}; f={F}, r={R} as in Section 4).\n"
             "'indirection' is the directory time a correct prediction "
             "shortcuts;\n'saved' / 'penalty' are critical-path ns "
             "removed by hits / added by misses."
@@ -133,20 +134,16 @@ def run_critical_path(
         events, transactions = _trace_spans(app, seed, quick)
         by_predictor: Dict[str, CritPathSummary] = {}
         for predictor in PREDICTOR_NAMES:
-            if predictor == "none":
-                outcomes: Dict[int, Optional[str]] = {}
-            elif predictor == "last-message":
-                outcomes = replay_outcomes(
-                    events,
-                    transactions,
-                    PredictorBank(factory=LastMessagePredictor),
-                )
-            else:
-                outcomes = replay_outcomes(
-                    events,
-                    transactions,
-                    PredictorBank(CosmosConfig(depth=depth)),
-                )
+            outcomes: Dict[int, Optional[str]] = {}
+            if predictor != "none":
+                if predictor == "last-message":
+                    replay = dict(predictor_factory=LastMessagePredictor)
+                else:
+                    replay = dict(config=CosmosConfig(depth=depth))
+                column = evaluate_trace(
+                    events, track_arcs=False, record_outcomes=True, **replay
+                ).outcomes
+                outcomes = replay_outcomes(events, transactions, column)
             paths = attributed_paths(transactions, outcomes, latency_ns)
             if fold_metrics and predictor == "cosmos":
                 fold_critpath_metrics(paths)

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence
 
-from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
+from ..core.evaluation import evaluate_trace
 from ..core.predictor import CosmosPredictor
 from ..predictors.dsi import DSIPredictor
 from ..predictors.last_message import LastMessagePredictor
@@ -135,13 +135,13 @@ def _score_predictors(
     events: Sequence[TraceEvent],
     factories: Dict[str, Callable[[], object]],
 ) -> List[PredictorScore]:
+    cache_events = [event for event in events if event.role is Role.CACHE]
     scores: List[PredictorScore] = []
     for name, factory in factories.items():
-        bank = PredictorBank(factory=factory)
-        for event in events:
-            if event.role is Role.CACHE:
-                bank.observe(event)
-        modules = [predictor for _key, predictor in bank]
+        result = evaluate_trace(
+            cache_events, predictor_factory=factory, track_arcs=False
+        )
+        modules = [predictor for _key, predictor in result.bank]
         hits = sum(p.hits for p in modules)
         preds = sum(p.predictions for p in modules)
         refs = preds + sum(p.no_prediction for p in modules)

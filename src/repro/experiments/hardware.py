@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..analysis.report import render_table
-from ..core.bank import PredictorBank
 from ..core.config import CosmosConfig
+from ..core.evaluation import evaluate_trace
 from ..trace.events import TraceEvent
 from .common import get_trace
 
@@ -94,17 +94,11 @@ def _run_bank(
     events: Iterable[TraceEvent], config: CosmosConfig
 ) -> Tuple[int, int, int, int]:
     """(hits, predictions, refs, evictions) over a per-module bank."""
-    bank = PredictorBank(config)
-    hits = predictions = refs = 0
-    for event in events:
-        observation = bank.observe(event)
-        refs += 1
-        if observation.predicted is not None:
-            predictions += 1
-            hits += observation.hit
-    report = bank.memory_report()
+    result = evaluate_trace(events, config, track_arcs=False)
+    predictions = sum(p.predictions for _key, p in result.bank)
+    report = result.bank.memory_report()
     evictions = report["evictions_mhr"] if report is not None else 0
-    return hits, predictions, refs, evictions
+    return result.overall.hits, predictions, result.overall.refs, evictions
 
 
 def run_hardware(

@@ -4,7 +4,7 @@ Two complementary measurements beyond the paper's scope (it stops at
 prediction accuracy and the analytic model):
 
 * the Section 4.4 latency model applied to each application's *measured*
-  per-message prediction outcomes (``repro.accel.speculative``);
+  per-message prediction accuracy (``repro.accel.model``);
 * a genuine inline integration: the read-modify-write optimization driven
   by a Cosmos predictor inside each directory, measured as real message
   and simulated-time savings (``repro.accel.integration``).
@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from ..accel.integration import AccelerationComparison, compare_acceleration
-from ..accel.speculative import SpeculationReport, replay_with_speculation
+from ..accel.model import F, R, speedup
 from ..analysis.report import render_table
 from ..core.config import CosmosConfig
+from ..core.evaluation import evaluate_trace
 from .common import get_trace, iterations_for, workload_for
 
 
@@ -34,35 +35,27 @@ ACTION_MODES = {
 class IntegrationResult:
     """Model-based and inline acceleration results per application."""
 
-    model_reports: Dict[str, SpeculationReport]
+    #: Measured per-message prediction accuracy per application.
+    accuracies: Dict[str, float]
     inline_comparisons: Dict[str, AccelerationComparison]
 
+    def model_speedup(self, app: str) -> float:
+        """The Section 4.4 model at ``app``'s measured accuracy."""
+        return speedup(self.accuracies[app], F, R)
+
     def format(self) -> str:
-        headers = [
-            "Application",
-            "accuracy",
-            "model speedup",
-            "replay speedup",
+        body = [
+            [app, f"{accuracy:.1%}", f"{self.model_speedup(app):.2f}x"]
+            for app, accuracy in self.accuracies.items()
         ]
-        body = []
-        for app, report in self.model_reports.items():
-            body.append(
-                [
-                    app,
-                    f"{report.measured_accuracy:.1%}",
-                    f"{report.model_speedup:.2f}x",
-                    f"{report.measured_speedup:.2f}x",
-                ]
-            )
         text = render_table(
-            headers,
+            ["Application", "accuracy", "model speedup"],
             body,
             title=(
                 "Section 4.4 model applied to measured outcomes "
-                f"(f={next(iter(self.model_reports.values())).f}, "
-                f"r={next(iter(self.model_reports.values())).r})"
+                f"(f={F}, r={R})"
             )
-            if self.model_reports
+            if self.accuracies
             else "",
         )
         if self.inline_comparisons:
@@ -105,20 +98,18 @@ class IntegrationResult:
 def run_integration(
     model_apps: Iterable[str] = ("appbt", "moldyn", "unstructured"),
     inline_apps: Iterable[str] = ("appbt", "moldyn"),
-    f: float = 0.3,
-    r: float = 0.5,
     depth: int = 2,
     seed: int = 0,
     quick: bool = False,
 ) -> IntegrationResult:
     """Measure model-based and inline acceleration."""
     config = CosmosConfig(depth=depth)
-    model_reports: Dict[str, SpeculationReport] = {}
-    for app in model_apps:
-        events = get_trace(app, seed=seed, quick=quick)
-        model_reports[app] = replay_with_speculation(
-            events, config=config, f=f, r=r
-        )
+    accuracies = {
+        app: evaluate_trace(
+            get_trace(app, seed=seed, quick=quick), config, track_arcs=False
+        ).overall_accuracy
+        for app in model_apps
+    }
     inline_comparisons: Dict[str, AccelerationComparison] = {}
     for app in inline_apps:
         for mode, action_kwargs in ACTION_MODES.items():
@@ -130,5 +121,5 @@ def run_integration(
                 **action_kwargs,
             )
     return IntegrationResult(
-        model_reports=model_reports, inline_comparisons=inline_comparisons
+        accuracies=accuracies, inline_comparisons=inline_comparisons
     )

@@ -107,6 +107,8 @@ def evaluate_with_history_loss(
         ),
     )
     hits = refs = 0
+    # Own loop, not evaluate_trace's: a replacement marker must reach
+    # ``forget`` between two events of the replay.
     for _time, tag, payload in timeline:
         if tag == 0:
             node, block = payload

@@ -211,6 +211,8 @@ def explain_trace(
     report = ForensicsReport(config=config, per_block=per_block)
     bank = PredictorBank(config)
 
+    # Own loop, not evaluate_trace's: the capture reads the MHR and PHT
+    # between predict and update, where its outcome column cannot reach.
     for event in events:
         predictor = bank.predictor_for(event.node, event.role)
         actual = event.tuple

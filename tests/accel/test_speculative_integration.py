@@ -1,77 +1,15 @@
-"""Tests for speculation accounting and the inline integration."""
-
-import pytest
+"""Tests for the inline integration of predictions into the protocol."""
 
 from repro.accel.integration import (
     PredictiveMachine,
     compare_acceleration,
 )
-from repro.accel.speculative import replay_with_speculation
 from repro.core.config import CosmosConfig
-from repro.core.predictor import CosmosPredictor
 from repro.experiments.figure2 import ProducerConsumerMicro
 from repro.obs.spans import SPANS, build_transactions
 from repro.protocol.messages import MessageType
 from repro.sim.machine import Machine
 from repro.workloads.moldyn import MolDyn
-
-
-class TestReplayWithSpeculation:
-    def test_costs_bracket_baseline(self, producer_consumer_trace):
-        report = replay_with_speculation(
-            producer_consumer_trace, CosmosConfig(depth=1), f=0.3, r=0.5
-        )
-        assert report.messages == len(producer_consumer_trace)
-        assert 0.0 < report.accelerated_cost
-        assert report.baseline_cost == report.messages
-
-    def test_speedup_consistent_with_model(self, producer_consumer_trace):
-        report = replay_with_speculation(
-            producer_consumer_trace, CosmosConfig(depth=1), f=0.3, r=0.5
-        )
-        # Replay charges per actual outcome; the closed-form model uses
-        # the aggregate accuracy.  With a single (f, r) they coincide.
-        assert report.measured_speedup == pytest.approx(
-            report.model_speedup, rel=1e-9
-        )
-
-    def test_actions_triggered(self, producer_consumer_trace):
-        report = replay_with_speculation(
-            producer_consumer_trace, CosmosConfig(depth=1)
-        )
-        assert report.action_counts  # producer-consumer triggers rules
-        assert all(count > 0 for count in report.action_counts.values())
-
-    def test_high_accuracy_gives_speedup(self, producer_consumer_trace):
-        report = replay_with_speculation(
-            producer_consumer_trace, CosmosConfig(depth=1), f=0.2, r=0.5
-        )
-        assert report.measured_accuracy > 0.8
-        assert report.measured_speedup > 1.5
-
-    def test_predicts_once_per_message(
-        self, producer_consumer_trace, monkeypatch
-    ):
-        # The observation carries the prediction it scored, so the
-        # replay never asks a predictor a second time.
-        calls = []
-        predict = CosmosPredictor.predict
-
-        def counting_predict(predictor, block):
-            calls.append(block)
-            return predict(predictor, block)
-
-        monkeypatch.setattr(CosmosPredictor, "predict", counting_predict)
-        report = replay_with_speculation(
-            producer_consumer_trace, CosmosConfig(depth=1)
-        )
-        assert report.action_counts
-        assert calls == []
-
-    def test_empty_trace(self):
-        report = replay_with_speculation([])
-        assert report.messages == 0
-        assert report.measured_accuracy == 0.0
 
 
 class TestInlineIntegration:

@@ -212,8 +212,8 @@ class TestSensitivityAndIntegration:
             inline_apps=("moldyn",),
             quick=True,
         )
-        report = result.model_reports["moldyn"]
-        assert report.messages > 0
+        assert 0.0 < result.accuracies["moldyn"] < 1.0
+        assert "model speedup" in result.format()
         assert set(result.inline_comparisons) == {
             "moldyn/grant",
             "moldyn/push",
@@ -230,7 +230,7 @@ class TestSensitivityAndIntegration:
             seed=0,
             quick=True,
         )
-        assert result.model_reports["moldyn"].model_speedup > 1.0
+        assert result.model_speedup("moldyn") > 1.0
         assert len(result.inline_comparisons) == 6
         for label, comparison in result.inline_comparisons.items():
             # Inline prediction never inflates traffic catastrophically,

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.bank import PredictorBank
 from repro.core.config import CosmosConfig
+from repro.core.evaluation import evaluate_trace
 from repro.obs.critpath import (
     CriticalPath,
     Segment,
@@ -25,6 +25,13 @@ from repro.workloads.moldyn import MolDyn
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data"
 LATENCY = PAPER_PARAMS.one_way_message_ns
+
+
+def _column(events, config):
+    """The per-event outcome column of one replay of ``events``."""
+    return evaluate_trace(
+        events, config, track_arcs=False, record_outcomes=True
+    ).outcomes
 
 
 @pytest.fixture(autouse=True)
@@ -150,7 +157,7 @@ class TestReplay:
         events, transactions = traced
         baseline = summarize(attributed_paths(transactions, {}, LATENCY))
         outcomes = replay_outcomes(
-            events, transactions, PredictorBank(CosmosConfig(depth=2))
+            events, transactions, _column(events, CosmosConfig(depth=2))
         )
         cosmos = summarize(
             attributed_paths(transactions, outcomes, LATENCY)
@@ -164,10 +171,10 @@ class TestReplay:
     def test_replay_is_deterministic(self, traced):
         events, transactions = traced
         first = replay_outcomes(
-            events, transactions, PredictorBank(CosmosConfig(depth=2))
+            events, transactions, _column(events, CosmosConfig(depth=2))
         )
         second = replay_outcomes(
-            events, transactions, PredictorBank(CosmosConfig(depth=2))
+            events, transactions, _column(events, CosmosConfig(depth=2))
         )
         assert first == second
 
