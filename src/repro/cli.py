@@ -590,6 +590,14 @@ def _add_watchdog_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _non_negative_int(text: str) -> int:
+    """``argparse`` type for ``--top``: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The names only: the registry imports the workload modules, not the
     # simulator.
@@ -771,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--top",
-        type=int,
+        type=_non_negative_int,
         default=10,
         help="rows in the whole-trace rankings; default 10",
     )
@@ -805,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crit.add_argument(
         "--top",
-        type=int,
+        type=_non_negative_int,
         default=5,
         help="worst transactions to print with span trees; default 5",
     )

@@ -31,6 +31,9 @@ from ..workloads.base import Workload
 from ..workloads.patterns import migratory
 from .common import get_trace
 
+#: The applications whose traces Figure 8 scores the predictors on.
+FIGURE8_APPS = ("unstructured", "moldyn")
+
 
 class MigratoryMicro(Workload):
     """Blocks migrating through fixed processor chains (Figure 8b)."""
@@ -171,7 +174,7 @@ def default_factories() -> Dict[str, Callable[[], object]]:
 def run_figure8(
     iterations: int = 40,
     seed: int = 0,
-    include_apps: Iterable[str] = ("unstructured", "moldyn"),
+    include_apps: Iterable[str] = FIGURE8_APPS,
     quick: bool = False,
 ) -> Figure8Result:
     """Score Cosmos and the directed predictors on trigger microworkloads

@@ -25,6 +25,9 @@ from ..core.evaluation import evaluate_trace
 from ..trace.events import TraceEvent
 from .common import get_trace
 
+#: The application whose trace the hardware sweep replays.
+HARDWARE_APP = "moldyn"
+
 
 @dataclass(frozen=True)
 class CapacityPoint:
@@ -102,7 +105,7 @@ def _run_bank(
 
 
 def run_hardware(
-    app: str = "moldyn",
+    app: str = HARDWARE_APP,
     capacities: Iterable[Optional[int]] = (None, 256, 64, 16, 4),
     thresholds: Iterable[int] = (0, 1, 2, 3),
     depth: int = 1,

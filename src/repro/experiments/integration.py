@@ -23,6 +23,9 @@ from ..core.evaluation import evaluate_trace
 from .common import get_trace, iterations_for, workload_for
 
 
+#: The applications whose replayed accuracy feeds the speedup model.
+MODEL_APPS = ("appbt", "moldyn", "unstructured")
+
 #: The inline action modes compared by the experiment.
 ACTION_MODES = {
     "grant": dict(grant_exclusive=True, push_data=False),
@@ -96,7 +99,7 @@ class IntegrationResult:
 
 
 def run_integration(
-    model_apps: Iterable[str] = ("appbt", "moldyn", "unstructured"),
+    model_apps: Iterable[str] = MODEL_APPS,
     inline_apps: Iterable[str] = ("appbt", "moldyn"),
     depth: int = 2,
     seed: int = 0,

@@ -12,13 +12,15 @@ Usage::
 
 or ``python -m repro.experiments.runner ...``.
 
-Parallel runs (``--jobs N``) shard independent experiments across a
-``spawn`` process pool and hand simulation traces between workers
-through the on-disk trace cache (``--trace-cache DIR``, or the
-``REPRO_TRACE_CACHE`` environment variable, defaulting to
-``~/.cache/repro/traces`` when parallel).  The same seeds drive the same
-simulations wherever they run, so the report text is byte-identical to
-``--jobs 1``; only the wall time changes.
+Every run goes through one shard plan (:mod:`repro.parallel`): a
+trace-warming stage, then one shard per experiment.  ``--jobs 1`` runs
+the shards in this process; ``--jobs N`` runs them on a ``spawn``
+process pool and hands simulation traces between workers through the
+on-disk trace cache (``--trace-cache DIR``, or the ``REPRO_TRACE_CACHE``
+environment variable, defaulting to ``~/.cache/repro/traces`` when
+parallel).  The same seeds drive the same simulations wherever they
+run, and sections print in request order as they finish, so the report
+text is byte-identical at any ``--jobs``; only the wall time changes.
 """
 
 from __future__ import annotations
@@ -43,22 +45,20 @@ from ..obs import (
 from ..protocol.messages import format_table1
 from ..sim.metrics import METRICS, dump_metrics_json
 from ..sim.params import PAPER_PARAMS
-from ..trace.cache import TraceCache
 from ..workloads.registry import BENCHMARK_NAMES, format_table4
 from ..sim.faults import PRESETS, FaultProfile
 from .bounds import run_bounds
-from .common import configure_faults, configure_trace_cache
 from .corruption import run_corruption_study
 from .critical_path import run_critical_path
 from .faults import run_fault_study
 from .mispredict import run_mispredict_profile
 from .figure2 import run_figure2
 from .figure5 import run_figure5
-from .figure8 import run_figure8
+from .figure8 import FIGURE8_APPS, run_figure8
 from .figures6_7 import run_figures6_7
 from .capacity import run_capacity_study
-from .hardware import run_hardware
-from .integration import run_integration
+from .hardware import HARDWARE_APP, run_hardware
+from .integration import MODEL_APPS, run_integration
 from .protocols import run_protocol_comparison
 from .replacement import run_replacement_study
 from .scaling import run_scaling, run_seed_study
@@ -144,8 +144,8 @@ EXPERIMENTS: Dict[str, Callable[[bool, int], str]] = {
 #: Workloads each experiment replays through the shared trace cache.
 #: Experiments that simulate privately (non-default protocol options or
 #: machine sizes: sensitivity, protocols, replacement, scaling, seeds)
-#: or not at all are mapped to the empty tuple; the parallel planner
-#: uses this to warm exactly the traces a run will need.
+#: or not at all are mapped to the empty tuple; the shard planner uses
+#: this to warm exactly the traces a run will need.
 EXPERIMENT_TRACES: Dict[str, Tuple[str, ...]] = {
     name: () for name in EXPERIMENTS
 }
@@ -156,11 +156,11 @@ EXPERIMENT_TRACES.update(
         "table7": tuple(BENCHMARK_NAMES),
         "table8": tuple(BENCHMARK_NAMES),
         "figures6-7": tuple(BENCHMARK_NAMES),
-        "figure8": tuple(BENCHMARK_NAMES),
+        "figure8": FIGURE8_APPS,
         "traffic": tuple(BENCHMARK_NAMES),
         "bounds": tuple(BENCHMARK_NAMES),
-        "integration": tuple(BENCHMARK_NAMES),
-        "hardware": ("moldyn",),
+        "integration": MODEL_APPS,
+        "hardware": (HARDWARE_APP,),
         "mispredict-profile": tuple(BENCHMARK_NAMES),
         "corruption": tuple(BENCHMARK_NAMES),
     }
@@ -182,108 +182,75 @@ def run_experiments(
     run_dir: Optional[str] = None,
     resume_dir: Optional[str] = None,
 ) -> Tuple[List[Section], List[dict]]:
-    """Run ``names`` sequentially (``jobs <= 1``) or on a worker pool.
+    """Run ``names`` through the shard plan; return its sections.
 
-    Both paths produce identical section text for identical inputs; the
-    parallel path shards experiments across ``spawn`` processes and
-    merges results back in request order.  ``on_section`` is called once
-    per section, in order.  ``fault_spec`` (``--fault-profile``) injects
-    interconnect faults into every simulation either path runs.  Returns
-    ``(sections, shard_stats)`` where ``shard_stats`` holds one
-    JSON-able accounting dict per shard (simulation shards included) for
-    ``--metrics-json``.
+    There is one path: plan the run, optionally journal it, execute it
+    with :func:`~repro.parallel.pool.run_plan` -- in this process at
+    ``jobs == 1``, on a ``spawn`` pool of ``jobs`` workers above that.
+    ``on_section`` is called once per section, in request order, as
+    soon as that section and every earlier one are done.  ``fault_spec``
+    (``--fault-profile``) injects interconnect faults into every
+    simulation the run performs.  Returns ``(sections, shard_stats)``
+    where ``shard_stats`` holds one JSON-able accounting dict per shard
+    (simulation shards included) for ``--metrics-json``.
 
-    ``run_dir`` journals every shard completion under that directory
-    (forcing the pool path even for ``jobs=1``) so an interrupted or
-    killed run can be resumed; ``resume_dir`` resumes such a run,
-    rebuilding the journaled plan exactly and re-executing only the
-    shards with no recorded success -- the merged output is
+    ``run_dir`` journals every shard completion under that directory so
+    an interrupted or killed run can be resumed; ``resume_dir`` resumes
+    such a run, rebuilding the journaled plan exactly and re-executing
+    only the shards with no recorded success -- the merged output is
     byte-identical to an uninterrupted run.  The two are mutually
     exclusive; with ``resume_dir`` set, ``names``/``quick``/``seed``/
     fault arguments are taken from the journal, not the caller.
     """
-    sections: List[Section] = []
-    shard_stats: List[dict] = []
-    if jobs > 1 or run_dir is not None or resume_dir is not None:
-        from ..parallel import RunJournal, plan_run, run_plan
+    from ..parallel import RunJournal, plan_run, run_plan
 
-        journal = None
-        if resume_dir is not None:
-            if run_dir is not None:
-                raise ValueError("run_dir and resume_dir are exclusive")
-            journal = RunJournal.load(resume_dir)
-            plan = journal.plan()
-        else:
-            plan = plan_run(
-                names,
-                quick,
-                seed,
-                cache_dir,
-                EXPERIMENT_TRACES,
-                fault_spec=fault_spec,
-                fault_seed=fault_seed,
+    journal = None
+    if resume_dir is not None:
+        if run_dir is not None:
+            raise ValueError("run_dir and resume_dir are exclusive")
+        journal = RunJournal.load(resume_dir)
+        plan = journal.plan()
+    else:
+        plan = plan_run(
+            names,
+            quick,
+            seed,
+            cache_dir,
+            EXPERIMENT_TRACES,
+            fault_spec=fault_spec,
+            fault_seed=fault_seed,
+        )
+        if run_dir is not None:
+            journal = RunJournal.create(
+                run_dir,
+                plan,
+                meta={
+                    "names": list(names),
+                    "quick": quick,
+                    "seed": seed,
+                    "cache_dir": cache_dir,
+                    "fault_spec": fault_spec,
+                    "fault_seed": fault_seed,
+                },
             )
-            if run_dir is not None:
-                journal = RunJournal.create(
-                    run_dir,
-                    plan,
-                    meta={
-                        "names": list(names),
-                        "quick": quick,
-                        "seed": seed,
-                        "cache_dir": cache_dir,
-                        "fault_spec": fault_spec,
-                        "fault_seed": fault_seed,
-                    },
-                )
-        try:
-            sections, outcomes = run_plan(plan, jobs, journal=journal)
-        finally:
-            if journal is not None:
-                journal.close()
-        shard_stats = [
-            {
-                "kind": outcome.kind,
-                "name": outcome.name,
-                "seconds": outcome.seconds,
-                "events": outcome.events,
-                "events_per_second": round(outcome.events_per_second, 1),
-                "pid": outcome.pid,
-            }
-            for outcome in outcomes
-        ]
-        if on_section is not None:
-            for section in sections:
-                on_section(section)
-        return sections, shard_stats
-
-    previous = configure_trace_cache(
-        TraceCache(cache_dir) if cache_dir is not None else None
-    )
-    previous_faults = configure_faults(fault_spec, fault_seed)
     try:
-        for name in names:
-            start = time.perf_counter()
-            text = EXPERIMENTS[name](quick, seed)
-            elapsed = time.perf_counter() - start
-            METRICS.inc("shard.experiment")
-            section = (name, text, elapsed)
-            sections.append(section)
-            shard_stats.append(
-                {
-                    "kind": "experiment",
-                    "name": name,
-                    "seconds": elapsed,
-                    "events": 0,
-                    "events_per_second": 0.0,
-                    "pid": os.getpid(),
-                }
-            )
-            if on_section is not None:
-                on_section(section)
+        sections, outcomes = run_plan(
+            plan, jobs, journal=journal, on_section=on_section
+        )
     finally:
-        configure_trace_cache(previous)
-        configure_faults(*previous_faults)
+        if journal is not None:
+            journal.close()
+    shard_stats = [
+        {
+            "kind": outcome.kind,
+            "name": outcome.name,
+            "seconds": outcome.seconds,
+            "events": outcome.events,
+            "events_per_second": round(outcome.events_per_second, 1),
+            "pid": outcome.pid,
+        }
+        for outcome in outcomes
+    ]
     return sections, shard_stats
 
 
@@ -353,6 +320,14 @@ def _resolve_cache_dir(args: argparse.Namespace, jobs: int) -> Optional[str]:
     return None
 
 
+def _positive_int(text: str) -> int:
+    """``argparse`` type for ``--jobs``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -380,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="run experiments on N worker processes (default 1: in-process)",
@@ -505,12 +480,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if profile.is_active:
             fault_spec = profile.spec()
 
-    jobs = max(1, args.jobs)
-    if args.trace_events and (args.run_dir or args.resume):
+    jobs = args.jobs
+    if args.trace_events and args.resume:
         print(
             "--trace-events captures an in-process event log; it cannot "
-            "combine with the journaled worker-pool path "
-            "(--run-dir/--resume)",
+            "combine with --resume, whose journaled shards would be "
+            "missing from it",
             file=sys.stderr,
         )
         return 2

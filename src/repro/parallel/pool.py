@@ -1,12 +1,14 @@
-"""The worker pool: execute a :class:`~repro.parallel.plan.Plan`.
+"""The shard loop: execute a :class:`~repro.parallel.plan.Plan`.
 
-Workers run in ``spawn`` processes (fresh interpreters -- no inherited
-RNG state, no copy-on-write surprises, same behaviour on every
-platform).  Each worker configures the shared on-disk trace cache,
-seeds ambient randomness from the shard's derived seed, runs its shard,
-and ships back the result plus its local metrics snapshot.  The parent
-folds worker metrics into the global registry and merges experiment
-outputs in plan order, so scheduling never leaks into the report.
+One loop, two executors.  At ``jobs == 1`` every shard runs in this
+process; above it, shards run in ``spawn`` worker processes (fresh
+interpreters -- no inherited RNG state, no copy-on-write surprises,
+same behaviour on every platform).  Either way a shard runs under its
+own trace cache, fault profile, derived ``random`` seed and metrics
+registry, and ships back its result plus that metrics snapshot.  The
+loop journals each outcome, folds its metrics into the global registry
+and hands experiment sections on in plan order, so scheduling never
+leaks into the report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import RunInterrupted, ShardError
 from ..sim.metrics import METRICS
@@ -56,13 +58,8 @@ def _shard_identity(shard: _Shard) -> Tuple[str, str, int]:
     return "experiment", shard.name, shard.index
 
 
-def _failure_outcome(
-    shard: _Shard,
-    error: str,
-    seconds: float = 0.0,
-    pid: int = 0,
-    metrics: Optional[Dict[str, dict]] = None,
-) -> ShardOutcome:
+def _failure_outcome(shard: _Shard, error: str) -> ShardOutcome:
+    """The outcome of a worker that died without shipping a result."""
     kind, name, index = _shard_identity(shard)
     return ShardOutcome(
         kind=kind,
@@ -70,67 +67,76 @@ def _failure_outcome(
         index=index,
         text="",
         events=0,
-        seconds=seconds,
-        pid=pid,
-        metrics=metrics or {},
+        seconds=0.0,
+        pid=0,
+        metrics={},
         error=error,
     )
 
 
-def _configure_worker_cache(cache_dir: object) -> None:
-    from ..experiments.common import configure_trace_cache
-    from ..trace.cache import TraceCache
-
-    if cache_dir is not None:
-        configure_trace_cache(TraceCache(str(cache_dir)))
-
-
 def _run_shard(shard: _Shard) -> ShardOutcome:
-    """Top-level worker entry point (must be picklable for ``spawn``).
+    """Run one shard; the entry point of both executors.
+
+    Must be top-level (picklable for ``spawn``).  The shard runs under
+    exactly its own ambient state -- its trace cache, its fault profile
+    (``None`` = reliable interconnect), ``random`` seeded from its
+    derived seed, and an empty metrics registry -- and the caller's
+    state is restored afterwards, so a shard run in this process leaves
+    the caller's ``METRICS`` and ``random`` as it found them.
 
     Failures are captured and returned as an error outcome rather than
-    raised: the parent must see the worker's metrics snapshot (the shard
-    may have warmed the cache or finished simulations before dying) and
+    raised: the caller must see the shard's metrics snapshot (it may
+    have warmed the cache or finished simulations before dying) and
     must keep draining the remaining shards.
     """
     import random
 
+    from ..experiments.common import (
+        configure_faults,
+        configure_trace_cache,
+        current_faults,
+        get_trace,
+    )
+    from ..trace.cache import TraceCache
+
+    kind, name, index = _shard_identity(shard)
+    caller_metrics = METRICS.snapshot()
+    caller_random = random.getstate()
+    caller_faults = current_faults()
+    caller_cache = configure_trace_cache(
+        TraceCache(shard.cache_dir) if shard.cache_dir is not None else None
+    )
     random.seed(shard.shard_seed)
     METRICS.reset()
-    kind, name, index = _shard_identity(shard)
+    text, n_events, error = "", 0, None
     start = time.perf_counter()
     try:
-        _configure_worker_cache(shard.cache_dir)
-        if shard.fault_spec is not None:
-            from ..experiments.common import configure_faults
-
-            configure_faults(shard.fault_spec, shard.fault_seed)
+        configure_faults(shard.fault_spec, shard.fault_seed)
         if isinstance(shard, TraceShard):
-            from ..experiments.common import get_trace
-
-            events = get_trace(
-                shard.app,
-                iterations=shard.iterations,
-                seed=shard.seed,
-                quick=shard.quick,
+            n_events = len(
+                get_trace(
+                    shard.app,
+                    iterations=shard.iterations,
+                    seed=shard.seed,
+                    quick=shard.quick,
+                )
             )
-            text, n_events = "", len(events)
         else:
             from ..experiments.runner import EXPERIMENTS
 
             text = EXPERIMENTS[shard.name](shard.quick, shard.seed)
-            n_events = 0
+        METRICS.inc(f"shard.{kind}")
     except Exception:
         METRICS.inc(f"shard.{kind}.failed")
-        return _failure_outcome(
-            shard,
-            traceback.format_exc(),
-            seconds=time.perf_counter() - start,
-            pid=os.getpid(),
-            metrics=METRICS.snapshot(),
-        )
-    seconds = time.perf_counter() - start
-    METRICS.inc(f"shard.{kind}")
+        error = traceback.format_exc()
+    finally:
+        seconds = time.perf_counter() - start
+        metrics = METRICS.snapshot()
+        METRICS.reset()
+        METRICS.merge(caller_metrics)
+        random.setstate(caller_random)
+        configure_faults(*caller_faults)
+        configure_trace_cache(caller_cache)
     return ShardOutcome(
         kind=kind,
         name=name,
@@ -139,40 +145,65 @@ def _run_shard(shard: _Shard) -> ShardOutcome:
         events=n_events,
         seconds=seconds,
         pid=os.getpid(),
-        metrics=METRICS.snapshot(),
+        metrics=metrics,
+        error=error,
     )
 
 
 def _drain(
-    pool: ProcessPoolExecutor,
+    pool: Optional[ProcessPoolExecutor],
     shards: Tuple[_Shard, ...],
     journal: Optional[RunJournal] = None,
+    on_section: Optional[Callable[[Tuple[str, str, float]], None]] = None,
 ) -> List[Tuple[_Shard, ShardOutcome]]:
     """Run ``shards`` and collect every outcome, crashed workers included.
 
-    ``_run_shard`` converts ordinary exceptions into error outcomes; a
-    worker that dies without returning at all (killed process, broken
-    pool) surfaces here as a future exception, converted to an error
-    outcome with no metrics so the stage still drains completely.
+    Without a ``pool`` each shard runs in this process, in order; with
+    one, every shard is submitted and outcomes land in completion
+    order.  ``_run_shard`` converts ordinary exceptions into error
+    outcomes; a worker that dies without returning at all (killed
+    process, broken pool) surfaces here as a future exception,
+    converted to an error outcome with no metrics so the stage still
+    drains completely.
 
+    Every outcome is handled the same way the moment it lands: it is
+    durably recorded in the ``journal`` (so a kill arriving mid-stage
+    preserves every finished shard), its metrics are merged into the
+    global registry, and ``on_section`` receives each successful
+    experiment's section once it and every earlier shard have landed.
     With a ``journal``, shards whose successful outcome is already
-    journaled are not re-submitted (their recorded outcome is spliced
-    back in), and every fresh outcome is durably recorded the moment it
-    completes -- completion order, not submission order, so a kill
-    arriving mid-stage preserves every finished shard.  Results are
-    still returned in submission order.
+    journaled are not run again: their recorded outcome is spliced
+    back in.  Results are returned in plan order.
     """
     results: List[Optional[Tuple[_Shard, ShardOutcome]]] = [None] * len(shards)
+    emitted = 0
+
+    def land(position: int, shard: _Shard, outcome: ShardOutcome) -> None:
+        nonlocal emitted
+        results[position] = (shard, outcome)
+        METRICS.merge(outcome.metrics)
+        while emitted < len(results) and results[emitted] is not None:
+            done = results[emitted][1]
+            if on_section is not None and done.error is None:
+                on_section((done.name, done.text, done.seconds))
+            emitted += 1
+
     pending: Dict[object, Tuple[int, _Shard]] = {}
-    for position, shard in enumerate(shards):
-        record = journal.outcome_record(shard) if journal is not None else None
-        if record is not None:
-            results[position] = (shard, ShardOutcome(**record))
-            METRICS.inc("journal.shards_skipped")
-            continue
-        future = pool.submit(_run_shard, shard)
-        pending[future] = (position, shard)
     try:
+        for position, shard in enumerate(shards):
+            record = (
+                journal.outcome_record(shard) if journal is not None else None
+            )
+            if record is not None:
+                METRICS.inc("journal.shards_skipped")
+                land(position, shard, ShardOutcome(**record))
+            elif pool is None:
+                outcome = _run_shard(shard)
+                if journal is not None:
+                    journal.record(shard, outcome)
+                land(position, shard, outcome)
+            else:
+                pending[pool.submit(_run_shard, shard)] = (position, shard)
         for future in as_completed(pending):
             position, shard = pending[future]
             try:
@@ -183,7 +214,7 @@ def _drain(
                 )
             if journal is not None:
                 journal.record(shard, outcome)
-            results[position] = (shard, outcome)
+            land(position, shard, outcome)
     except KeyboardInterrupt:
         for future in pending:
             future.cancel()
@@ -192,18 +223,25 @@ def _drain(
 
 
 def run_plan(
-    plan: Plan, jobs: int, journal: Optional[RunJournal] = None
+    plan: Plan,
+    jobs: int,
+    journal: Optional[RunJournal] = None,
+    on_section: Optional[Callable[[Tuple[str, str, float]], None]] = None,
 ) -> Tuple[List[Tuple[str, str, float]], List[ShardOutcome]]:
-    """Execute ``plan`` on ``jobs`` workers.
+    """Execute ``plan`` in this process (``jobs == 1``) or on ``jobs``
+    spawn workers.
 
     Returns ``(sections, outcomes)`` where ``sections`` is the ordered
     ``(name, text, elapsed)`` list matching the requested experiment
     order exactly, and ``outcomes`` covers every shard (traces first)
-    for metrics/throughput reporting.  Worker metrics are merged into
-    the parent's global registry as results arrive.
+    for metrics/throughput reporting.  Both executors share one shard
+    loop: each outcome is journaled and its metrics merged into the
+    global registry as it lands, and ``on_section`` receives each
+    section in plan order as soon as it and every earlier one are done.
+    A ``ProcessPoolExecutor`` is built only when ``jobs > 1``.
 
     Shard failures do not abort the run mid-flight: every shard is
-    drained and every worker's metrics (including a failed worker's
+    drained and every shard's metrics (including a failed shard's
     partial metrics) are merged first, then a :class:`ShardError`
     carrying the failed shard descriptors is raised.
 
@@ -215,20 +253,25 @@ def run_plan(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    pool = ProcessPoolExecutor(
-        max_workers=jobs, mp_context=get_context("spawn")
-    )
+    pool = None
+    if jobs > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, mp_context=get_context("spawn")
+        )
     try:
         # Stage 1: warm the trace cache.  A barrier here keeps stage 2
         # workers from racing to re-simulate the same workload.
         with METRICS.timer("parallel.stage.traces"):
             trace_results = _drain(pool, plan.traces, journal)
         with METRICS.timer("parallel.stage.experiments"):
-            experiment_results = _drain(pool, plan.experiments, journal)
+            experiment_results = _drain(
+                pool, plan.experiments, journal, on_section
+            )
     except KeyboardInterrupt:
         # Abandon queued and running shards without waiting for them;
         # everything already finished is safe in the journal.
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         if journal is not None:
             journal.close()
             raise RunInterrupted(
@@ -237,9 +280,8 @@ def run_plan(
                 run_dir=str(journal.run_dir),
             ) from None
         raise
-    pool.shutdown()
-    for _, outcome in trace_results + experiment_results:
-        METRICS.merge(outcome.metrics)
+    if pool is not None:
+        pool.shutdown()
     failures = [
         (shard, outcome)
         for shard, outcome in trace_results + experiment_results
@@ -266,12 +308,9 @@ def run_plan(
                 (shard, outcome.error) for shard, outcome in failures
             ],
         )
-    outcomes = [outcome for _, outcome in trace_results]
-    finished = [outcome for _, outcome in experiment_results]
-    # Ordered merge: plan order, not completion order.
-    finished.sort(key=lambda outcome: outcome.index)
-    outcomes.extend(finished)
+    outcomes = [outcome for _, outcome in trace_results + experiment_results]
     sections = [
-        (outcome.name, outcome.text, outcome.seconds) for outcome in finished
+        (outcome.name, outcome.text, outcome.seconds)
+        for _, outcome in experiment_results
     ]
     return sections, outcomes

@@ -1,15 +1,19 @@
 """Tests for the fault study and runner-level fault propagation."""
 
+import random
+
 import pytest
 
 from repro.experiments.common import (
     clear_trace_cache,
     configure_faults,
+    configure_trace_cache,
     current_faults,
 )
 from repro.experiments.faults import run_fault_study
 from repro.experiments.runner import report_text, run_experiments
 from repro.sim.faults import PRESETS
+from repro.trace.cache import TraceCache
 
 
 class TestFaultStudy:
@@ -100,15 +104,23 @@ class TestRunnerFaultPropagation:
         )
         assert report_text(faulty) != report_text(reliable)
 
-    def test_sequential_path_restores_ambient_faults(self):
+    def test_sequential_path_restores_ambient_faults(self, tmp_path):
         before = current_faults()
-        run_experiments(
-            ["tables1-3-4"],
-            quick=True,
-            jobs=1,
-            fault_spec="heavy",
-            fault_seed=2,
-        )
+        caller_cache = TraceCache(tmp_path)
+        previous_cache = configure_trace_cache(caller_cache)
+        random.seed(11)
+        caller_random = random.getstate()
+        try:
+            run_experiments(
+                ["tables1-3-4"],
+                quick=True,
+                jobs=1,
+                fault_spec="heavy",
+                fault_seed=2,
+            )
+            assert random.getstate() == caller_random
+        finally:
+            assert configure_trace_cache(previous_cache) is caller_cache
         assert current_faults() == before
 
 

@@ -1,8 +1,12 @@
 """Tests for the repro-experiments CLI."""
 
+import sys
+
 import pytest
 
-from repro.experiments.runner import EXPERIMENTS, main
+from repro.errors import ReproError
+from repro.experiments import common
+from repro.experiments.runner import EXPERIMENT_TRACES, EXPERIMENTS, main
 
 
 class TestCLI:
@@ -37,6 +41,26 @@ class TestCLI:
         assert "Depth of MHR" in out
         assert "regenerated" in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure5", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_failing_experiment_does_not_stop_the_rest(
+        self, monkeypatch, capsys
+    ):
+        def broken(quick, seed):
+            raise ReproError("figure5 is broken")
+
+        monkeypatch.setitem(EXPERIMENTS, "figure5", broken)
+        assert main(["figure5", "tables1-3-4"]) == 1
+        captured = capsys.readouterr()
+        assert "get_ro_request" in captured.out  # tables1-3-4 still ran
+        assert "1 of 2 shards failed" in captured.err
+        assert "figure5 is broken" in captured.err
+
     def test_mispredict_profile_registered(self, capsys):
         assert "mispredict-profile" in EXPERIMENTS
         assert main(["--quick", "mispredict-profile"]) == 0
@@ -61,6 +85,28 @@ class TestTraceEvents:
         manifest = document["otherData"]["manifest"]
         assert manifest["command"] == "repro-experiments"
         assert manifest["experiments"] == ["figure5"]
+
+    def test_trace_events_with_run_dir(self, tmp_path, capsys):
+        import json
+
+        common.clear_trace_cache()  # simulate here, under capture
+        timeline = tmp_path / "timeline.json"
+        run_dir = tmp_path / "run"
+        code = main(
+            [
+                "table5",
+                "--quick",
+                "--no-trace-cache",
+                "--run-dir",
+                str(run_dir),
+                "--trace-events",
+                str(timeline),
+            ]
+        )
+        assert code == 0
+        assert (run_dir / "report.txt").exists()
+        document = json.loads(timeline.read_text())
+        assert document["otherData"]["events"] > 0
 
     def test_obs_disabled_after_run(self, tmp_path):
         from repro.obs import OBS
@@ -87,3 +133,24 @@ class TestHtmlReport:
         html = render_html_report([("t", "<script>alert(1)</script>", 0.1)])
         assert "<script>" not in html
         assert "&lt;script&gt;" in html
+
+
+class TestExperimentTraces:
+    """The planner warms exactly the traces each experiment fetches."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name, apps in EXPERIMENT_TRACES.items() if apps]
+    )
+    def test_fetched_apps_equal_planned_apps(self, name, monkeypatch):
+        fetched = set()
+        real_get_trace = common.get_trace
+
+        def spy(app, *args, **kwargs):
+            fetched.add(app)
+            return real_get_trace(app, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "get_trace", None) is real_get_trace:
+                monkeypatch.setattr(module, "get_trace", spy)
+        EXPERIMENTS[name](True, 0)
+        assert fetched == set(EXPERIMENT_TRACES[name])

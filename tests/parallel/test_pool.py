@@ -1,8 +1,12 @@
-"""Tests for the worker pool: failure handling and fault propagation."""
+"""Tests for the shard loop: both executors, failure handling, section
+order and fault propagation."""
+
+import os
 
 import pytest
 
 from repro.errors import ShardError
+from repro.experiments.runner import run_experiments
 from repro.parallel.plan import ExperimentShard, Plan, TraceShard, plan_run
 from repro.parallel.pool import run_plan
 from repro.sim.metrics import METRICS
@@ -67,6 +71,48 @@ class TestCrashedWorkers:
         shard, _ = exc.value.failures[0]
         assert shard.app == "no-such-app"
         assert METRICS.counter("shard.trace.failed") >= 1
+
+
+class TestInProcessExecutor:
+    NAMES = ["tables1-3-4", "figure5"]
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_jobs_1_runs_every_shard_here(
+        self, tmp_path, monkeypatch, journaled
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 built a ProcessPoolExecutor")
+
+        monkeypatch.setattr(
+            "repro.parallel.pool.ProcessPoolExecutor", no_pool
+        )
+        METRICS.reset()
+        METRICS.inc("caller.counter", 7)
+        _, stats = run_experiments(
+            self.NAMES,
+            quick=True,
+            jobs=1,
+            run_dir=str(tmp_path / "run") if journaled else None,
+        )
+        assert [entry["pid"] for entry in stats] == [os.getpid()] * 2
+        # The shards' metrics merge into the caller's; nothing is lost.
+        assert METRICS.counter("caller.counter") == 7
+        assert METRICS.counter("shard.experiment") == len(self.NAMES)
+
+
+class TestOnSection:
+    #: table5 outlasts the static tables, so at jobs=2 the second
+    #: section finishes first and must still be handed on second.
+    NAMES = ["table5", "tables1-3-4"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sections_arrive_once_each_in_plan_order(self, jobs):
+        seen = []
+        sections, _ = run_experiments(
+            self.NAMES, quick=True, jobs=jobs, on_section=seen.append
+        )
+        assert [section[0] for section in seen] == self.NAMES
+        assert seen == sections
 
 
 class TestFaultPropagation:

@@ -123,7 +123,7 @@ class TestKillMinusNine:
         resumed = (run_dir / "report.txt").read_bytes()
         assert resumed == _reference_report(tmp_path, cache_dir)
 
-    def test_resume_skips_journaled_shards(self, tmp_path):
+    def test_resume_skips_journaled_shards(self, tmp_path, capsys):
         """Resuming a *completed* run re-executes nothing."""
         cache_dir = tmp_path / "cache"
         run_dir = tmp_path / "run"
@@ -140,13 +140,21 @@ class TestKillMinusNine:
         assert rc == 0
         report = (run_dir / "report.txt").read_bytes()
         journal_before = (run_dir / JOURNAL_FILE).read_text()
+        capsys.readouterr()
 
         start = time.perf_counter()
         rc = main(["--resume", str(run_dir)])
         elapsed = time.perf_counter() - start
         assert rc == 0
+        # Every spliced section is still printed, once, in plan order.
+        printed = [
+            line[1:].split(" regenerated in ")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if " regenerated in " in line
+        ]
+        assert printed == NAMES
         # Nothing re-ran: no new journal records, same report bytes, and
-        # the whole "run" is pool bring-up plus splicing.
+        # the whole "run" is splicing.
         assert (run_dir / JOURNAL_FILE).read_text() == journal_before
         assert (run_dir / "report.txt").read_bytes() == report
         assert elapsed < 30
@@ -198,10 +206,11 @@ class TestGuards:
         assert "journaled plan" in capsys.readouterr().err
 
     def test_trace_events_refuses_the_journaled_path(self, tmp_path, capsys):
+        """A resumed run splices journaled shards that never ran here,
+        so their events would be missing from the timeline."""
         rc = main(
             [
-                "figure5",
-                "--run-dir",
+                "--resume",
                 str(tmp_path / "run"),
                 "--trace-events",
                 str(tmp_path / "t.json"),

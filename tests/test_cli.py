@@ -161,6 +161,12 @@ class TestExplain:
         assert main(["explain", str(trace_file), "--block", "zap"]) == 1
         assert "bad block address" in capsys.readouterr().err
 
+    def test_negative_top_is_a_usage_error(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", str(trace_file), "--top", "-2"])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
 
 class TestInfo:
     def test_traffic_summary(self, trace_file, capsys):
@@ -221,6 +227,12 @@ class TestCriticalPath:
     def test_bad_block_address(self, capsys):
         assert main(self.BASE + ["--block", "zap"]) == 1
         assert "bad block address" in capsys.readouterr().err
+
+    def test_negative_top_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE + ["--top", "-1"])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
 
     def test_unknown_block_is_an_error(self, capsys):
         assert main(self.BASE + ["--block", "0xdead0000"]) == 1
