@@ -17,6 +17,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -164,7 +165,9 @@ def _drain(
     outcomes; a worker that dies without returning at all (killed
     process, broken pool) surfaces here as a future exception,
     converted to an error outcome with no metrics so the stage still
-    drains completely.
+    drains completely.  Once the pool is broken it refuses every
+    ``submit``: that shard and every later one get the same error
+    outcome.
 
     Every outcome is handled the same way the moment it lands: it is
     durably recorded in the ``journal`` (so a kill arriving mid-stage
@@ -189,6 +192,7 @@ def _drain(
             emitted += 1
 
     pending: Dict[object, Tuple[int, _Shard]] = {}
+    broken: Optional[str] = None  # why the pool refuses submissions
     try:
         for position, shard in enumerate(shards):
             record = (
@@ -197,13 +201,22 @@ def _drain(
             if record is not None:
                 METRICS.inc("journal.shards_skipped")
                 land(position, shard, ShardOutcome(**record))
-            elif pool is None:
+                continue
+            if pool is None:
                 outcome = _run_shard(shard)
-                if journal is not None:
-                    journal.record(shard, outcome)
-                land(position, shard, outcome)
             else:
-                pending[pool.submit(_run_shard, shard)] = (position, shard)
+                if broken is None:
+                    try:
+                        future = pool.submit(_run_shard, shard)
+                    except BrokenProcessPool as exc:
+                        broken = f"{type(exc).__name__}: {exc}"
+                    else:
+                        pending[future] = (position, shard)
+                        continue
+                outcome = _failure_outcome(shard, broken)
+            if journal is not None:
+                journal.record(shard, outcome)
+            land(position, shard, outcome)
         for future in as_completed(pending):
             position, shard = pending[future]
             try:
