@@ -36,8 +36,8 @@ observation.
 Every admitted observation gets a shard-local ordinal; the outbox keeps
 its observe frame back to one checkpoint interval behind the worker's
 last *reported* checkpoint, which is exactly enough to warm-restore
-even when the newest checkpoint file is torn and the loader falls back
-one frame.  Worker deaths leave a forensic bundle
+even when the newest interval-log record is torn.  Worker deaths leave
+a forensic bundle
 (JSON, via :func:`repro.obs.bundle.save_bundle`) next to the
 checkpoints.
 """
@@ -503,10 +503,14 @@ class ShardSupervisor:
     def _trim_outbox(self, shard: _Shard, reported_ckpt: int) -> None:
         """Drop outbox entries a warm restore can never need.
 
-        Retention reaches one full checkpoint interval *behind* the
-        worker's last reported checkpoint: if that newest frame is torn,
-        the loader falls back one frame (``KEEP_CHECKPOINTS == 2``) and
-        replay must cover the gap.
+        ``reported_ckpt`` is the trained count the worker made durable:
+        its interval log holds every record up to it, and a snapshot
+        plus the log records chained on from it restore that far.
+        Retention reaches one full checkpoint interval *behind* it: if
+        that newest record is torn (the log is not fsynced, so a host
+        crash can lose its last write), the restore ends one record
+        short and replay must cover the gap.  A torn newest snapshot
+        costs nothing here, as the older one's logs reach past it.
         """
         horizon = reported_ckpt - self.config.checkpoint_every
         outbox = shard.outbox
