@@ -33,12 +33,12 @@ class AccuracyRow:
 def depth_sweep(
     events: Sequence[TraceEvent],
     depths: Iterable[int] = (1, 2, 3, 4),
-    filter_max_count: int = 0,
 ) -> List[AccuracyRow]:
-    """Evaluate one trace at several MHR depths (a Table 5 column group)."""
+    """Evaluate one trace at several MHR depths, unfiltered (a Table 5
+    column group)."""
     rows = []
     for depth in depths:
-        config = CosmosConfig(depth=depth, filter_max_count=filter_max_count)
+        config = CosmosConfig(depth=depth)
         result = evaluate_trace(events, config, track_arcs=False)
         rows.append(AccuracyRow.from_result(depth, result))
     return rows

@@ -12,7 +12,7 @@ depth-1, filterless Cosmos predictor, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.config import CosmosConfig
 from ..core.evaluation import ArcStats, EvaluationResult, evaluate_trace
@@ -45,7 +45,6 @@ class Arc:
 
 def arcs_from_result(
     result: EvaluationResult,
-    role: Optional[Role] = None,
     min_ref_percent: float = 0.0,
 ) -> List[Arc]:
     """Extract labelled arcs from an evaluation, largest share first."""
@@ -56,8 +55,6 @@ def arcs_from_result(
         Role.DIRECTORY: stats.total_refs(Role.DIRECTORY),
     }
     for (arc_role, src, dst), tally in stats.tallies.items():
-        if role is not None and arc_role != role:
-            continue
         total = totals[arc_role]
         ref_percent = 100.0 * tally.refs / total if total else 0.0
         if ref_percent < min_ref_percent:
@@ -79,9 +76,8 @@ def arcs_from_result(
 def measure_arcs(
     events: Sequence[TraceEvent],
     depth: int = 1,
-    role: Optional[Role] = None,
     min_ref_percent: float = 1.0,
 ) -> List[Arc]:
     """Run a depth-``depth`` Cosmos over ``events`` and return its arcs."""
     result = evaluate_trace(events, CosmosConfig(depth=depth))
-    return arcs_from_result(result, role=role, min_ref_percent=min_ref_percent)
+    return arcs_from_result(result, min_ref_percent=min_ref_percent)

@@ -38,15 +38,11 @@ class OverheadRow:
 def overhead_sweep(
     events: Sequence[TraceEvent],
     depths: Iterable[int] = (1, 2, 3, 4),
-    tuple_bytes: int = 2,
-    block_bytes: int = 128,
 ) -> List[OverheadRow]:
     """Measure Table 7 quantities for one trace at several depths."""
     rows: List[OverheadRow] = []
     for depth in depths:
-        config = CosmosConfig(
-            depth=depth, tuple_bytes=tuple_bytes, block_bytes=block_bytes
-        )
+        config = CosmosConfig(depth=depth)
         result = evaluate_trace(events, config, track_arcs=False)
         assert result.overhead is not None  # Cosmos banks always report it
         rows.append(OverheadRow.from_overhead(result.overhead))

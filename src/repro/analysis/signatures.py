@@ -17,6 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..protocol.messages import MessageType, Role
 from .arcs import Arc
 
+#: A dominant cycle must close within this many arcs.
+MAX_SIGNATURE_HOPS = 12
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -34,12 +37,11 @@ class Signature:
 def dominant_signature(
     arcs: Sequence[Arc],
     role: Role,
-    max_length: int = 12,
 ) -> Optional[Signature]:
     """Follow heaviest arcs from the heaviest transition until a cycle closes.
 
     Returns ``None`` when the role has no arcs or no cycle is reachable
-    within ``max_length`` hops (acyclic or starved graphs).
+    within :data:`MAX_SIGNATURE_HOPS` hops (acyclic or starved graphs).
     """
     outgoing: Dict[MessageType, List[Arc]] = defaultdict(list)
     for arc in arcs:
@@ -59,7 +61,7 @@ def dominant_signature(
     weight = 0.0
     seen_at: Dict[MessageType, int] = {start: 0}
     current = start
-    for _ in range(max_length):
+    for _ in range(MAX_SIGNATURE_HOPS):
         succs = outgoing.get(current)
         if not succs:
             return None

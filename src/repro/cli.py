@@ -204,6 +204,7 @@ def _export_timeline(args: argparse.Namespace) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .core.corruption import CorruptionProfile
     from .core.evaluation import evaluate_trace
+    from .core.memory import BLOCK_BYTES
     from .core.predictor import CosmosPredictor, armed_factory
     from .trace.events import TraceEvent
     from .trace.io import load_trace
@@ -254,7 +255,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(
             f"  memory    ratio {result.overhead.ratio:.1f}, "
             f"{result.overhead.overhead_percent:.1f}% of a "
-            f"{config.block_bytes}-byte block"
+            f"{BLOCK_BYTES}-byte block"
         )
     if config.mhr_capacity or config.pht_capacity:
         print(

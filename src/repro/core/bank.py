@@ -95,8 +95,6 @@ class PredictorBank:
             mhr_entries=report["mhr_live"],
             pht_entries=report["pht_live"],
             depth=config.depth,
-            tuple_bytes=config.tuple_bytes,
-            block_bytes=config.block_bytes,
             peak_mhr_entries=report["peak_mhr"],
             peak_pht_entries=report["peak_pht"],
         )

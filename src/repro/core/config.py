@@ -18,11 +18,6 @@ class CosmosConfig:
         filter_max_count: saturating-counter ceiling of the noise filter
             (paper Section 3.6 / Table 6); ``0`` disables filtering, i.e.
             a misprediction immediately replaces the stored prediction.
-        tuple_bytes: storage size of one ``<sender, type>`` tuple; the
-            paper assumes 2 bytes (12 bits of processor id + 4 bits of
-            message type) in Table 7's overhead formula.
-        block_bytes: cache-block size used by the overhead formula
-            (Table 7 normalizes to 128-byte blocks).
         macroblock_bytes: group predictions for all cache blocks within
             an aligned region of this many bytes into one MHR/PHT pair
             (Section 7 suggests Johnson & Hwu-style macroblocks to cut
@@ -52,8 +47,6 @@ class CosmosConfig:
 
     depth: int = 1
     filter_max_count: int = 0
-    tuple_bytes: int = 2
-    block_bytes: int = 128
     macroblock_bytes: "int | None" = None
     confidence_threshold: int = 0
     mhr_capacity: int = 0
@@ -67,10 +60,6 @@ class CosmosConfig:
             raise ConfigError(
                 f"filter_max_count must be >= 0, got {self.filter_max_count}"
             )
-        if self.tuple_bytes < 1:
-            raise ConfigError("tuple_bytes must be positive")
-        if self.block_bytes < 1:
-            raise ConfigError("block_bytes must be positive")
         if self.macroblock_bytes is not None:
             if self.macroblock_bytes < 1:
                 raise ConfigError("macroblock_bytes must be positive")

@@ -8,8 +8,8 @@ budget) through capacity-limited predictors and sweeps
 
 * **eviction policy** (``lru`` / ``clock`` / ``decay``),
 * **per-module capacity** (MHR entries; the PHT budget scales with it),
-* **workload skew** (Zipf alpha -- flatter popularity means a larger
-  working set and earlier degradation).
+
+at one workload skew (Zipf alpha, :data:`ALPHA`).
 
 Each row reports overall accuracy, the gap to the unbounded predictor
 on the identical stream, eviction counts, and the estimated table bytes
@@ -21,7 +21,7 @@ contract that ``tests/experiments/test_capacity.py`` asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.report import render_table
 from ..core.config import CosmosConfig
@@ -43,6 +43,13 @@ _MEM_COUNTERS = (
 #: PHT entries budgeted per MHR entry (a block's history fans out into
 #: a handful of patterns; 4x keeps the two tables in rough balance).
 _PHT_PER_MHR = 4
+
+#: Per-module MHR budgets swept; ``None`` is the unbounded baseline.
+CAPACITIES = (16, 64, 256, None)
+
+#: Zipf skew of the stream, and the MHR depth of every predictor.
+ALPHA = 0.99
+DEPTH = 1
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class CapacityPoint:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """The full policy x capacity x skew sweep."""
+    """The full policy x capacity sweep."""
 
     depth: int
     n_events: int
@@ -139,20 +146,13 @@ def _bounded_run(
     return result, deltas
 
 
-def run_capacity_study(
-    quick: bool = False,
-    seed: int = 0,
-    depth: int = 1,
-    policies: Sequence[str] = EVICTION_POLICIES,
-    capacities: Iterable[Optional[int]] = (16, 64, 256, None),
-    alphas: Sequence[float] = (0.99,),
-) -> CapacityResult:
-    """Sweep eviction policy x capacity x Zipf skew on one stream.
+def run_capacity_study(quick: bool = False, seed: int = 0) -> CapacityResult:
+    """Sweep eviction policy x capacity on one Zipf stream.
 
-    ``capacities`` are per-module MHR budgets (``None`` = unbounded);
-    each carries a PHT budget of ``_PHT_PER_MHR`` entries per MHR entry.
-    Every cell replays the *identical* per-seed stream, so differences
-    are purely the budget's doing.
+    Each bounded cell of :data:`CAPACITIES` carries a PHT budget of
+    ``_PHT_PER_MHR`` entries per MHR entry.  Every cell replays the
+    *identical* per-seed stream, so differences are purely the budget's
+    doing.
     """
     n_events = 5_000 if quick else 40_000
     n_blocks = 1_000 if quick else 20_000
@@ -160,58 +160,56 @@ def run_capacity_study(
     stream_seed = seed * 7 + 3
 
     points: List[CapacityPoint] = []
-    for alpha in alphas:
-        baseline, _ = _bounded_run(
-            CosmosConfig(depth=depth),
-            n_events, n_blocks, alpha, tenants, stream_seed,
-        )
-        baseline_accuracy = baseline.overall_accuracy
-        for policy in policies:
-            for capacity in capacities:
-                if capacity is None:
-                    points.append(
-                        CapacityPoint(
-                            alpha=alpha,
-                            policy=policy,
-                            mhr_capacity=None,
-                            pht_capacity=None,
-                            accuracy=baseline_accuracy,
-                            baseline_accuracy=baseline_accuracy,
-                            evictions_mhr=0,
-                            evictions_pht=0,
-                            peak_entries=0,
-                            est_bytes=0,
-                        )
-                    )
-                    continue
-                config = CosmosConfig(
-                    depth=depth,
-                    mhr_capacity=capacity,
-                    pht_capacity=capacity * _PHT_PER_MHR,
-                    eviction=policy,
-                )
-                result, mem = _bounded_run(
-                    config, n_events, n_blocks, alpha, tenants, stream_seed
-                )
+    baseline, _ = _bounded_run(
+        CosmosConfig(depth=DEPTH),
+        n_events, n_blocks, ALPHA, tenants, stream_seed,
+    )
+    baseline_accuracy = baseline.overall_accuracy
+    for policy in EVICTION_POLICIES:
+        for capacity in CAPACITIES:
+            if capacity is None:
                 points.append(
                     CapacityPoint(
-                        alpha=alpha,
+                        alpha=ALPHA,
                         policy=policy,
-                        mhr_capacity=capacity,
-                        pht_capacity=capacity * _PHT_PER_MHR,
-                        accuracy=result.overall_accuracy,
+                        mhr_capacity=None,
+                        pht_capacity=None,
+                        accuracy=baseline_accuracy,
                         baseline_accuracy=baseline_accuracy,
-                        evictions_mhr=mem["pred.mem.evictions_mhr"],
-                        evictions_pht=mem["pred.mem.evictions_pht"],
-                        peak_entries=(
-                            mem["pred.mem.peak_mhr"]
-                            + mem["pred.mem.peak_pht"]
-                        ),
-                        est_bytes=mem["pred.mem.bytes_est"],
+                        evictions_mhr=0,
+                        evictions_pht=0,
+                        peak_entries=0,
+                        est_bytes=0,
                     )
                 )
+                continue
+            config = CosmosConfig(
+                depth=DEPTH,
+                mhr_capacity=capacity,
+                pht_capacity=capacity * _PHT_PER_MHR,
+                eviction=policy,
+            )
+            result, mem = _bounded_run(
+                config, n_events, n_blocks, ALPHA, tenants, stream_seed
+            )
+            points.append(
+                CapacityPoint(
+                    alpha=ALPHA,
+                    policy=policy,
+                    mhr_capacity=capacity,
+                    pht_capacity=capacity * _PHT_PER_MHR,
+                    accuracy=result.overall_accuracy,
+                    baseline_accuracy=baseline_accuracy,
+                    evictions_mhr=mem["pred.mem.evictions_mhr"],
+                    evictions_pht=mem["pred.mem.evictions_pht"],
+                    peak_entries=(
+                        mem["pred.mem.peak_mhr"] + mem["pred.mem.peak_pht"]
+                    ),
+                    est_bytes=mem["pred.mem.bytes_est"],
+                )
+            )
     return CapacityResult(
-        depth=depth,
+        depth=DEPTH,
         n_events=n_events,
         n_blocks=n_blocks,
         tenants=tenants,

@@ -21,7 +21,7 @@ corruption cost in accuracy points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
 from ..analysis.report import render_table
 from ..core.config import CosmosConfig
@@ -36,6 +36,9 @@ CORRUPTION_RATES = (0.0, 0.001, 0.01, 0.05)
 
 #: Entry-loss probability as a fraction of the flip probability.
 LOSS_RATIO = 0.25
+
+#: MHR depth of the replayed predictors.
+DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,7 @@ class CorruptionStudyResult:
 
 
 def run_corruption_study(
-    apps: Iterable[str] = BENCHMARK_NAMES,
-    rates: Iterable[float] = CORRUPTION_RATES,
-    seed: int = 0,
-    quick: bool = False,
-    corruption_seed: int = 0,
-    depth: int = 2,
+    seed: int = 0, quick: bool = False
 ) -> CorruptionStudyResult:
     """Replay every application's trace at every corruption rate.
 
@@ -137,17 +135,17 @@ def run_corruption_study(
     rates it scores.
     """
     rows: List[CorruptionRow] = []
-    config = CosmosConfig(depth=depth)
-    for app in apps:
+    config = CosmosConfig(depth=DEPTH)
+    for app in BENCHMARK_NAMES:
         events = get_trace(app, seed=seed, quick=quick)
-        for rate in rates:
+        for rate in CORRUPTION_RATES:
             armed: List[CosmosPredictor] = []
             factory = None
             if rate:
                 factory, armed = armed_factory(
                     config,
                     CorruptionProfile(flip=rate, loss=rate * LOSS_RATIO),
-                    corruption_seed,
+                    seed=0,  # the same error streams under every trace seed
                 )
             result = evaluate_trace(
                 events, config, predictor_factory=factory, track_arcs=False
@@ -165,4 +163,4 @@ def run_corruption_study(
                     overall_accuracy=result.overall_accuracy,
                 )
             )
-    return CorruptionStudyResult(rows=rows, depth=depth)
+    return CorruptionStudyResult(rows=rows, depth=DEPTH)

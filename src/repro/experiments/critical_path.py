@@ -28,7 +28,6 @@ from ..core.evaluation import evaluate_trace
 from ..obs.critpath import (
     CritPathSummary,
     attributed_paths,
-    fold_critpath_metrics,
     replay_outcomes,
     summarize,
 )
@@ -42,6 +41,9 @@ from .common import iterations_for, workload_for
 #: Predictor rows, in presentation order.  ``none`` is the no-predictor
 #: baseline every comparison anchors on.
 PREDICTOR_NAMES = ("none", "last-message", "cosmos")
+
+#: MHR depth of the Cosmos row.
+DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -118,15 +120,8 @@ def run_critical_path(
     apps: Optional[Sequence[str]] = None,
     seed: int = 0,
     quick: bool = False,
-    depth: int = 2,
-    fold_metrics: bool = False,
 ) -> CriticalPathResult:
-    """Compare predictors on critical-path composition per workload.
-
-    ``fold_metrics`` additionally folds the Cosmos rows' paths into the
-    global ``txn.critpath.*`` histograms (the CLI does this; the
-    experiment report itself does not need it).
-    """
+    """Compare predictors on critical-path composition per workload."""
     apps = list(apps) if apps is not None else list(BENCHMARK_NAMES)
     latency_ns = PAPER_PARAMS.one_way_message_ns
     summaries: Dict[str, Dict[str, CritPathSummary]] = {}
@@ -139,14 +134,12 @@ def run_critical_path(
                 if predictor == "last-message":
                     replay = dict(predictor_factory=LastMessagePredictor)
                 else:
-                    replay = dict(config=CosmosConfig(depth=depth))
+                    replay = dict(config=CosmosConfig(depth=DEPTH))
                 column = evaluate_trace(
                     events, track_arcs=False, record_outcomes=True, **replay
                 ).outcomes
                 outcomes = replay_outcomes(events, transactions, column)
             paths = attributed_paths(transactions, outcomes, latency_ns)
-            if fold_metrics and predictor == "cosmos":
-                fold_critpath_metrics(paths)
             by_predictor[predictor] = summarize(paths)
         summaries[app] = by_predictor
-    return CriticalPathResult(depth=depth, summaries=summaries)
+    return CriticalPathResult(depth=DEPTH, summaries=summaries)

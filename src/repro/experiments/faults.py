@@ -45,6 +45,9 @@ _COUNTERS = (
     "proto.retry.invals",
 )
 
+#: MHR depth of the scored predictor.
+DEPTH = 2
+
 
 @dataclass(frozen=True)
 class FaultRow:
@@ -134,20 +137,15 @@ class FaultStudyResult:
 
 def run_fault_study(
     apps: Iterable[str] = BENCHMARK_NAMES,
-    profiles: Optional[Iterable[str]] = None,
     seed: int = 0,
     quick: bool = False,
-    fault_seed: int = 0,
-    depth: int = 2,
 ) -> FaultStudyResult:
     """Simulate every (application, fault preset) pair and score Cosmos."""
-    if profiles is None:
-        profiles = tuple(PRESETS)
     rows: List[FaultRow] = []
-    config = CosmosConfig(depth=depth)
+    config = CosmosConfig(depth=DEPTH)
     for app in apps:
         iterations = iterations_for(app, quick)
-        for name in profiles:
+        for name in PRESETS:
             profile: Optional[FaultProfile] = PRESETS[name]
             if profile is not None and not profile.is_active:
                 profile = None
@@ -157,7 +155,6 @@ def run_fault_study(
                 iterations=iterations,
                 seed=seed,
                 faults=profile,
-                fault_seed=fault_seed,
             )
             counters = {
                 key: METRICS.counter(key) - before[key] for key in _COUNTERS
@@ -174,4 +171,4 @@ def run_fault_study(
                     overall_accuracy=result.overall_accuracy,
                 )
             )
-    return FaultStudyResult(rows=rows, depth=depth)
+    return FaultStudyResult(rows=rows, depth=DEPTH)

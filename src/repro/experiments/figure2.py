@@ -79,11 +79,9 @@ class Figure2Result:
         return "\n".join(lines)
 
 
-def run_figure2(
-    iterations: int = 50, n_consumers: int = 1, seed: int = 0
-) -> Figure2Result:
+def run_figure2(iterations: int = 50, seed: int = 0) -> Figure2Result:
     """Regenerate the Figure 2 signature from a live simulation."""
-    workload = ProducerConsumerMicro(n_consumers=n_consumers)
+    workload = ProducerConsumerMicro()
     collector = simulate(workload, iterations=iterations, seed=seed)
     events = collector.events
     arcs = measure_arcs(events, depth=1, min_ref_percent=0.0)

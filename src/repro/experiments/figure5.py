@@ -10,11 +10,14 @@ behind the paper's plot.  Also verifies the paper's quoted example point
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..accel.model import SpeedupSeries, figure5_series, speedup_percent
 from ..analysis.report import render_matrix
 from .paper_data import PAPER_FIGURE5_EXAMPLE
+
+#: The overlap fractions tabulated: every tenth from 0 to 1.
+F_VALUES = tuple(i / 10 for i in range(11))
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,10 @@ class Figure5Result:
         return text
 
 
-def run_figure5(
-    p: float = 0.8,
-    r_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    f_values: Sequence[float] = tuple(i / 10 for i in range(11)),
-) -> Figure5Result:
-    """Regenerate the Figure 5 curve family."""
-    series = figure5_series(p=p, r_values=r_values, f_values=f_values)
+def run_figure5() -> Figure5Result:
+    """Regenerate the Figure 5 curve family (``p`` and ``r`` as in
+    :func:`~repro.accel.model.figure5_series`)."""
+    series = figure5_series(f_values=F_VALUES)
     example = speedup_percent(
         PAPER_FIGURE5_EXAMPLE["p"],
         PAPER_FIGURE5_EXAMPLE["f"],

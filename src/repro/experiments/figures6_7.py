@@ -18,6 +18,10 @@ from ..protocol.messages import Role
 from ..workloads.registry import BENCHMARK_NAMES
 from .common import get_trace
 
+#: The figures draw only arcs carrying at least this share of a role's
+#: references.
+MIN_REF_PERCENT = 2.0
+
 
 @dataclass(frozen=True)
 class AppSignatures:
@@ -61,7 +65,6 @@ class Figures67Result:
 
 def run_figures6_7(
     apps: Iterable[str] = BENCHMARK_NAMES,
-    min_ref_percent: float = 2.0,
     seed: int = 0,
     quick: bool = False,
 ) -> Figures67Result:
@@ -70,9 +73,9 @@ def run_figures6_7(
     for app in apps:
         events = get_trace(app, seed=seed, quick=quick)
         arcs = measure_arcs(
-            events, depth=1, min_ref_percent=min_ref_percent
+            events, depth=1, min_ref_percent=MIN_REF_PERCENT
         )
         results[app] = AppSignatures(
             app=app, arcs=arcs, signatures=extract_signatures(arcs)
         )
-    return Figures67Result(apps=results, min_ref_percent=min_ref_percent)
+    return Figures67Result(apps=results, min_ref_percent=MIN_REF_PERCENT)

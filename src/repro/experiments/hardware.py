@@ -108,7 +108,6 @@ def run_hardware(
     app: str = HARDWARE_APP,
     capacities: Iterable[Optional[int]] = (None, 256, 64, 16, 4),
     thresholds: Iterable[int] = (0, 1, 2, 3),
-    depth: int = 1,
     seed: int = 0,
     quick: bool = False,
 ) -> HardwareResult:
@@ -117,7 +116,7 @@ def run_hardware(
     capacity_points: List[CapacityPoint] = []
     for capacity in capacities:
         config = CosmosConfig(
-            depth=depth, mhr_capacity=capacity or 0, eviction="lru"
+            depth=1, mhr_capacity=capacity or 0, eviction="lru"
         )
         hits, _preds, refs, evictions = _run_bank(events, config)
         capacity_points.append(
@@ -130,7 +129,7 @@ def run_hardware(
     confidence_points: List[ConfidencePoint] = []
     for threshold in thresholds:
         config = CosmosConfig(
-            depth=depth, filter_max_count=3, confidence_threshold=threshold
+            depth=1, filter_max_count=3, confidence_threshold=threshold
         )
         hits, preds, refs, _evictions = _run_bank(events, config)
         confidence_points.append(

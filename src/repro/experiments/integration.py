@@ -101,12 +101,11 @@ class IntegrationResult:
 def run_integration(
     model_apps: Iterable[str] = MODEL_APPS,
     inline_apps: Iterable[str] = ("appbt", "moldyn"),
-    depth: int = 2,
     seed: int = 0,
     quick: bool = False,
 ) -> IntegrationResult:
-    """Measure model-based and inline acceleration."""
-    config = CosmosConfig(depth=depth)
+    """Measure model-based and inline acceleration with a depth-2 Cosmos."""
+    config = CosmosConfig(depth=2)
     accuracies = {
         app: evaluate_trace(
             get_trace(app, seed=seed, quick=quick), config, track_arcs=False

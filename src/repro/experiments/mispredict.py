@@ -17,7 +17,7 @@ and safe for golden comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..analysis.report import render_table
 from ..core.config import CosmosConfig
@@ -77,14 +77,13 @@ class MispredictProfileResult:
 
 def run_mispredict_profile(
     apps: Iterable[str] = BENCHMARK_NAMES,
-    config: Optional[CosmosConfig] = None,
     seed: int = 0,
     quick: bool = False,
     top: int = 8,
 ) -> MispredictProfileResult:
-    """Rank misprediction-causing history patterns per benchmark."""
-    if config is None:
-        config = CosmosConfig()
+    """Rank misprediction-causing history patterns per benchmark, for a
+    depth-1 filterless Cosmos."""
+    config = CosmosConfig()
     reports: Dict[str, ForensicsReport] = {}
     for app in apps:
         events = get_trace(app, seed=seed, quick=quick)

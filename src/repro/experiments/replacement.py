@@ -32,7 +32,6 @@ from ..sim.params import PAPER_PARAMS, SystemParams
 from ..trace.events import TraceEvent
 from ..workloads.access import Phase, read, write
 from ..workloads.base import Workload
-from .common import iterations_for, workload_for
 
 
 class ReadMostlyMicro(Workload):
@@ -176,18 +175,16 @@ class ReplacementResult:
 
 
 def run_replacement_study(
-    app: str = "read-mostly-micro",
     cache_blocks: Iterable[Optional[int]] = (None, 64, 32, 16),
     depth: int = 1,
     seed: int = 0,
-    quick: bool = False,
 ) -> ReplacementResult:
     """Sweep cache capacity; measure traffic and history-loss cost.
 
-    ``app`` may be one of the five benchmarks or ``"read-mostly-micro"``
-    (the default): under write-invalidate coherence, actively shared
-    blocks are invalidated between uses anyway, so only read-mostly reuse
-    exposes the capacity-traffic effect.
+    The workload is :class:`ReadMostlyMicro`: under write-invalidate
+    coherence, actively shared blocks are invalidated between uses
+    anyway, so only read-mostly reuse exposes the capacity-traffic
+    effect.
     """
     points: List[ReplacementPoint] = []
     for capacity in cache_blocks:
@@ -201,13 +198,8 @@ def run_replacement_study(
             )
             options = StacheOptions(finite_caches=True)
         machine = Machine(params=params, options=options, seed=seed)
-        if app == ReadMostlyMicro.name:
-            workload = ReadMostlyMicro()
-            iterations = workload.default_iterations
-        else:
-            workload = workload_for(app, quick)
-            iterations = iterations_for(app, quick)
-        machine.run_workload(workload, iterations=iterations)
+        workload = ReadMostlyMicro()
+        machine.run_workload(workload, iterations=workload.default_iterations)
         events = machine.collector.events
         config = CosmosConfig(depth=depth)
         persistent = evaluate_with_history_loss(events, [], config)
@@ -223,4 +215,6 @@ def run_replacement_study(
                 accuracy_merged=merged,
             )
         )
-    return ReplacementResult(app=app, depth=depth, points=points)
+    return ReplacementResult(
+        app=ReadMostlyMicro.name, depth=depth, points=points
+    )

@@ -109,7 +109,7 @@ EXPERIMENTS: Dict[str, Callable[[bool, int], str]] = {
         quick=quick, seed=seed
     ).format(),
     "replacement": lambda quick, seed: run_replacement_study(
-        quick=quick, seed=seed
+        seed=seed
     ).format(),
     "traffic": lambda quick, seed: run_traffic(
         quick=quick, seed=seed

@@ -17,6 +17,9 @@ from ..sim.machine import simulate
 from ..sim.params import PAPER_PARAMS
 from .common import iterations_for, workload_for
 
+#: The stretched network latency: Section 5's one microsecond.
+SLOW_LATENCY_NS = 1000
+
 
 @dataclass(frozen=True)
 class SensitivityResult:
@@ -56,13 +59,12 @@ class SensitivityResult:
 
 def run_sensitivity(
     apps: Iterable[str] = ("appbt", "dsmc"),
-    slow_latency_ns: int = 1000,
     seed: int = 0,
     quick: bool = True,
 ) -> SensitivityResult:
     """Compare accuracy at the paper's 40 ns latency and a stretched one."""
     base_params = PAPER_PARAMS
-    slow_params = replace(base_params, network_latency_ns=slow_latency_ns)
+    slow_params = replace(base_params, network_latency_ns=SLOW_LATENCY_NS)
     config = CosmosConfig(depth=1)
     accuracies: Dict[str, Tuple[float, float]] = {}
     for app in apps:
@@ -83,5 +85,5 @@ def run_sensitivity(
     return SensitivityResult(
         accuracies=accuracies,
         base_latency_ns=base_params.network_latency_ns,
-        slow_latency_ns=slow_latency_ns,
+        slow_latency_ns=SLOW_LATENCY_NS,
     )

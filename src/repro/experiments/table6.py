@@ -11,6 +11,11 @@ from ..workloads.registry import BENCHMARK_NAMES
 from .common import get_trace
 from .paper_data import PAPER_TABLE6
 
+#: The paper's Table 6 rows (MHR depths) and columns (filter maxima;
+#: 0 = no filter).
+DEPTHS = (1, 2)
+FILTER_COUNTS = (0, 1, 2)
+
 
 @dataclass(frozen=True)
 class Table6Result:
@@ -59,16 +64,16 @@ class Table6Result:
 
 def run_table6(
     apps: Iterable[str] = BENCHMARK_NAMES,
-    depths: Iterable[int] = (1, 2),
-    filter_counts: Iterable[int] = (0, 1, 2),
     seed: int = 0,
     quick: bool = False,
 ) -> Table6Result:
     """Regenerate Table 6 (filter sweep at MHR depths 1 and 2)."""
-    depths = tuple(depths)
-    filter_counts = tuple(filter_counts)
     cells: Dict[str, Dict[int, Dict[int, float]]] = {}
     for app in apps:
         events = get_trace(app, seed=seed, quick=quick)
-        cells[app] = filter_sweep(events, depths=depths, filter_counts=filter_counts)
-    return Table6Result(cells=cells, depths=depths, filter_counts=filter_counts)
+        cells[app] = filter_sweep(
+            events, depths=DEPTHS, filter_counts=FILTER_COUNTS
+        )
+    return Table6Result(
+        cells=cells, depths=DEPTHS, filter_counts=FILTER_COUNTS
+    )

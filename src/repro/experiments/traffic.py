@@ -16,7 +16,7 @@ checks the quantities the paper quotes against the models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 from ..analysis.traffic import TrafficSummary, summarize_traffic
 from ..workloads.registry import BENCHMARK_NAMES
@@ -38,14 +38,10 @@ class TrafficResult:
         return "\n".join(parts).rstrip()
 
 
-def run_traffic(
-    apps: Iterable[str] = BENCHMARK_NAMES,
-    seed: int = 0,
-    quick: bool = False,
-) -> TrafficResult:
+def run_traffic(seed: int = 0, quick: bool = False) -> TrafficResult:
     """Characterize every application's coherence traffic."""
     summaries = {
         app: summarize_traffic(get_trace(app, seed=seed, quick=quick))
-        for app in apps
+        for app in BENCHMARK_NAMES
     }
     return TrafficResult(summaries=summaries)

@@ -240,19 +240,15 @@ def make_policy(
     strategy: str,
     seed: int = 0,
     pct_depth: int = 3,
-    pct_horizon: int = 50_000,
     delay_bound: int = 4,
-    defer_prob: float = 0.2,
 ) -> DeliveryPolicy:
     """Build the policy for one exploration episode."""
     if strategy == "fifo":
         return FifoPolicy()
     if strategy == "random-walk":
-        return RandomWalkPolicy(seed=seed, defer_prob=defer_prob)
+        return RandomWalkPolicy(seed=seed)
     if strategy == "pct":
-        return PCTPolicy(
-            seed=seed, change_points=pct_depth, horizon=pct_horizon
-        )
+        return PCTPolicy(seed=seed, change_points=pct_depth)
     if strategy == "delay-bounded":
         return DelayBoundedPolicy(seed=seed, bound=delay_bound)
     raise ConfigError(

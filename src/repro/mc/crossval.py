@@ -46,6 +46,9 @@ from .model import MCConfig, Model
 #: quanta for the next scripted message to be admitted.
 _GUIDED_DEFER_CAP = 64
 
+#: State budget of :func:`sequential_counterexample`'s restricted BFS.
+_SEQUENTIAL_MAX_STATES = 200_000
+
 
 # ----------------------------------------------------------------------
 # scenario plumbing: which real nodes/blocks play the model's roles
@@ -85,13 +88,13 @@ def scenario_workload(
     config: MCConfig,
     seed: int,
     iterations: int = 3,
-    max_accesses: int = 3,
 ) -> RecordedWorkload:
     """A random sparse workload confined to the projected nodes/blocks.
 
     Only the model's nodes get accesses, and only to the model's block
     addresses -- every other node stays silent, so the projection is
-    total for the whole run.
+    total for the whole run.  Each model node makes one to three
+    accesses per iteration.
     """
     rng = random.Random(seed)
     addrs = [
@@ -104,7 +107,7 @@ def scenario_workload(
             [] for _ in range(PAPER_PARAMS.n_nodes)
         ]
         for node in range(config.n_nodes):
-            for _ in range(rng.randint(1, max_accesses)):
+            for _ in range(rng.randint(1, 3)):
                 streams[node].append(
                     Access(
                         block=rng.choice(addrs),
@@ -150,13 +153,15 @@ def cross_validate(
     seed: int = 0,
     iterations: int = 3,
     strategy: str = "random-walk",
-    options: StacheOptions = DEFAULT_OPTIONS,
 ) -> CrossValReport:
     """Sample simulator-reachable abstract states; check model membership.
 
     Each episode runs a fresh machine under an adversarial delivery
     policy (seeded per episode like ``repro-explore``), snapshotting the
     abstract state after every delivery and at the quiescent start/end.
+    The machine's protocol options come from ``config``'s
+    ``half_migratory`` and ``forwarding``, so both sides explore the
+    same protocol.
     """
     if config.faults:
         raise ConfigError(
@@ -164,13 +169,9 @@ def cross_validate(
             "network supplies the adversarial schedules, and fault "
             "nondeterminism would need its own seed plumbing"
         )
-    if options.half_migratory != config.half_migratory or (
-        options.forwarding != config.forwarding
-    ):
-        raise ConfigError(
-            "simulator options and model config disagree on "
-            "half_migratory/forwarding; the spaces would differ by design"
-        )
+    options = StacheOptions(
+        half_migratory=config.half_migratory, forwarding=config.forwarding
+    )
     model = Model(config)
     space = reachable_space(config)
     node_map, block_map = scenario_maps(config)
@@ -257,9 +258,7 @@ class GuidedPolicy(DeliveryPolicy):
         return {"name": self.name, "pending": len(self._guidance)}
 
 
-def sequential_counterexample(
-    model: Model, max_states: int = 200_000
-) -> Optional[Violation]:
+def sequential_counterexample(model: Model) -> Optional[Violation]:
     """Shortest violating path using only phase-expressible actions.
 
     The full explorer's shortest counterexample may interleave issues
@@ -277,7 +276,7 @@ def sequential_counterexample(
     initial = model.initial_state()
     parents: Dict[tuple, Optional[Tuple[tuple, tuple]]] = {initial: None}
     frontier = deque([initial])
-    while frontier and len(parents) <= max_states:
+    while frontier and len(parents) <= _SEQUENTIAL_MAX_STATES:
         state = frontier.popleft()
         broken = model.check_state(state)
         if broken is not None:

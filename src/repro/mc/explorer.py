@@ -97,12 +97,11 @@ def _helpful(action: tuple) -> bool:
 def enumerate_space(
     model: Model,
     max_states: int = DEFAULT_MAX_STATES,
-    max_violations: int = 1,
 ) -> ExploreResult:
     """BFS the reachable space of ``model``, checking every oracle.
 
-    Stops expanding once ``max_violations`` violations are recorded (the
-    mutation battery needs only the first), and never expands a state
+    Stops expanding once a violation is recorded (the mutation battery
+    needs only the first), and never expands a state
     that itself violates coherence -- a seeded bug's wreckage is not an
     interesting frontier.  The liveness scan runs only on complete,
     coherent enumerations: a truncated or already-broken space cannot
@@ -132,7 +131,7 @@ def enumerate_space(
         if len(parents) > max_states:
             complete = False
             break
-        if len(violations) >= max_violations:
+        if violations:
             break
         state = frontier.popleft()
         broken = model.check_state(state)
@@ -170,14 +169,13 @@ def enumerate_space(
 
     states = frozenset(parents)
     if complete and not violations:
-        for stuck in _livelocked(states, quiescent, helpful_preds):
-            if len(violations) >= max_violations:
-                break
+        stuck = _livelocked(states, quiescent, helpful_preds)
+        if stuck:
             record(
                 "liveness",
                 "livelock: no sequence of deliveries and retries reaches "
                 "a quiescent state",
-                stuck,
+                stuck[0],
             )
 
     return ExploreResult(
@@ -200,17 +198,13 @@ _SPACE_CACHE: Dict[Tuple[MCConfig, Optional[str]], ExploreResult] = {}
 
 
 def reachable_space(
-    config: MCConfig,
-    mutation: Optional[str] = None,
-    max_states: int = DEFAULT_MAX_STATES,
+    config: MCConfig, mutation: Optional[str] = None
 ) -> ExploreResult:
     """Enumerate (once per process) and cache the reachable space."""
     key = (config, mutation)
     cached = _SPACE_CACHE.get(key)
     if cached is None:
-        cached = enumerate_space(
-            Model(config, mutation), max_states=max_states
-        )
+        cached = enumerate_space(Model(config, mutation))
         _SPACE_CACHE[key] = cached
     return cached
 

@@ -44,6 +44,10 @@ _ACTION_FIELDS = {
     "slow": {"at", "count", "delay_ms"},
 }
 
+#: The battery's over-deadline stall, and its queue flood's size.
+BATTERY_STALL_MS = 400.0
+BATTERY_BURST = 48
+
 
 @dataclass(frozen=True)
 class ChaosAction:
@@ -130,8 +134,6 @@ class ChaosScript:
         seed: int,
         shards: int,
         observations: int,
-        stall_ms: float = 400.0,
-        burst: int = 48,
     ) -> "ChaosScript":
         """The standard acceptance battery, derived from one seed.
 
@@ -158,12 +160,14 @@ class ChaosScript:
                 ),
                 ChaosAction(
                     "stall", stall_shard, rng.randrange(lo, hi),
-                    ms=stall_ms,
+                    ms=BATTERY_STALL_MS,
                 ),
                 ChaosAction(
                     "flood", -1,
-                    rng.randrange(observations // 2, observations - burst),
-                    burst=burst,
+                    rng.randrange(
+                        observations // 2, observations - BATTERY_BURST
+                    ),
+                    burst=BATTERY_BURST,
                 ),
                 ChaosAction(
                     "slow", -1,

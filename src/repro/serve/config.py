@@ -42,13 +42,12 @@ class ServeConfig:
     #: handed an observation is declared stuck and SIGKILLed (the
     #: serving-side analogue of a watchdog wall-clock budget).
     hang_timeout_ms: float = 2_000.0
-    #: Hint clients receive with a ``RETRY_AFTER`` rejection.
-    retry_after_ms: float = 20.0
     #: A shard checkpoints its predictor banks every this many trained
     #: observations (count-based, so cadence is deterministic).
     checkpoint_every: int = 64
-    #: Base seed; per-shard worker seeds derive from it via
-    #: :func:`~repro.parallel.seeds.derive_seed`.
+    #: The run's seed.  Its only effect here is on :meth:`fingerprint`:
+    #: services with different seeds never restore each other's
+    #: checkpoints from one directory.
     seed: int = 0
     #: Per-tenant predictor memory budgets, in table entries per shard
     #: (each tenant's bank within a shard gets its own budget; 0 =
@@ -69,7 +68,7 @@ class ServeConfig:
                 raise ConfigError(
                     f"serve config field {name!r}: {value} must be >= 1"
                 )
-        for name in ("deadline_ms", "hang_timeout_ms", "retry_after_ms"):
+        for name in ("deadline_ms", "hang_timeout_ms"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(

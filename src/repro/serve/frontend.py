@@ -52,6 +52,9 @@ from .timer import LazyTimer
 #: ``(client, seq)`` response cache entries kept for idempotency.
 DEDUPE_CAPACITY = 4_096
 
+#: Backoff hint sent with every ``RETRY_AFTER`` rejection.
+RETRY_AFTER_MS = 20.0
+
 #: Writes one encoded response to the connection a request came from.
 Reply = Callable[[bytes], None]
 
@@ -329,7 +332,7 @@ class PredictionService:
                     seq=seq,
                     status=Status.RETRY_AFTER,
                     shard=shard,
-                    retry_after_ms=self.config.retry_after_ms,
+                    retry_after_ms=RETRY_AFTER_MS,
                 ).encode()
             )
             return

@@ -36,14 +36,13 @@ incarnation (``epoch == 0``), so a restored worker replaying the same
 ordinals does not die in a loop.
 
 Workers run in ``spawn`` processes (fresh interpreters, same as
-:mod:`repro.parallel.pool`) and seed ambient randomness from
-:func:`~repro.parallel.seeds.derive_seed` on their shard identity.
+:mod:`repro.parallel.pool`).  Nothing in a worker draws random numbers:
+its answers depend only on the observations it trained on.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import signal
 import struct
 import time
@@ -53,7 +52,6 @@ from ..core.config import CosmosConfig
 from ..core.memory import MemoryTotals, memory_report
 from ..core.predictor import CosmosPredictor
 from ..errors import ServeError
-from ..parallel.seeds import derive_seed
 from ..sim.metrics import METRICS
 from .config import ServeConfig
 
@@ -213,7 +211,6 @@ def worker_main(
     # supervisor owns worker lifetime (SIGKILL).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     METRICS.reset()
-    random.seed(derive_seed("serve-shard", str(shard), None, config.seed))
     fingerprint = config.fingerprint()
     pconfig = config.predictor_config()
     bounded = bool(config.tenant_mhr_budget or config.tenant_pht_budget)

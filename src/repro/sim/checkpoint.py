@@ -50,7 +50,7 @@ from ..workloads.base import Workload
 from .faults import FaultProfile
 from .machine import Machine
 from .metrics import METRICS
-from .params import PAPER_PARAMS, SystemParams
+from .params import SystemParams
 
 #: Bump when the checkpoint body or the simulator's semantics change:
 #: old checkpoints then refuse to load instead of resuming wrongly.
@@ -326,7 +326,6 @@ def load_latest_checkpoint(
 def simulate_with_checkpoints(
     workload: Workload,
     iterations: Optional[int] = None,
-    params: SystemParams = PAPER_PARAMS,
     options: StacheOptions = DEFAULT_OPTIONS,
     seed: int = 0,
     faults: Optional[FaultProfile] = None,
@@ -335,7 +334,8 @@ def simulate_with_checkpoints(
     every: int = 1,
     watchdog=None,
 ) -> TraceCollector:
-    """Run ``workload``, writing a checkpoint every ``every`` iterations.
+    """Run ``workload`` on the paper's machine, writing a checkpoint every
+    ``every`` iterations.
 
     With ``checkpoint_dir=None`` this degrades to a plain
     :func:`~repro.sim.machine.simulate` (the split driving loop is
@@ -344,7 +344,6 @@ def simulate_with_checkpoints(
     if every < 1:
         raise CheckpointError(f"checkpoint interval must be >= 1, got {every}")
     machine = Machine(
-        params=params,
         options=options,
         seed=seed,
         faults=faults,
@@ -359,22 +358,20 @@ def resume_simulation(
     path: Union[str, Path],
     checkpoint_dir: Union[str, Path, None] = None,
     every: int = 1,
-    restore_metrics: bool = True,
     watchdog=None,
 ) -> TraceCollector:
     """Finish the run captured in the checkpoint at ``path``.
 
     Runs iterations ``next_iteration..total_iterations`` and returns the
     complete trace collector -- byte-identical to the uninterrupted
-    run's.  With ``restore_metrics=True`` (default) the global registry
-    is reset to the checkpoint's snapshot first, so counter and
-    histogram totals also match the uninterrupted run.  Pass a
-    ``checkpoint_dir`` to keep writing checkpoints while finishing.
+    run's.  The global metrics registry is reset to the checkpoint's
+    snapshot first, so counter and histogram totals also match the
+    uninterrupted run.  Pass a ``checkpoint_dir`` to keep writing
+    checkpoints while finishing.
     """
     checkpoint = load_checkpoint(path)
-    if restore_metrics:
-        METRICS.reset()
-        METRICS.merge(checkpoint.metrics)
+    METRICS.reset()
+    METRICS.merge(checkpoint.metrics)
     machine, workload = restore(checkpoint, watchdog=watchdog)
     return _finish(
         machine,

@@ -266,13 +266,12 @@ class Engine:
         head = heapq.nsmallest(limit, chain(self._queue, self._fifo))
         return [(time, _callback_name(cb)) for time, _seq, cb, _args in head]
 
-    def describe_pending(self, limit: int = 5) -> str:
+    def describe_pending(self) -> str:
         """One-line summary of the head of the event queue."""
         count = self.pending()
         if not count:
             return "(queue empty)"
-        parts = [
-            f"t={time} {name}" for time, name in self.peek_events(limit)
-        ]
-        suffix = f" ... +{count - limit} more" if count > limit else ""
+        parts = [f"t={time} {name}" for time, name in self.peek_events()]
+        rest = count - len(parts)
+        suffix = f" ... +{rest} more" if rest else ""
         return "; ".join(parts) + suffix

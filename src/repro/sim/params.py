@@ -10,7 +10,7 @@ that claim), but they shape message timing and therefore interleavings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -20,15 +20,9 @@ class SystemParams:
     """Machine parameters, defaulting to the paper's Table 3."""
 
     n_nodes: int = 16
-    processor_ghz: float = 1.0
     cache_block_bytes: int = 64
     cache_bytes: int = 1 << 20  # one megabyte
-    cache_associativity: int = 1  # direct-mapped
     memory_access_ns: int = 120
-    bus_protocol: str = "MOESI"
-    bus_width_bits: int = 256
-    bus_clock_mhz: int = 250
-    network_message_bytes: int = 256
     network_latency_ns: int = 40
     network_interface_ns: int = 60
     page_bytes: int = 4096
@@ -54,23 +48,23 @@ class SystemParams:
         return 2 * self.network_interface_ns + self.network_latency_ns
 
     def describe(self) -> str:
-        """Render the parameters as an aligned table (paper Table 3)."""
+        """Render the parameters as an aligned table (paper Table 3).
+
+        The simulator does not model the processor clock, cache
+        associativity (its caches are direct-mapped), the memory bus or
+        the network message size, so those rows print Table 3's values.
+        """
         rows = [
             ("Number of parallel machine nodes", str(self.n_nodes)),
-            ("Processor speed", f"{self.processor_ghz:g} GHz"),
+            ("Processor speed", "1 GHz"),
             ("Cache block size", f"{self.cache_block_bytes} bytes"),
             ("Cache size", f"{self.cache_bytes // (1 << 20)} megabyte"),
-            (
-                "Cache associativity",
-                "direct-mapped"
-                if self.cache_associativity == 1
-                else f"{self.cache_associativity}-way",
-            ),
+            ("Cache associativity", "direct-mapped"),
             ("Main memory access time", f"{self.memory_access_ns} ns"),
-            ("Memory bus coherence protocol", self.bus_protocol),
-            ("Memory bus width", f"{self.bus_width_bits} bits"),
-            ("Memory bus clock time", f"{self.bus_clock_mhz} MHz"),
-            ("Network message size", f"{self.network_message_bytes} bytes"),
+            ("Memory bus coherence protocol", "MOESI"),
+            ("Memory bus width", "256 bits"),
+            ("Memory bus clock time", "250 MHz"),
+            ("Network message size", "256 bytes"),
             ("Network latency", f"{self.network_latency_ns} ns"),
             ("Network Interface access time", f"{self.network_interface_ns} ns"),
         ]

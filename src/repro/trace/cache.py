@@ -25,7 +25,11 @@ whenever the row encoding or the simulator's timing model changes
 meaning: old entries then simply stop matching and are re-simulated,
 and the first :meth:`TraceCache.store` of each cache instance deletes
 every entry an older format wrote (the version is part of each key's
-digest, so such entries can never be hit again).
+digest, so such entries can never be hit again).  A key also hashes
+``asdict(params)``, so removing a :class:`~repro.sim.params.SystemParams`
+field changes every key too: format 4 came with the removal of the six
+Table 3 fields the simulator never read, so that the first store sweeps
+the format-3 entries those keys orphaned.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from ..sim.params import SystemParams
 from ..protocol.stache import StacheOptions
 from .events import EVENT_WIDTH, TraceEvent, events_from_flat
 
-#: Bump when the row encoding or the simulator's semantics change.
-FORMAT_VERSION = 3
+#: Bump when the row encoding, the simulator's semantics or the key's
+#: fields change.
+FORMAT_VERSION = 4
 
 _HEADER_MAGIC = "repro-trace-cache"
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from ..errors import WorkloadError
 from ..sim.memory_map import Allocator, MemoryMap
-from ..sim.params import PAPER_PARAMS, SystemParams
+from ..sim.params import PAPER_PARAMS
 from ..workloads.access import Access, Phase
 from .base import Workload
 
@@ -130,9 +130,9 @@ def materialize(
     workload: Workload,
     seed: int,
     iterations: Optional[int] = None,
-    params: SystemParams = PAPER_PARAMS,
 ) -> RecordedWorkload:
-    """Freeze ``workload`` into plain access streams.
+    """Freeze ``workload`` into plain access streams, laid out on the
+    paper's machine.
 
     Layout draws come from ``Random(seed ^ 0x5EED)`` (the machine's own
     discipline) and generation draws from a dedicated ``Random(seed)``,
@@ -143,7 +143,7 @@ def materialize(
     if iterations < 1:
         raise WorkloadError("need at least one iteration to materialize")
     layout_rng = random.Random(seed ^ _LAYOUT_SALT)
-    workload.setup(Allocator(MemoryMap(params)), layout_rng)
+    workload.setup(Allocator(MemoryMap(PAPER_PARAMS)), layout_rng)
     gen_rng = random.Random(seed)
     startup = workload.startup(gen_rng)
     iteration_phases = [

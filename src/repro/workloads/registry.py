@@ -87,9 +87,9 @@ def make_workload(name: str, n_procs: int = 16, **kwargs) -> Workload:
     return factory(n_procs=n_procs, **kwargs)
 
 
-def all_workloads(n_procs: int = 16) -> Dict[str, Workload]:
+def all_workloads() -> Dict[str, Workload]:
     """Instantiate every benchmark with default parameters."""
-    return {name: make_workload(name, n_procs) for name in BENCHMARK_NAMES}
+    return {name: make_workload(name) for name in BENCHMARK_NAMES}
 
 
 def format_table4() -> str:

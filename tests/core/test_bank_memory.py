@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.bank import PredictorBank
 from repro.core.config import CosmosConfig
-from repro.core.memory import MemoryOverhead, memory_report
+from repro.core.memory import TUPLE_BYTES, MemoryOverhead, memory_report
 from repro.experiments.common import get_trace
 from repro.predictors.last_message import LastMessagePredictor
 from repro.protocol.messages import MessageType, Role
@@ -91,8 +91,6 @@ class TestMemoryOverhead:
             mhr_entries=100,
             pht_entries=120,
             depth=1,
-            tuple_bytes=2,
-            block_bytes=128,
         )
         assert overhead.ratio == pytest.approx(1.2)
         assert overhead.overhead_percent == pytest.approx(
@@ -105,13 +103,11 @@ class TestMemoryOverhead:
             mhr_entries=1000,
             pht_entries=9300,
             depth=3,
-            tuple_bytes=2,
-            block_bytes=128,
         )
         assert overhead.overhead_percent == pytest.approx(63.0, abs=0.5)
 
     def test_zero_mhr_entries(self):
-        overhead = MemoryOverhead(0, 0, 1, 2, 128)
+        overhead = MemoryOverhead(0, 0, 1)
         assert overhead.ratio == 0.0
 
     def test_bytes_per_block(self):
@@ -151,7 +147,7 @@ class TestMemoryReport:
         assert report == memory_report(config, [p for _key, p in bank])
         assert (report["mhr_live"], report["pht_live"]) == (3, 3)
         # An MHR entry is `depth` tuples, a PHT entry `depth + 1`.
-        assert report["bytes_est"] == config.tuple_bytes * (3 * 1 + 3 * 2)
+        assert report["bytes_est"] == TUPLE_BYTES * (3 * 1 + 3 * 2)
 
     @pytest.mark.parametrize("capacity", [0, 4])
     def test_fold_emits_memory_counters_only_when_bounded(self, capacity):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import CosmosConfig
+from repro.core.memory import BLOCK_BYTES, TUPLE_BYTES
 from repro.core.tuples import format_tuple, pack, unpack
 from repro.errors import ConfigError
 from repro.protocol.messages import MessageType
@@ -13,8 +14,8 @@ class TestConfig:
         config = CosmosConfig()
         assert config.depth == 1
         assert config.filter_max_count == 0
-        assert config.tuple_bytes == 2
-        assert config.block_bytes == 128
+        assert TUPLE_BYTES == 2
+        assert BLOCK_BYTES == 128
 
     def test_has_filter(self):
         assert not CosmosConfig().has_filter
@@ -26,8 +27,6 @@ class TestConfig:
             {"depth": 0},
             {"depth": -1},
             {"filter_max_count": -1},
-            {"tuple_bytes": 0},
-            {"block_bytes": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

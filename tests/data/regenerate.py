@@ -312,7 +312,7 @@ def bank_goldens() -> dict:
     from repro.experiments.replacement import run_replacement_study
 
     critical = run_critical_path(apps=["moldyn"], quick=True, seed=0)
-    replacement = run_replacement_study(quick=True)
+    replacement = run_replacement_study()
     figure8 = run_figure8(quick=True, seed=0)
     histogram = pht_size_histogram(
         _golden_events(PHT_HISTOGRAM_APP),

@@ -97,9 +97,7 @@ class TestReadMostlyMicro:
 class TestReplacementStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        return run_replacement_study(
-            cache_blocks=(None, 32, 16), depth=1, quick=True
-        )
+        return run_replacement_study(cache_blocks=(None, 32, 16), depth=1)
 
     def test_infinite_cache_never_replaces(self, study):
         infinite = study.points[0]

@@ -54,13 +54,15 @@ def test_enumerate_rejects_forwarding_with_faults(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cross_validate_exits_zero(capsys):
+@pytest.mark.parametrize("flags", [[], ["--forwarding"]])
+def test_cross_validate_exits_zero(capsys, flags):
     code = main(
         [
             "cross-validate",
             "--episodes", "1",
             "--iterations", "2",
             "--seed", "9",
+            *flags,
         ]
     )
     assert code == 0

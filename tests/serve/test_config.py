@@ -13,7 +13,6 @@ from repro.serve.config import ServeConfig
         ({"queue_depth": 0}, "queue_depth"),
         ({"checkpoint_every": 0}, "checkpoint_every"),
         ({"deadline_ms": 0.0}, "deadline_ms"),
-        ({"retry_after_ms": -1.0}, "retry_after_ms"),
     ],
 )
 def test_validation_names_the_field(kwargs, named):

@@ -9,7 +9,7 @@ from repro.protocol.messages import MessageType
 from repro.serve.chaos import ChaosScript
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.config import ServeConfig
-from repro.serve.frontend import PredictionService
+from repro.serve.frontend import RETRY_AFTER_MS, PredictionService
 from repro.serve.loadgen import replay_trace, verify_predictions
 from repro.serve.protocol import (
     MAX_LINE,
@@ -143,9 +143,7 @@ def test_queue_flood_is_shed_with_retry_after():
         # The worker stalls 500 ms on its first observation, so the
         # flood piles up behind a full in-flight window.
         chaos = ChaosScript.parse("stall:shard=0,at=1,ms=500")
-        config = ServeConfig(
-            shards=1, queue_depth=2, deadline_ms=100.0, retry_after_ms=35.0
-        )
+        config = ServeConfig(shards=1, queue_depth=2, deadline_ms=100.0)
         service = PredictionService(config, chaos=chaos)
         await service.start()
         try:
@@ -161,7 +159,7 @@ def test_queue_flood_is_shed_with_retry_after():
         served = [r for r in responses if r.status == Status.OK]
         assert len(shed) + len(served) == 24
         assert shed, "a 24-deep flood into a 2-deep window must shed"
-        assert all(r.retry_after_ms == 35.0 for r in shed)
+        assert all(r.retry_after_ms == RETRY_AFTER_MS for r in shed)
         assert METRICS.counter("serve.shed.queue") == len(shed)
 
     asyncio.run(main())
