@@ -83,61 +83,6 @@ def estimated_table_bytes(
     )
 
 
-class MemoryTotals:
-    """:func:`memory_report`'s sums, kept running over a set of predictors.
-
-    Every count in the report is a plain sum over the predictors, so a
-    caller that touches one predictor at a time keeps the totals exact
-    in O(1): count the predictor out (``add(predictor, -1)``) before
-    changing it and back in after.
-    """
-
-    __slots__ = (
-        "config",
-        "mhr_live",
-        "pht_live",
-        "peak_mhr",
-        "peak_pht",
-        "evictions_mhr",
-        "evictions_pht",
-    )
-
-    def __init__(
-        self, config: CosmosConfig, predictors: Iterable = ()
-    ) -> None:
-        self.config = config
-        self.mhr_live = self.pht_live = self.peak_mhr = self.peak_pht = 0
-        self.evictions_mhr = self.evictions_pht = 0
-        for predictor in predictors:
-            self.add(predictor)
-
-    def add(self, predictor, sign: int = 1) -> None:
-        """Count ``predictor`` in (``sign=-1``: out)."""
-        self.mhr_live += sign * predictor.mhr_entries
-        self.pht_live += sign * predictor.pht_entries
-        self.peak_mhr += sign * predictor.peak_mhr_entries
-        self.peak_pht += sign * predictor.peak_pht_entries
-        self.evictions_mhr += sign * predictor.evictions_mhr
-        self.evictions_pht += sign * predictor.evictions_pht
-
-    def report(self) -> Dict[str, int]:
-        """The totals, as :func:`memory_report` returns them."""
-        return {
-            "mhr_live": self.mhr_live,
-            "pht_live": self.pht_live,
-            "peak_mhr": self.peak_mhr,
-            "peak_pht": self.peak_pht,
-            "evictions_mhr": self.evictions_mhr,
-            "evictions_pht": self.evictions_pht,
-            "bytes_est": estimated_table_bytes(
-                self.config, self.mhr_live, self.pht_live
-            ),
-            "peak_bytes_est": estimated_table_bytes(
-                self.config, self.peak_mhr, self.peak_pht
-            ),
-        }
-
-
 def memory_report(
     config: CosmosConfig, predictors: Iterable
 ) -> Dict[str, int]:
@@ -147,4 +92,22 @@ def memory_report(
     counters, a serve worker's ``"memory"``).  Entry counts are live;
     peaks ride along so bounded runs don't deflate memory reports.
     """
-    return MemoryTotals(config, predictors).report()
+    mhr_live = pht_live = peak_mhr = peak_pht = 0
+    evictions_mhr = evictions_pht = 0
+    for predictor in predictors:
+        mhr_live += predictor.mhr_entries
+        pht_live += predictor.pht_entries
+        peak_mhr += predictor.peak_mhr_entries
+        peak_pht += predictor.peak_pht_entries
+        evictions_mhr += predictor.evictions_mhr
+        evictions_pht += predictor.evictions_pht
+    return {
+        "mhr_live": mhr_live,
+        "pht_live": pht_live,
+        "peak_mhr": peak_mhr,
+        "peak_pht": peak_pht,
+        "evictions_mhr": evictions_mhr,
+        "evictions_pht": evictions_pht,
+        "bytes_est": estimated_table_bytes(config, mhr_live, pht_live),
+        "peak_bytes_est": estimated_table_bytes(config, peak_mhr, peak_pht),
+    }

@@ -19,7 +19,8 @@ The robustness layer is the point, not an afterthought:
   instead of buffering without bound;
 * while a shard is down or over deadline the front-end serves a
   **last-message fallback** prediction tagged ``degraded=true``, and a
-  circuit breaker probes the restored worker before re-admitting it;
+  circuit breaker re-admits a restored worker once it holds every
+  admitted observation;
 * :mod:`repro.serve.chaos` scripts deterministic worker-kill / stall /
   queue-flood / slow-client faults, and :mod:`repro.serve.loadgen`
   replays simulator traces against the service, publishing mergeable

@@ -116,7 +116,11 @@ async def _run_replay(args, chaos: Optional[ChaosScript], events) -> dict:
             rate=getattr(args, "rate", None),
         )
         recovered = await _wait_all_closed(service.config.host, service.port)
-        stats = service.supervisor.stats()
+        # Once every breaker is closed, one more stat asks every worker.
+        async with ServeClient(
+            service.config.host, service.port, "cli-stat"
+        ) as client:
+            stats = (await client.stat())["shards"]
     finally:
         await service.stop()
     checked, wrong = verify_predictions(report.results, config)

@@ -27,7 +27,8 @@ which drives the worker pipes from the loop itself (one small message
 in a pipe at a time), hands the worker's answer to a plain callback that
 writes the response.  One loop timer answers degraded whatever has
 waited ``deadline_ms``: the deadline is the same for every request, so
-expiries come in admission order.
+expiries come in admission order.  A ``stat`` asks the workers: it is
+answered once every closed shard's pong is in, or after ``deadline_ms``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,53 @@ class _Observation:
     def done(self, result) -> None:
         """The outcome: a worker response dict, or why there is none."""
         self.service._finish(self, result)
+
+
+class _Stat:
+    """One ``stat`` request: answered once every closed shard's worker
+    has answered its ping or failed, and at the latest after
+    ``deadline_ms``.  A shard that has not answered by then shows its
+    last report."""
+
+    __slots__ = ("service", "reply", "waiting", "timer")
+
+    def __init__(self, service: "PredictionService", reply: Reply) -> None:
+        self.service = service
+        self.reply: Optional[Reply] = reply
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.waiting = service.supervisor.ping(self.done)
+        if self.waiting:
+            self.timer = service._loop.call_later(
+                service._deadline_s, self.answer
+            )
+        else:
+            self.answer()
+
+    def done(self, _result) -> None:
+        """One ping's outcome: a pong's report, or a :class:`WorkerDown`."""
+        self.waiting -= 1
+        if not self.waiting:
+            self.answer()
+
+    def answer(self) -> None:
+        reply, self.reply = self.reply, None
+        if reply is None:
+            return  # the deadline answered already
+        if self.timer is not None:
+            self.timer.cancel()
+        reply(
+            (
+                json.dumps(
+                    {
+                        "status": Status.OK,
+                        "op": "stat",
+                        "shards": self.service.supervisor.stats(),
+                    },
+                    separators=(",", ":"),
+                )
+                + "\n"
+            ).encode("utf-8")
+        )
 
 
 class _Connection(LineFramer):
@@ -269,23 +317,7 @@ class PredictionService:
         if op == "observe":
             self._observe(record, reply)
         elif op == "stat":
-            # A stat poll doubles as the breaker's probe driver:
-            # half-open shards get a health ping, so "poll until
-            # closed" terminates even with no client traffic.
-            self.supervisor.probe_half_open()
-            reply(
-                (
-                    json.dumps(
-                        {
-                            "status": Status.OK,
-                            "op": "stat",
-                            "shards": self.supervisor.stats(),
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                ).encode("utf-8")
-            )
+            _Stat(self, reply)
         else:
             # Control operations are not validated: echo only an int seq.
             seq = record.get("seq", -1)

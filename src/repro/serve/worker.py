@@ -19,7 +19,8 @@ Once warm-restored, the worker speaks first: ``ready`` with its
 trained count.  After that every request is an ``observe`` (answered
 ``observed``; an outbox replay after a restore is an ordinary
 observation) or a ``ping`` (answered ``pong``, which carries the memory
-report).  There is no stop message: the supervisor ends a worker with
+report; every ``stat`` sends one, and it is the only way a worker
+reports).  There is no stop message: the supervisor ends a worker with
 SIGKILL, and its state is in its snapshots and interval log.  Nothing
 on the pipe is pickled: a frame is packed in one ``struct`` call,
 written with one ``os.write`` and read with one ``os.read`` (more only
@@ -49,7 +50,7 @@ import time
 from typing import Dict, Tuple
 
 from ..core.config import CosmosConfig
-from ..core.memory import MemoryTotals, memory_report
+from ..core.memory import memory_report
 from ..core.predictor import CosmosPredictor
 from ..errors import ServeError
 from ..sim.metrics import METRICS
@@ -96,12 +97,8 @@ MEMORY_KEYS = (
     "bytes_est",
     "peak_bytes_est",
 )
-#: The memory report, after :data:`OBSERVED` under tenant budgets.
-MEMORY = struct.Struct(">%dq" % len(MEMORY_KEYS))
-#: An ``observed`` frame with the memory report.
-OBSERVED_MEMORY = struct.Struct(OBSERVED.format + MEMORY.format[1:])
 #: worker -> supervisor: trained, then the memory report.
-PONG = struct.Struct(READY.format + MEMORY.format[1:])
+PONG = struct.Struct(READY.format + "%dq" % len(MEMORY_KEYS))
 
 #: The most one ``os.read`` takes; a longer frame takes more reads.
 READ_SIZE = 64 * 1024
@@ -132,14 +129,7 @@ def read_frame(fd: int) -> bytes:
 
 
 class ShardBanks:
-    """One shard's per-tenant predictor banks and their memory report.
-
-    Under a memory budget every response carries the report, so its
-    totals are kept running: each observation counts its tenant's bank
-    out before training and back in after, in O(1) however many tenants
-    the shard holds.  Unbudgeted workers report only on ``pong``, and
-    sum the banks then.
-    """
+    """One shard's per-tenant predictor banks and their memory report."""
 
     def __init__(
         self, pconfig: CosmosConfig, restored: Dict[str, CosmosPredictor]
@@ -155,35 +145,24 @@ class ShardBanks:
                 predictor = self.banks[tenant] = CosmosPredictor(pconfig)
                 predictor.adopt(bank)
                 predictor.enforce_capacity()
-        self._totals = (
-            MemoryTotals(pconfig, self.banks.values())
-            if pconfig.mhr_capacity or pconfig.pht_capacity
-            else None
-        )
 
     def observe(self, tenant: str, block: int, word: int) -> Tuple[int, bool]:
         """Train ``tenant``'s bank: ``(prediction, evicted)``."""
         predictor = self.banks.get(tenant)
         if predictor is None:
             predictor = self.banks[tenant] = CosmosPredictor(self.pconfig)
-        totals = self._totals
-        if totals is not None:
-            totals.add(predictor, -1)
         evictions = predictor.evictions_mhr + predictor.evictions_pht
         predicted = predictor.observe_word(block, word)
-        if totals is not None:
-            totals.add(predictor)
         return predicted, (
             predictor.evictions_mhr + predictor.evictions_pht
         ) != evictions
 
     def memory(self) -> dict:
         """This shard's predictor memory, over its tenant banks."""
-        if self._totals is not None:
-            report = self._totals.report()
-        else:
-            report = memory_report(self.pconfig, self.banks.values())
-        return {"tenants": len(self.banks), **report}
+        return {
+            "tenants": len(self.banks),
+            **memory_report(self.pconfig, self.banks.values()),
+        }
 
 
 def worker_main(
@@ -213,7 +192,6 @@ def worker_main(
     METRICS.reset()
     fingerprint = config.fingerprint()
     pconfig = config.predictor_config()
-    bounded = bool(config.tenant_mhr_budget or config.tenant_pht_budget)
     trained, restored, _path = load_latest_shard_state(
         checkpoint_dir, shard, fingerprint, pconfig
     )
@@ -265,20 +243,9 @@ def worker_main(
         if trained % config.checkpoint_every == 0:
             log.checkpoint(trained, banks.banks)
             last_checkpoint = trained
-        if bounded:
-            memory = banks.memory()
-            response = OBSERVED_MEMORY.pack(
-                OBSERVED_MEMORY.size - 4,
-                OBSERVED_TAG,
-                seq,
-                predicted,
-                trained,
-                last_checkpoint,
-                evicting,
-                *[memory[key] for key in MEMORY_KEYS],
-            )
-        else:
-            response = OBSERVED.pack(
+        write_frame(
+            fd,
+            OBSERVED.pack(
                 OBSERVED.size - 4,
                 OBSERVED_TAG,
                 seq,
@@ -286,8 +253,8 @@ def worker_main(
                 trained,
                 last_checkpoint,
                 evicting,
-            )
-        write_frame(fd, response)
+            ),
+        )
         if trained in kill_at:
             # The response above is already written into the pipe; this
             # models a crash *between* serving and the next request.

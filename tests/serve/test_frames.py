@@ -22,14 +22,12 @@ from repro.serve.chaos import ChaosScript
 from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.frontend import PredictionService
-from repro.serve.loadgen import replay_trace, verify_predictions
+from repro.serve.loadgen import replay_trace, tenant_of, verify_predictions
 from repro.serve.worker import (
-    MEMORY,
     MEMORY_KEYS,
     OBSERVE,
     OBSERVE_TAG,
     OBSERVED,
-    OBSERVED_MEMORY,
     OBSERVED_TAG,
     PING_FRAME,
     PING_TAG,
@@ -109,26 +107,19 @@ def test_ready_round_trip(trained):
 
 @settings(max_examples=200)
 @given(seq=NATURAL64, predicted=st.integers(-1, 2**16 - 1),
-       trained=NATURAL64, ckpt=NATURAL64, evicting=st.booleans(),
-       memory=st.none() | MEMORIES)
+       trained=NATURAL64, ckpt=NATURAL64, evicting=st.booleans())
 @example(seq=2**63 - 1, predicted=-1, trained=2**63 - 1, ckpt=0,
-         evicting=True, memory=(-(2**63),) + (2**63 - 1,) * 8)
-def test_observed_round_trip(seq, predicted, trained, ckpt, evicting, memory):
+         evicting=True)
+def test_observed_round_trip(seq, predicted, trained, ckpt, evicting):
     fields = (seq, predicted, trained, ckpt, evicting)
-    if memory is None:
-        sent = _with_length(OBSERVED, OBSERVED_TAG, *fields)
-    else:
-        sent = _with_length(OBSERVED_MEMORY, OBSERVED_TAG, *fields, *memory)
-    frame = _through(sent)
+    frame = _through(_with_length(OBSERVED, OBSERVED_TAG, *fields))
     assert frame[4] == OBSERVED_TAG
     assert OBSERVED.unpack_from(frame)[2:] == fields
-    if memory is None:
-        assert len(frame) == OBSERVED.size
-    else:
-        assert MEMORY.unpack_from(frame, OBSERVED.size) == memory
+    assert len(frame) == OBSERVED.size
 
 
 @given(trained=NATURAL64, memory=MEMORIES)
+@example(trained=2**63 - 1, memory=(-(2**63),) + (2**63 - 1,) * 8)
 def test_pong_round_trip(trained, memory):
     frame = _through(_with_length(PONG, PONG_TAG, trained, *memory))
     _size, tag, got_trained, *got_memory = PONG.unpack_from(frame)
@@ -329,9 +320,9 @@ def test_a_budgeted_stat_memory_report_equals_the_worker_banks():
 
 
 def test_a_pong_carries_the_worker_banks_memory_report():
-    # Unbudgeted workers report memory only on pongs.  A kill after the
-    # last observation leaves the restored shard half-open, and the stat
-    # polls that close it are answered by pongs.
+    # Workers report memory only on pongs.  A kill after the last
+    # observation leaves the report to the restored worker, which the
+    # stat polls ask once its breaker has closed.
     config = ServeConfig(shards=1, seed=7, checkpoint_every=32)
     events = synthetic_events(120, seed=7, nodes=3, blocks=12)
     report, stat = asyncio.run(
@@ -345,3 +336,83 @@ def test_a_pong_carries_the_worker_banks_memory_report():
     expected = _shard_banks_memory(config, report.results)
     assert list(stat["memory"]) == list(expected)
     assert stat["memory"] == expected
+
+
+def test_an_unbudgeted_stat_reports_every_shards_memory():
+    # No budget and no lost worker: only the stat's own pings report.
+    config = ServeConfig(shards=2, seed=9, checkpoint_every=32)
+    events = synthetic_events(160, seed=9, nodes=3, blocks=12)
+
+    async def main():
+        service = PredictionService(config)
+        await service.start()
+        try:
+            report = await replay_trace(
+                "127.0.0.1", service.port, events, client_id="unbudgeted"
+            )
+            async with ServeClient(
+                "127.0.0.1", service.port, "unbudgeted-stat"
+            ) as client:
+                stats = (await client.stat())["shards"]
+        finally:
+            await service.stop()
+        return report, stats
+
+    report, stats = asyncio.run(main())
+    assert report.degraded == 0
+    for shard in stats:
+        assert shard["state"] == "closed" and shard["restores"] == 0
+        expected = _shard_banks_memory(
+            config,
+            [r for r in report.results if r.shard == shard["shard"]],
+        )
+        assert expected["tenants"] > 0
+        assert list(shard["memory"]) == list(expected)
+        assert shard["memory"] == expected
+
+
+def test_a_stat_during_a_stall_answers_by_the_deadline():
+    # Observation 5 stalls its worker 3 s, past the 250 ms deadline but
+    # short of the 2 s hang budget that would open the breaker: the
+    # stat's ping waits behind it, and the stat does not.
+    deadline_ms = 250.0
+    config = ServeConfig(
+        shards=1, seed=10, deadline_ms=deadline_ms, hang_timeout_ms=2_000.0
+    )
+    chaos = ChaosScript.parse("stall:shard=0,at=5,ms=3000")
+    events = synthetic_events(5, seed=10)
+
+    async def main():
+        service = PredictionService(config, chaos=chaos)
+        await service.start()
+        loop = asyncio.get_running_loop()
+        try:
+            async with ServeClient(
+                "127.0.0.1", service.port, "stall"
+            ) as client:
+                for event in events[:4]:
+                    await client.observe(
+                        tenant_of(event), event.block, event.sender,
+                        int(event.mtype),
+                    )
+                before = (await client.stat())["shards"][0]
+                stalled = events[4]
+                response = await client.observe(
+                    tenant_of(stalled), stalled.block, stalled.sender,
+                    int(stalled.mtype),
+                )
+                assert response.degraded  # the deadline answered it
+                start = loop.time()
+                during = (await client.stat())["shards"][0]
+                elapsed = loop.time() - start
+        finally:
+            await service.stop()
+        return before, during, elapsed
+
+    before, during, elapsed = asyncio.run(main())
+    assert before["memory"] is not None
+    assert during["state"] == "closed"  # the hang budget has not run out
+    assert during["trained"] == 4
+    assert during["memory"] == before["memory"]
+    assert deadline_ms / 1_000.0 <= elapsed + 0.01
+    assert elapsed < deadline_ms / 1_000.0 + 0.5

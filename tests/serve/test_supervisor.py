@@ -23,11 +23,11 @@ from repro.serve.frontend import PredictionService
 from repro.serve.hashring import HashRing
 from repro.serve.loadgen import (
     ObservationResult,
+    replay_trace,
     tenant_of,
     verify_predictions,
 )
 from repro.serve.protocol import Status
-from repro.serve.supervisor import PROBE_REQUESTS
 from repro.sim.metrics import METRICS
 
 from .common import synthetic_events, wait_all_closed
@@ -144,7 +144,7 @@ def test_sigkill_midstream_recovers_byte_identically(tmp_path):
     assert by_shard[victim]["epoch"] == 1
     assert by_shard[victim]["restores"] == 1
     assert by_shard[victim]["breaker_opened"] == 1
-    assert by_shard[victim]["state"] == "closed"  # re-admitted via probes
+    assert by_shard[victim]["state"] == "closed"
     assert by_shard[victim]["trained"] == by_shard[victim]["admitted"]
     other = by_shard[1 - victim]
     assert other["epoch"] == 0 and other["state"] == "closed"
@@ -191,8 +191,8 @@ def test_hang_past_budget_is_killed_and_restored(tmp_path):
                 # The stalled observation was replayed into the restored
                 # worker: no admitted learning lost.
                 assert stat["shards"][0]["trained"] == 3
-                # Drive the probe window shut with fresh traffic.
-                for seq in range(3, 3 + PROBE_REQUESTS):
+                # The restored worker answers fresh traffic for real.
+                for seq in range(3, 7):
                     response = await client.observe("t", 64 * seq, 0, mtype)
                     assert response.status == Status.OK
                     assert not response.degraded
@@ -207,6 +207,42 @@ def test_hang_past_budget_is_killed_and_restored(tmp_path):
         assert json.loads(forensics.read_text())["exitcode"] == -9
 
     asyncio.run(main())
+
+
+def test_a_restored_shard_closes_once_caught_up_with_no_traffic(tmp_path):
+    # The kill follows the last observation, so nothing reaches the
+    # restored worker afterwards: no client traffic and no stat poll.
+    async def main():
+        config = ServeConfig(shards=1, checkpoint_every=8, seed=8)
+        service = PredictionService(
+            config,
+            chaos=ChaosScript.parse("kill:shard=0,at=40"),
+            checkpoint_dir=tmp_path,
+        )
+        await service.start()
+        try:
+            await replay_trace(
+                "127.0.0.1",
+                service.port,
+                synthetic_events(40, seed=8),
+                client_id="idle",
+            )
+            for _ in range(400):
+                shard = service.supervisor.stats()[0]
+                if shard["restores"] == 1 and shard["state"] == "closed":
+                    break
+                await asyncio.sleep(0.05)
+        finally:
+            await service.stop()
+        return shard
+
+    METRICS.reset()
+    shard = asyncio.run(main())
+    assert shard["restores"] == 1 and shard["state"] == "closed", shard
+    assert shard["breaker_opened"] == shard["breaker_closed"] == 1
+    assert shard["trained"] == shard["admitted"] == 40
+    assert METRICS.counter("serve.breaker.opened") == 1
+    assert METRICS.counter("serve.breaker.closed") == 1
 
 
 def test_start_up_is_not_bounded_by_the_hang_budget(tmp_path):
