@@ -295,10 +295,6 @@ def compare_acceleration(
         accelerated_time_ns=predictive.engine.now,
         exclusive_grants=predictive.exclusive_grants,
         pushes=predictive.pushes,
-        baseline_stall_ns=sum(
-            latency for latency, _ in baseline.access_latencies
-        ),
-        accelerated_stall_ns=sum(
-            latency for latency, _ in predictive.access_latencies
-        ),
+        baseline_stall_ns=sum(baseline.access_latencies),
+        accelerated_stall_ns=sum(predictive.access_latencies),
     )

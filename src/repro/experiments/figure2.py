@@ -36,7 +36,6 @@ class ProducerConsumerMicro(Workload):
         super().__init__(n_procs)
         if not 1 <= n_consumers < n_procs:
             raise ValueError("need between 1 and n_procs-1 consumers")
-        self.n_consumers = n_consumers
         self._block = 0
         self.producer = 1  # node 0 is the home; keep endpoints remote
         self.consumers = [

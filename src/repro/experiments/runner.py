@@ -188,11 +188,19 @@ def run_experiments(
     with :func:`~repro.parallel.pool.run_plan` -- in this process at
     ``jobs == 1``, on a ``spawn`` pool of ``jobs`` workers above that.
     ``on_section`` is called once per section, in request order, as
-    soon as that section and every earlier one are done.  ``fault_spec``
-    (``--fault-profile``) injects interconnect faults into every
-    simulation the run performs.  Returns ``(sections, shard_stats)``
-    where ``shard_stats`` holds one JSON-able accounting dict per shard
-    (simulation shards included) for ``--metrics-json``.
+    soon as that section and every earlier one are done.
+
+    ``fault_spec`` (``--fault-profile``) injects interconnect faults
+    into the shared application traces that
+    :func:`~repro.experiments.common.get_trace` simulates.  Experiments
+    that simulate privately run fault-free: ``critical-path``,
+    ``figure2``, ``figure8``'s micro-workloads, ``integration``'s inline
+    runs, ``protocols``, ``replacement``, ``scaling``, ``seeds`` and
+    ``sensitivity``; ``faults`` sweeps its own profiles.
+
+    Returns ``(sections, shard_stats)`` where ``shard_stats`` holds one
+    JSON-able accounting dict per shard (simulation shards included)
+    for ``--metrics-json``.
 
     ``run_dir`` journals every shard completion under that directory so
     an interrupted or killed run can be resumed; ``resume_dir`` resumes
@@ -380,8 +388,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="SPEC",
         default=None,
         help=(
-            "inject interconnect faults into every simulation: a preset "
-            f"({', '.join(PRESETS)}) or 'drop=0.05,reorder=0.2,...'"
+            "inject interconnect faults into the shared application "
+            "traces (experiments that simulate privately run "
+            f"fault-free): a preset ({', '.join(PRESETS)}) or "
+            "'drop=0.05,reorder=0.2,...'"
         ),
     )
     parser.add_argument(

@@ -284,8 +284,8 @@ class McSpotOracle(Oracle):
     bug or a model/abstraction gap, both worth a loud stop.
 
     The model is chosen to match the machine's protocol options.
-    Projections involving more than one remote node are skipped and
-    counted (the model is two-node); fault-injected machines disarm the
+    Projections involving more than one remote node are skipped (the
+    model is two-node); fault-injected machines disarm the
     oracle entirely.
     """
 
@@ -296,7 +296,6 @@ class McSpotOracle(Oracle):
             raise ConfigError("mc-spot sampling period must be >= 1")
         self.every = every
         self.samples = 0
-        self.skipped = 0
         self._deliveries = 0
         self._model = None
         self._states = None
@@ -328,7 +327,6 @@ class McSpotOracle(Oracle):
 
         state = spot_project(self.machine, msg.block, self._model)
         if state is None:
-            self.skipped += 1
             return
         self.samples += 1
         if state not in self._states:

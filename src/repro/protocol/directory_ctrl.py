@@ -163,7 +163,6 @@ class DirectoryController:
         # Statistics
         self.transactions = 0
         self.local_hits = 0
-        self.invalidations_sent = 0
         #: Recovery-mode statistics (folded into ``proto.*`` metrics by
         #: the machine after a run).
         self.inval_retries = 0
@@ -380,7 +379,6 @@ class DirectoryController:
             txn.request.txn,
         )
         self._send(msg)
-        self.invalidations_sent += 1
         txn.pending_acks.add(dst)
         if seq is not None:
             txn.expect(dst, msg)

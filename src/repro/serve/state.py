@@ -53,7 +53,7 @@ from ..core.predictor import CosmosPredictor
 from ..errors import CheckpointError
 from ..ioutil import load_newest_valid, read_framed, write_framed
 from .config import STATE_FORMAT
-from .worker import LENGTH, OBSERVE, ShardBanks
+from .worker import LENGTH, OBSERVE, ShardBanks, write_frame
 
 #: Magic string of shard checkpoint headers (distinct from simulation
 #: checkpoints so neither loader ever resumes from the other's files).
@@ -291,13 +291,6 @@ def _replay_log(path: Path, banks: ShardBanks, trained: int) -> int:
     return trained
 
 
-def _append(fd: int, data: bytes) -> None:
-    """Write ``data`` whole to ``fd``: one ``os.write``, more if short."""
-    written = os.write(fd, data)
-    while written < len(data):
-        written += os.write(fd, data[written:])
-
-
 class IntervalLog:
     """One worker incarnation's durable state: its log and snapshots.
 
@@ -348,7 +341,7 @@ class IntervalLog:
             "shard": self.shard,
             "start": start,
         }
-        _append(fd, pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL))
+        write_frame(fd, pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL))
         return fd
 
     def checkpoint(
@@ -363,7 +356,7 @@ class IntervalLog:
         frames = b"".join(self.frames)
         first = trained - len(self.frames) + 1
         self.frames.clear()
-        _append(
+        write_frame(
             self._fd,
             RECORD.pack(first, len(frames), zlib.crc32(frames)) + frames,
         )

@@ -12,6 +12,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".network": ("Network",),
         ".node": ("Node",),
         ".params": ("PAPER_PARAMS", "SystemParams"),
-        ".stats": ("LatencySummary", "summarize_latencies"),
     },
 )

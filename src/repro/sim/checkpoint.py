@@ -58,7 +58,9 @@ from .params import SystemParams
 #: machine's pending access streams) is a tuple, no longer a dataclass.
 #: Format 4: the pickled :class:`~repro.trace.collector.TraceCollector`
 #: holds only its rows, iteration and start-up boundary.
-FORMAT_VERSION = 4
+#: Format 5: ``Machine.access_latencies`` is one ``array("q")`` of
+#: latencies, no longer a list of ``(latency, was_miss)`` tuples.
+FORMAT_VERSION = 5
 
 CHECKPOINT_MAGIC = "repro-checkpoint"
 

@@ -47,7 +47,12 @@ def _callback_name(callback: Callable[..., None]) -> str:
 
 
 class Engine:
-    """Discrete-event scheduler with nanosecond-granularity integer time."""
+    """Discrete-event scheduler with nanosecond-granularity integer time.
+
+    Events enter through :meth:`schedule`, :meth:`schedule_at` (heap) or
+    :meth:`schedule_fifo` (append-only lane) and leave through
+    :meth:`run`, the one dispatch loop, bounded or not.
+    """
 
     def __init__(self) -> None:
         self._queue: list = []
@@ -131,66 +136,27 @@ class Engine:
             heapq.heappush(self._queue, (time, seq, callback, args))
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the event queue drains (or ``max_events`` dispatched).
+        """Run until the event queue drains, or ``max_events`` dispatched.
 
-        Returns the number of events dispatched by this call.
+        ``max_events=None`` means no bound.  Returns the number of events
+        dispatched by this call.  A raising callback's own event is not
+        counted (it never completed); everything dispatched before it is
+        folded into :attr:`events_processed` exactly once.
+
+        This is the engine's one dispatch loop: locals bound outside it,
+        one compare per event for the bound, and a ``try`` that is
+        zero-cost on the no-raise path (Python >= 3.11).  Sequence
+        numbers are unique, so the lane merge's tuple comparison decides
+        on ``(time, seq)`` alone and never compares callbacks.
         """
-        if max_events is None:
-            return self._run_to_exhaustion()
-        dispatched = 0
-        while self._queue or self._fifo:
-            if dispatched >= max_events:
-                break
-            time, seq, callback, args = self._pop_next()
-            self._now = time
-            try:
-                callback(*args)
-            except ReproError as exc:
-                # Preserve the concrete type (a ProtocolError stays a
-                # ProtocolError for callers that classify failures) but
-                # stamp the dispatch context onto the exception so a
-                # failing callback names the exact event that raised.
-                self._attach_event_context(exc, time, seq, callback)
-                raise
-            except Exception as exc:
-                raise SimulationError(
-                    f"callback {_callback_name(callback)} raised "
-                    f"{type(exc).__name__} at t={time} (event seq {seq}): "
-                    f"{exc}"
-                ) from exc
-            dispatched += 1
-            self._events_processed += 1
-        return dispatched
-
-    def _pop_next(self) -> tuple:
-        """Pop the globally next event across both lanes.
-
-        Sequence numbers are unique, so the ``(time, seq, ...)`` tuple
-        comparison decides on ``(time, seq)`` alone and never compares
-        callbacks.
-        """
-        queue = self._queue
-        fifo = self._fifo
-        if fifo:
-            if queue and queue[0] < fifo[0]:
-                return heapq.heappop(queue)
-            return fifo.popleft()
-        return heapq.heappop(queue)
-
-    def _run_to_exhaustion(self) -> int:
-        """The unbudgeted dispatch loop, monomorphic over both lanes.
-
-        Same ordering and error handling as the budgeted loop above, with
-        the per-event budget guard and ``pending`` bookkeeping hoisted
-        out; ``try`` is zero-cost on the no-raise path (Python >= 3.11).
-        """
+        limit = -1 if max_events is None else max(max_events, 0)
         queue = self._queue
         fifo = self._fifo
         heappop = heapq.heappop
         popleft = fifo.popleft
         dispatched = 0
         try:
-            while True:
+            while dispatched != limit:
                 if fifo:
                     if queue and queue[0] < fifo[0]:
                         event = heappop(queue)
@@ -204,6 +170,9 @@ class Engine:
                 try:
                     event[2](*event[3])
                 except ReproError as exc:
+                    # Keep the concrete type (a ProtocolError stays a
+                    # ProtocolError for callers that classify failures)
+                    # but stamp the event that raised onto it.
                     self._attach_event_context(
                         exc, event[0], event[1], event[2]
                     )
@@ -216,9 +185,6 @@ class Engine:
                     ) from exc
                 dispatched += 1
         finally:
-            # A raising callback's own event is not counted (it never
-            # completed), matching the budgeted loop; everything
-            # dispatched before it is folded in exactly once.
             self._events_processed += dispatched
         return dispatched
 

@@ -18,9 +18,9 @@ modeled (the paper excludes barrier variables from its traces).
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from functools import partial
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..errors import ProtocolError, SimulationError
@@ -144,14 +144,14 @@ class Machine:
         self._pending: List[List[Access]] = []
         self._cursor: List[int] = []
         self._issue_time: List[int] = [0] * params.n_nodes
-        self._was_miss: List[bool] = [False] * params.n_nodes
         #: Each processor's access-completion callback, built once.
         self._done = [
             partial(self._completed, proc) for proc in range(params.n_nodes)
         ]
         self.accesses_issued = 0
-        #: (latency_ns, was_coherence_miss) per completed shared access.
-        self.access_latencies: List[tuple] = []
+        #: Issue-to-completion latency (ns) of each completed access, in
+        #: completion order: one int64 per access.
+        self.access_latencies = array("q")
         #: Samples already folded into ``sim.access.latency_ns`` by
         #: :meth:`finish_workload`.
         self._folded_latencies = 0
@@ -404,9 +404,6 @@ class Machine:
         self._cursor[proc] = index + 1
         self.accesses_issued += 1
         self._issue_time[proc] = self.engine.now
-        # Assume a miss before dispatching: a miss's done_cb may fire
-        # synchronously (e.g. an idle local directory entry).
-        self._was_miss[proc] = True
         home = self.memory_map.home_of(block)
         node = self.nodes[proc]
         if home == proc:
@@ -414,20 +411,16 @@ class Machine:
                 block, is_write, self._done[proc]
             )
             if hit:
-                self._was_miss[proc] = False
                 self.engine.schedule(
                     self.params.memory_access_ns, self._completed, proc
                 )
         else:
             hit = node.cache.access(block, home, is_write, self._done[proc])
             if hit:
-                self._was_miss[proc] = False
                 self.engine.schedule(_CACHE_HIT_NS, self._completed, proc)
 
     def _completed(self, proc: int) -> None:
-        self.access_latencies.append(
-            (self.engine.now - self._issue_time[proc], self._was_miss[proc])
-        )
+        self.access_latencies.append(self.engine.now - self._issue_time[proc])
         if self.watchdog is not None:
             self.watchdog.note_completion()
         think = (
@@ -489,12 +482,7 @@ class Machine:
         # distribution goes to ``--metrics-json`` even with OBS off.
         # Latencies repeat heavily, so each distinct value is one bulk
         # update; the cursor makes a second call fold nothing.
-        unfolded = Counter(
-            latency_ns
-            for latency_ns, _was_miss in islice(
-                self.access_latencies, self._folded_latencies, None
-            )
-        )
+        unfolded = Counter(self.access_latencies[self._folded_latencies:])
         for latency_ns, count in unfolded.items():
             METRICS.observe_many("sim.access.latency_ns", latency_ns, count)
         self._folded_latencies = len(self.access_latencies)

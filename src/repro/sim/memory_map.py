@@ -19,7 +19,6 @@ class MemoryMap:
     """Address arithmetic for a round-robin paged shared memory."""
 
     def __init__(self, params: SystemParams) -> None:
-        self._params = params
         self._block_bytes = params.cache_block_bytes
         self._page_bytes = params.page_bytes
         self._n_nodes = params.n_nodes

@@ -168,7 +168,9 @@ class Watchdog:
         """Drain ``engine`` in chunks, enforcing every budget.
 
         Drop-in replacement for ``engine.run()``: returns the number of
-        dispatched events, or raises :class:`WatchdogError`.
+        dispatched events, or raises :class:`WatchdogError`.  Each chunk
+        is ``engine.run(max_events=check_every)``, the engine's one
+        dispatch loop, and the budgets are checked between chunks.
         """
         config = self.config
         start = time.monotonic()

@@ -212,13 +212,17 @@ def _torn_worker(conn, shard, config, checkpoint_dir, epoch, chaos):
         from repro.serve import worker
 
         whole = worker.write_frame
+        pipe = conn.fileno()
         written = [0]
 
         def torn(fd, frame):
-            written[0] += 1
-            if written[0] == 1 + TORN_AT:  # the ready frame comes first
-                os.write(fd, frame[: len(frame) // 2])
-                os._exit(3)
+            # Only the pipe's frames count: the interval log's writes
+            # go through the same helper.
+            if fd == pipe:
+                written[0] += 1
+                if written[0] == 1 + TORN_AT:  # the ready frame is first
+                    os.write(fd, frame[: len(frame) // 2])
+                    os._exit(3)
             whole(fd, frame)
 
         worker.write_frame = torn

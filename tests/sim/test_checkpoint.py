@@ -365,7 +365,31 @@ class TestOnDiskFormat:
             },
             payload,
         )
-        with pytest.raises(CheckpointError, match="format 3.*format 4") as info:
+        with pytest.raises(
+            CheckpointError, match=f"format 3.*format {FORMAT_VERSION}"
+        ) as info:
+            load_checkpoint(path)
+        assert info.value.cause == "version-mismatch"
+
+    def test_checkpoint_with_latency_tuples_refused(self, tmp_path):
+        # Format 4 pickled Machine.access_latencies as (latency, was_miss)
+        # tuples; the file is refused on its version, by name.
+        checkpoint, path, _machine = self._one_checkpoint(tmp_path)
+        _header, payload = read_framed(path, CHECKPOINT_MAGIC, FORMAT_VERSION)
+        write_framed(
+            path,
+            CHECKPOINT_MAGIC,
+            4,
+            {
+                "fingerprint": checkpoint.fingerprint,
+                "next_iteration": 2,
+                "total_iterations": ITERATIONS,
+            },
+            payload,
+        )
+        with pytest.raises(
+            CheckpointError, match=f"format 4.*format {FORMAT_VERSION}"
+        ) as info:
             load_checkpoint(path)
         assert info.value.cause == "version-mismatch"
 

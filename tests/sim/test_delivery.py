@@ -63,7 +63,7 @@ class TestLatencyFold:
         machine = Machine(seed=0)
         machine.run_workload(workload_for("moldyn", quick=True), 4)
         reference = Histogram()
-        for latency_ns, _was_miss in machine.access_latencies:
+        for latency_ns in machine.access_latencies:
             reference.observe(latency_ns)
         assert reference.count > 0
         assert METRICS.histogram(LATENCY).snapshot() == reference.snapshot()

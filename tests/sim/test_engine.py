@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
@@ -98,6 +100,104 @@ class TestRun:
         engine = Engine()
         assert engine.run() == 0
         assert engine.now == 0
+
+    def test_zero_budget_dispatches_nothing(self):
+        engine = Engine()
+        log = []
+        engine.schedule(1, log.append, "heap")
+        engine.schedule_fifo(2, log.append, "fifo")
+        assert engine.run(max_events=0) == 0
+        assert log == [] and engine.pending() == 2
+        assert engine.now == 0 and engine.events_processed == 0
+
+
+#: One scheduled event: its lane, its delay, and the events its callback
+#: schedules in turn when it runs.
+LANES = ("schedule", "schedule_at", "schedule_fifo")
+EVENTS = st.recursive(
+    st.tuples(st.sampled_from(LANES), st.integers(0, 30), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(LANES),
+        st.integers(0, 30),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=30,
+)
+
+
+class _Schedule:
+    """Feeds an engine a tree of events and logs each ``(time, seq)``.
+
+    Every ``schedule*`` call takes the engine's next sequence number, so
+    counting the calls here numbers each event by its engine ``seq``.
+    The callback of the ``raise_at``-th dispatched event raises.
+    """
+
+    def __init__(self, engine, raise_at):
+        self.engine = engine
+        self.raise_at = raise_at
+        self.seq = 0
+        self.log = []
+
+    def add(self, spec):
+        lane, delay, children = spec
+        seq = self.seq
+        self.seq += 1
+        if lane == "schedule_at":
+            self.engine.schedule_at(
+                self.engine.now + delay, self.fire, seq, children
+            )
+        else:
+            getattr(self.engine, lane)(delay, self.fire, seq, children)
+
+    def fire(self, seq, children):
+        if len(self.log) == self.raise_at:
+            raise ValueError("planted failure")
+        self.log.append((self.engine.now, seq))
+        for child in children:
+            self.add(child)
+
+
+def _drain(roots, max_events, raise_at):
+    """Drain a fresh engine fed ``roots``: one ``run()`` when
+    ``max_events`` is None, else repeated ``run(max_events=...)``."""
+    engine = Engine()
+    schedule = _Schedule(engine, raise_at)
+    for spec in roots:
+        schedule.add(spec)
+    chunks = []
+    raised = False
+    try:
+        if max_events is None:
+            chunks.append(engine.run())
+        else:
+            while engine.pending():
+                chunks.append(engine.run(max_events=max_events))
+    except SimulationError:
+        raised = True
+    return schedule.log, engine.now, engine.events_processed, raised, chunks
+
+
+class TestBoundedDrainProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        roots=st.lists(EVENTS, max_size=8),
+        max_events=st.integers(1, 12),
+        raise_at=st.none() | st.integers(0, 40),
+    )
+    def test_chunked_drain_matches_one_run(self, roots, max_events, raise_at):
+        whole = _drain(roots, None, raise_at)
+        chunked = _drain(roots, max_events, raise_at)
+        log, now, processed, raised, _chunks = whole
+        assert chunked[:4] == whole[:4]
+        # The lane merge dispatches in strictly increasing (time, seq).
+        assert log == sorted(set(log))
+        # A raising event is not counted, bounded or not.
+        assert processed == len(log)
+        assert not raised or raise_at == len(log)
+        assert all(0 < chunk <= max_events for chunk in chunked[4])
+        if not raised:
+            assert sum(chunked[4]) == processed == whole[4][0]
 
 
 class TestDeterminism:
