@@ -61,7 +61,12 @@ _CACHE_HIT_NS = 1
 
 
 class Machine:
-    """A directory-based shared-memory multiprocessor."""
+    """A directory-based shared-memory multiprocessor.
+
+    Besides its trace, a run leaves one number per completed access:
+    :attr:`access_latencies`, an ``array("q")`` of issue-to-completion
+    latencies in ns, in completion order.
+    """
 
     def __init__(
         self,
