@@ -153,3 +153,16 @@ class TestStallAccounting:
         assert comparison.baseline_stall_ns > 0
         assert comparison.stall_reduction > 0.0
         assert comparison.stall_reduction < 1.0
+
+    def test_baseline_stall_is_the_machine_latency_sum(self):
+        # The stall yardstick is the baseline machine's per-access
+        # latency column, summed.
+        comparison = compare_acceleration(
+            lambda: ProducerConsumerMicro(),
+            iterations=25,
+            seed=3,
+        )
+        machine = Machine(seed=3)
+        machine.run_workload(ProducerConsumerMicro(), iterations=25)
+        assert comparison.baseline_stall_ns == sum(machine.access_latencies)
+        assert comparison.baseline_time_ns == machine.engine.now

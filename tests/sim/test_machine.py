@@ -12,7 +12,6 @@ from repro.sim.memory_map import Allocator
 from repro.sim.params import SystemParams
 from repro.workloads.access import read, write
 from repro.workloads.base import Workload
-from repro.workloads.moldyn import MolDyn
 from repro.workloads.registry import make_workload
 
 
@@ -98,35 +97,6 @@ class TestTimeAdvancement:
         base_types = [e.mtype for e in base.events]
         dash_types = [e.mtype for e in dash.events]
         assert base_types != dash_types
-
-
-class TestAccessLatencies:
-    @pytest.fixture(scope="class")
-    def machine(self):
-        machine = Machine(seed=2)
-        machine.run_workload(
-            MolDyn(force_blocks=6, coord_blocks=6, cold_blocks=0),
-            iterations=4,
-        )
-        return machine
-
-    def test_one_latency_per_issued_access(self, machine):
-        assert len(machine.access_latencies) == machine.accesses_issued
-
-    def test_latencies_nonnegative(self, machine):
-        assert min(machine.access_latencies) >= 0
-
-    def test_slow_accesses_pay_a_round_trip(self, machine):
-        # An access slower than a local memory access went to the
-        # network: at least request + response.
-        slow = sorted(
-            latency
-            for latency in machine.access_latencies
-            if latency > machine.params.memory_access_ns
-        )
-        assert slow
-        median = slow[len(slow) // 2]
-        assert median >= 2 * machine.params.one_way_message_ns
 
 
 class TestHalfMigratory:

@@ -164,6 +164,64 @@ class TestHistograms:
         assert hist.quantile(0.5) == 4.0
         assert hist.quantile(1.0) == 128.0
 
+    def test_quantile_rank_rounds_half_up(self):
+        # The rank is q * count rounded half up, at least 1.
+        pair = Histogram()
+        pair.observe(2)
+        pair.observe(100)
+        assert pair.quantile(0.0) == 2.0
+        assert pair.quantile(0.5) == 2.0  # q * count 1.0 -> rank 1
+        assert pair.quantile(0.75) == 128.0  # 1.5 -> rank 2
+        tail = Histogram()
+        tail.observe_many(2, 19)
+        tail.observe(100)
+        assert tail.quantile(0.95) == 2.0  # 19.0 -> rank 19 of 20
+        assert tail.quantile(0.98) == 128.0  # 19.6 -> rank 20 of 20
+
+    def test_quantile_of_values_at_most_one_is_one(self):
+        # Bucket 0 holds zero and negatives too; its upper edge is 1.
+        hist = Histogram()
+        hist.observe_many(0, 3)
+        hist.observe(-4)
+        assert hist.quantile(0.5) == 1.0
+        assert hist.quantile(1.0) == 1.0
+
+    @given(
+        st.lists(
+            st.integers(min_value=-10, max_value=10**9),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quantile_is_the_edge_of_the_ranked_sample(self, values, q):
+        """quantile(q) is the upper bucket edge of the sorted sample at
+        rank max(1, round-half-up(q * count))."""
+        hist = Histogram()
+        for value in values:
+            hist.observe(value)
+        rank = max(1, int(q * len(values) + 0.5))
+        bucket = _bucket_of(sorted(values)[rank - 1])
+        assert hist.quantile(q) == (float(2**bucket) if bucket else 1.0)
+
+    @given(
+        st.lists(
+            st.integers(min_value=-10, max_value=10**9),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_quantile_is_monotone_and_covers_the_max(self, values):
+        hist = Histogram()
+        for value in values:
+            hist.observe(value)
+        readings = [hist.quantile(q) for q in (0.0, 0.5, 0.9, 0.99, 1.0)]
+        assert readings == sorted(readings)
+        assert readings[-1] >= max(values)
+        assert readings[-1] < 2 * max(max(values), 1)
+
     def test_empty_histogram(self):
         hist = Histogram()
         assert hist.mean == 0.0

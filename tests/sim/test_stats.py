@@ -1,55 +1,10 @@
-"""Tests for access-latency statistics."""
+"""Tests for access-latency statistics: the machine's per-access latency
+column, one issue-to-completion latency per shared access."""
 
 import pytest
 
-from repro.sim.machine import Machine
-from repro.sim.stats import summarize_latencies
+from repro.sim.machine import _CACHE_HIT_NS, Machine
 from repro.workloads.moldyn import MolDyn
-
-
-class TestSummarize:
-    def test_basic_summary(self):
-        samples = [(10, True), (20, True), (30, True), (40, True)]
-        summary = summarize_latencies(samples)
-        assert summary.count == 4
-        assert summary.mean_ns == 25.0
-        assert summary.p50_ns in (20, 30)
-        assert summary.max_ns == 40
-
-    def test_misses_only_filter(self):
-        samples = [(1, False), (1, False), (500, True)]
-        summary = summarize_latencies(samples, misses_only=True)
-        assert summary.count == 1
-        assert summary.mean_ns == 500.0
-
-    def test_empty(self):
-        summary = summarize_latencies([])
-        assert summary.count == 0
-        assert summary.mean_ns == 0.0
-
-    def test_p95_on_long_tail(self):
-        samples = [(i, True) for i in range(1, 101)]
-        summary = summarize_latencies(samples)
-        assert 94 <= summary.p95_ns <= 96
-
-    def test_p95_of_20_samples_is_the_largest(self):
-        # Regression: the old formula floored the rank to index 18 of 20
-        # (int(0.95 * 19) == 18), under-reporting the tail; nearest-rank
-        # must pick index 19.
-        samples = [(i, True) for i in range(1, 21)]
-        summary = summarize_latencies(samples)
-        assert summary.p95_ns == 20
-
-    def test_p50_nearest_rank_of_two(self):
-        # Nearest-rank p50 of two samples rounds half up to the larger.
-        summary = summarize_latencies([(10, True), (20, True)])
-        assert summary.p50_ns == 20
-
-    def test_percentiles_never_exceed_max(self):
-        for n in range(1, 30):
-            samples = [(i, True) for i in range(n)]
-            summary = summarize_latencies(samples)
-            assert summary.p50_ns <= summary.p95_ns <= summary.max_ns
 
 
 class TestMachineRecording:
@@ -66,16 +21,31 @@ class TestMachineRecording:
         assert len(machine.access_latencies) == machine.accesses_issued
 
     def test_misses_cost_more_than_hits(self, machine):
-        misses = summarize_latencies(machine.access_latencies, misses_only=True)
-        all_accesses = summarize_latencies(machine.access_latencies)
-        assert misses.count > 0
-        assert misses.mean_ns >= all_accesses.mean_ns
+        # Hits cost a fixed latency each: a remote-homed block hit in
+        # the cache, or a locally-homed one served from memory.  The
+        # rest of the column is what the misses cost.
+        cache_hits = sum(node.cache.hits for node in machine.nodes)
+        local_hits = sum(node.directory.local_hits for node in machine.nodes)
+        latencies = machine.access_latencies
+        misses = len(latencies) - cache_hits - local_hits
+        miss_ns = sum(latencies) - (
+            cache_hits * _CACHE_HIT_NS
+            + local_hits * machine.params.memory_access_ns
+        )
+        assert misses > 0
+        assert miss_ns / misses >= sum(latencies) / len(latencies)
 
     def test_miss_latency_at_least_round_trip(self, machine):
-        # A coherence miss pays at least request + response.
-        misses = summarize_latencies(machine.access_latencies, misses_only=True)
-        round_trip = 2 * machine.params.one_way_message_ns
-        assert misses.p50_ns >= round_trip
+        # An access slower than a local memory access went to the
+        # network: at least request + response.
+        slow = sorted(
+            latency
+            for latency in machine.access_latencies
+            if latency > machine.params.memory_access_ns
+        )
+        assert slow
+        median = slow[len(slow) // 2]
+        assert median >= 2 * machine.params.one_way_message_ns
 
     def test_latencies_nonnegative(self, machine):
-        assert all(lat >= 0 for lat, _ in machine.access_latencies)
+        assert min(machine.access_latencies) >= 0
