@@ -28,12 +28,13 @@ CYCLE = [
 def test_obs_disabled_overhead_guard():
     """Disabled observability must cost <= 2% of per-event simulation.
 
-    Every instrumentation site is ``if OBS.<flag>: OBS.emit(...)``, so
-    with capture off the whole layer reduces to one attribute read and
-    one branch per site.  This guard measures that check directly and
-    compares it against the simulator's per-message cost: if someone
-    adds an unguarded hook (string formatting, dict building, a call
-    into the log) the ratio blows past the budget and this test fails.
+    Every instrumentation site is one guard and one call
+    (``if OBS.<flag>: OBS.<hook>(...)``), so with capture off the whole
+    layer reduces to one attribute read and one branch per site.  This
+    guard measures that check directly and compares it against the
+    simulator's per-message cost: if someone adds an unguarded hook
+    (string formatting, dict building, a call into the log) the ratio
+    blows past the budget and this test fails.
     Both sides are best-of-N wall-clock measurements, so the 2% budget
     has orders-of-magnitude headroom against scheduler noise.
     """
@@ -44,7 +45,7 @@ def test_obs_disabled_overhead_guard():
     def guard_loop() -> int:
         observed = 0
         for _ in range(checks):
-            if OBS.msg:  # the exact shape of every hot-path hook
+            if OBS.msg_or_spans:  # the exact shape of the send hook
                 observed += 1
         return observed
 

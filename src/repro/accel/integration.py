@@ -33,6 +33,7 @@ from typing import Callable, Optional
 
 from ..core.config import CosmosConfig
 from ..core.predictor import CosmosPredictor
+from ..errors import ConfigError
 from ..protocol.directory_ctrl import DirectoryController, _Request, _Txn
 from ..protocol.messages import Message, MessageType
 from ..protocol.recovery import RecoveryConfig, Scheduler
@@ -153,7 +154,11 @@ class PredictiveDirectoryController(DirectoryController):
 
 
 class PredictiveMachine(Machine):
-    """A machine whose directories act on Cosmos predictions."""
+    """A machine whose directories act on Cosmos predictions.
+
+    The predictive directories extend the Stache controller, so Origin
+    forwarding (``options.forwarding``) raises :class:`ConfigError`.
+    """
 
     def __init__(
         self,
@@ -166,6 +171,11 @@ class PredictiveMachine(Machine):
         faults: Optional[FaultProfile] = None,
         fault_seed: int = 0,
     ) -> None:
+        if options.forwarding:
+            raise ConfigError(
+                "PredictiveMachine does not support forwarding=True: its "
+                "directories extend the Stache controller"
+            )
         super().__init__(
             params=params,
             options=options,

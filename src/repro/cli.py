@@ -98,11 +98,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         half_migratory=not args.no_half_migratory,
         forwarding=args.forwarding,
     )
-    faults = None
-    if args.fault_profile is not None:
-        profile = FaultProfile.parse(args.fault_profile)
-        if profile.is_active:
-            faults = profile
+    faults = (
+        FaultProfile.parse(args.fault_profile)
+        if args.fault_profile is not None
+        else None
+    )
     watchdog = _watchdog_from_args(args)
     if args.trace_events:
         OBS.configure(args.obs_level)
@@ -136,7 +136,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.checkpoint_dir is not None:
             print(f"checkpoints written under {args.checkpoint_dir}")
         if args.trace_events:
-            _export_timeline(args)
+            from .obs import build_manifest, write_timeline
+
+            manifest = build_manifest(
+                "repro-trace simulate",
+                app=args.app,
+                iterations=args.iterations,
+                seed=args.seed,
+                fault_profile=args.fault_profile,
+                fault_seed=args.fault_seed,
+                forwarding=args.forwarding,
+                half_migratory=not args.no_half_migratory,
+                obs_level=args.obs_level,
+            )
+            print(write_timeline(args.trace_events, manifest))
     finally:
         if args.trace_events:
             OBS.disable()
@@ -165,40 +178,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(f"resumed from {args.checkpoint}")
     print(f"wrote {count} events to {args.output}")
     return 0
-
-
-def _export_timeline(args: argparse.Namespace) -> None:
-    """Write the captured event log as trace-event JSON (simulate)."""
-    from .obs import (
-        OBS,
-        build_manifest,
-        export_trace_events,
-        save_trace_events,
-    )
-    from .sim.params import PAPER_PARAMS
-
-    manifest = build_manifest(
-        "repro-trace simulate",
-        app=args.app,
-        iterations=args.iterations,
-        seed=args.seed,
-        fault_profile=args.fault_profile,
-        fault_seed=args.fault_seed,
-        forwarding=args.forwarding,
-        half_migratory=not args.no_half_migratory,
-        obs_level=args.obs_level,
-    )
-    document = export_trace_events(
-        OBS.events(),
-        PAPER_PARAMS.n_nodes,
-        manifest=manifest,
-        dropped=OBS.dropped,
-    )
-    save_trace_events(document, args.trace_events)
-    print(
-        f"wrote {document['otherData']['events']} timeline events to "
-        f"{args.trace_events} ({OBS.dropped} dropped)"
-    )
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -356,70 +335,71 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
-    from .core.evaluation import evaluate_trace
-    from .experiments.common import iterations_for, workload_for
-    from .obs import (
-        OBS,
-        build_manifest,
-        export_trace_events,
-        save_trace_events,
-    )
+    from .experiments.common import iterations_for
+    from .experiments.critical_path import trace_spans
+    from .obs import OBS, build_manifest, write_timeline
+
+    iterations = args.iterations
+    if iterations is None and args.quick:
+        iterations = iterations_for(args.app, quick=True)
+    if args.trace_events:
+        OBS.configure("msg")
+    try:
+        with METRICS.timer("trace.critical_path"):
+            events, transactions = trace_spans(
+                args.app,
+                args.seed,
+                args.quick,
+                iterations,
+                faults=(
+                    FaultProfile.parse(args.fault_profile)
+                    if args.fault_profile is not None
+                    else None
+                ),
+                fault_seed=args.fault_seed,
+            )
+        _report_critical_path(args, events, transactions)
+        if args.trace_events:
+            manifest = build_manifest(
+                "repro-trace critical-path",
+                app=args.app,
+                iterations=iterations,
+                seed=args.seed,
+                quick=args.quick,
+                fault_profile=args.fault_profile,
+                fault_seed=args.fault_seed,
+                depth=args.depth,
+            )
+            print(
+                "\n"
+                + write_timeline(
+                    args.trace_events, manifest, transactions.values()
+                )
+            )
+    finally:
+        if args.trace_events:
+            OBS.disable()
+    return 0
+
+
+def _report_critical_path(
+    args: argparse.Namespace, events: list, transactions: dict
+) -> None:
+    """Print the baseline and Cosmos summaries and the worst paths."""
+    from .experiments.critical_path import predicted_outcomes
     from .obs.critpath import (
         attributed_paths,
         fold_critpath_metrics,
-        replay_outcomes,
         summarize,
     )
-    from .obs.spans import SPANS, build_transactions, format_span_tree
-    from .sim.machine import simulate
+    from .obs.spans import format_span_tree
     from .sim.params import PAPER_PARAMS
-    from .workloads.registry import make_workload
-
-    if args.quick:
-        workload = workload_for(args.app, quick=True)
-        iterations = (
-            args.iterations
-            if args.iterations is not None
-            else iterations_for(args.app, quick=True)
-        )
-    else:
-        workload = make_workload(args.app)
-        iterations = args.iterations
-    faults = None
-    if args.fault_profile is not None:
-        profile = FaultProfile.parse(args.fault_profile)
-        if profile.is_active:
-            faults = profile
-    if args.trace_events:
-        OBS.configure("msg")
-    SPANS.enable()
-    try:
-        with METRICS.timer("trace.critical_path"):
-            collector = simulate(
-                workload,
-                iterations=iterations,
-                seed=args.seed,
-                faults=faults,
-                fault_seed=args.fault_seed,
-            )
-        transactions = build_transactions(SPANS.records)
-    finally:
-        SPANS.disable()
-        if args.trace_events:
-            obs_events = OBS.events()
-            obs_dropped = OBS.dropped
-            OBS.disable()
 
     latency_ns = PAPER_PARAMS.one_way_message_ns
     baseline = summarize(attributed_paths(transactions, {}, latency_ns))
-    events = collector.all_events
-    column = evaluate_trace(
-        events,
-        CosmosConfig(depth=args.depth),
-        track_arcs=False,
-        record_outcomes=True,
-    ).outcomes
-    outcomes = replay_outcomes(events, transactions, column)
+    outcomes = predicted_outcomes(
+        events, transactions, config=CosmosConfig(depth=args.depth)
+    )
     paths = attributed_paths(transactions, outcomes, latency_ns)
     fold_critpath_metrics(paths)
 
@@ -463,31 +443,6 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
         )
         print(format_span_tree(transactions[path.txn]))
 
-    if args.trace_events:
-        manifest = build_manifest(
-            "repro-trace critical-path",
-            app=args.app,
-            iterations=iterations,
-            seed=args.seed,
-            quick=args.quick,
-            fault_profile=args.fault_profile,
-            fault_seed=args.fault_seed,
-            depth=args.depth,
-        )
-        document = export_trace_events(
-            obs_events,
-            PAPER_PARAMS.n_nodes,
-            manifest=manifest,
-            dropped=obs_dropped,
-            spans=transactions.values(),
-        )
-        save_trace_events(document, args.trace_events)
-        print(
-            f"\nwrote {document['otherData']['events']} timeline events "
-            f"to {args.trace_events} ({obs_dropped} dropped)"
-        )
-    return 0
-
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from .analysis.traffic import summarize_traffic
@@ -519,6 +474,24 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     else:
         print(dot)
     return 0
+
+
+def _add_fault_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--fault-profile",
+        metavar="SPEC",
+        default=None,
+        help=(
+            "inject interconnect faults: a preset "
+            f"({', '.join(PRESETS)}) or 'drop=0.05,reorder=0.2,...'"
+        ),
+    )
+    parser.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for the fault-injection RNG (default 0)",
+    )
 
 
 def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
@@ -631,21 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="downgrade (DASH-style) instead of invalidating owners",
     )
-    sim.add_argument(
-        "--fault-profile",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "inject interconnect faults: a preset "
-            f"({', '.join(PRESETS)}) or 'drop=0.05,reorder=0.2,...'"
-        ),
-    )
-    sim.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the fault-injection RNG (default 0)",
-    )
+    _add_fault_options(sim)
     sim.add_argument(
         "--trace-events",
         metavar="PATH",
@@ -818,21 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="worst transactions to print with span trees; default 5",
     )
-    crit.add_argument(
-        "--fault-profile",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "inject interconnect faults: a preset "
-            f"({', '.join(PRESETS)}) or 'drop=0.05,reorder=0.2,...'"
-        ),
-    )
-    crit.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the fault-injection RNG (default 0)",
-    )
+    _add_fault_options(crit)
     crit.add_argument(
         "--trace-events",
         metavar="PATH",

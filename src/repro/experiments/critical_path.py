@@ -4,7 +4,8 @@ Not a table from the paper -- the paper's *argument*, made measurable.
 Section 2 claims a correct prediction removes the directory-indirection
 hop from a coherence transaction's critical path; the accuracy tables
 (5, 6, 8) only show how often predictions are right.  This experiment
-traces every transaction causally (:mod:`repro.obs.spans`), segments its
+traces every transaction causally (span capture on :data:`repro.obs.OBS`,
+rebuilt by :mod:`repro.obs.spans`), segments its
 critical path (:mod:`repro.obs.critpath`), and compares predictors on
 *composition*: how much of the aggregate critical path remains directory
 indirection, how much is converted to predicted shortcuts, and what the
@@ -31,10 +32,13 @@ from ..obs.critpath import (
     replay_outcomes,
     summarize,
 )
-from ..obs.spans import SPANS, build_transactions
+from ..obs.log import OBS
+from ..obs.spans import Transaction, build_transactions
 from ..predictors.last_message import LastMessagePredictor
+from ..sim.faults import FaultProfile
 from ..sim.machine import simulate
 from ..sim.params import PAPER_PARAMS
+from ..trace.events import TraceEvent
 from ..workloads.registry import BENCHMARK_NAMES
 from .common import iterations_for, workload_for
 
@@ -101,19 +105,49 @@ class CriticalPathResult:
         return "\n\n".join(parts)
 
 
-def _trace_spans(app: str, seed: int, quick: bool):
-    """Simulate ``app`` once with span tracing; return (events, txns)."""
-    SPANS.enable()
+def trace_spans(
+    app: str,
+    seed: int,
+    quick: bool,
+    iterations: Optional[int] = None,
+    faults: Optional[FaultProfile] = None,
+    fault_seed: int = 0,
+) -> Tuple[List[TraceEvent], Dict[int, Transaction]]:
+    """Simulate ``app`` once with span capture on; return (events, txns).
+
+    ``iterations`` defaults to the experiments' count for ``app``.
+    """
+    if iterations is None:
+        iterations = iterations_for(app, quick)
+    OBS.set_spans(True)
     try:
         collector = simulate(
             workload_for(app, quick),
-            iterations=iterations_for(app, quick),
+            iterations=iterations,
             seed=seed,
+            faults=faults,
+            fault_seed=fault_seed,
         )
-        transactions = build_transactions(SPANS.records)
+        transactions = build_transactions(OBS.records)
     finally:
-        SPANS.disable()
+        OBS.set_spans(False)
     return collector.all_events, transactions
+
+
+def predicted_outcomes(
+    events: List[TraceEvent],
+    transactions: Dict[int, Transaction],
+    **replay: object,
+) -> Dict[int, Optional[str]]:
+    """Map each transaction to its outcome under one predictor's replay.
+
+    ``replay`` picks the predictor as for :func:`evaluate_trace`
+    (``config=`` or ``predictor_factory=``).
+    """
+    column = evaluate_trace(
+        events, track_arcs=False, record_outcomes=True, **replay
+    ).outcomes
+    return replay_outcomes(events, transactions, column)
 
 
 def run_critical_path(
@@ -126,7 +160,7 @@ def run_critical_path(
     latency_ns = PAPER_PARAMS.one_way_message_ns
     summaries: Dict[str, Dict[str, CritPathSummary]] = {}
     for app in apps:
-        events, transactions = _trace_spans(app, seed, quick)
+        events, transactions = trace_spans(app, seed, quick)
         by_predictor: Dict[str, CritPathSummary] = {}
         for predictor in PREDICTOR_NAMES:
             outcomes: Dict[int, Optional[str]] = {}
@@ -135,10 +169,7 @@ def run_critical_path(
                     replay = dict(predictor_factory=LastMessagePredictor)
                 else:
                     replay = dict(config=CosmosConfig(depth=DEPTH))
-                column = evaluate_trace(
-                    events, track_arcs=False, record_outcomes=True, **replay
-                ).outcomes
-                outcomes = replay_outcomes(events, transactions, column)
+                outcomes = predicted_outcomes(events, transactions, **replay)
             paths = attributed_paths(transactions, outcomes, latency_ns)
             by_predictor[predictor] = summarize(paths)
         summaries[app] = by_predictor

@@ -36,12 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, RunInterrupted, ShardError
 from ..ioutil import atomic_write_text
-from ..obs import (
-    OBS,
-    build_manifest,
-    export_trace_events,
-    save_trace_events,
-)
+from ..obs import OBS, build_manifest, write_timeline
 from ..protocol.messages import format_table1
 from ..sim.metrics import METRICS, dump_metrics_json
 from ..sim.params import PAPER_PARAMS
@@ -579,21 +574,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 fault_seed=args.fault_seed,
                 obs_level=args.obs_level,
             )
-            document = export_trace_events(
-                OBS.events(),
-                PAPER_PARAMS.n_nodes,
-                manifest=manifest,
-                dropped=OBS.dropped,
-            )
             try:
-                save_trace_events(document, args.trace_events)
+                print("\n" + write_timeline(args.trace_events, manifest))
             except ReproError as exc:
                 print(exc, file=sys.stderr)
                 return 1
-            print(
-                f"\nwrote {document['otherData']['events']} timeline "
-                f"events to {args.trace_events} ({OBS.dropped} dropped)"
-            )
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
         if args.trace_events:

@@ -2,10 +2,12 @@
 
 Six cooperating pieces, all off by default and all zero-cost-when-off:
 
-* :mod:`repro.obs.log` -- the structured event log: a process-global,
-  levelled, ring-buffered :data:`OBS` that the simulator, protocol
-  controllers, fault injector, and evaluation loop emit into.  Disabled
-  sites cost one boolean attribute check (guarded ``if OBS.msg: ...``),
+* :mod:`repro.obs.log` -- the one tracer: a process-global, levelled,
+  ring-buffered :data:`OBS` that the simulator, protocol controllers,
+  fault injector, and evaluation loop emit into, and that also records
+  causal span records when span capture is on.  Every hook site is one
+  guard on a plain bool and one call (``if OBS.msg_or_spans:
+  OBS.send(...)``), so disabled sites cost one attribute check,
   enforced at <= 2% overhead by ``benchmarks/bench_core.py``.
 * :mod:`repro.obs.timeline` -- renders the event log as Chrome
   trace-event / Perfetto JSON (``--trace-events``): one lane per node
@@ -18,8 +20,8 @@ Six cooperating pieces, all off by default and all zero-cost-when-off:
   metrics JSON, timeline exports, and trace-cache entries so every
   artifact names the run that produced it.
 * :mod:`repro.obs.spans` -- causal transaction spans: a stable id per
-  coherence transaction, threaded through every message that serves it
-  (same ``if SPANS.enabled`` gating discipline as :data:`OBS`).
+  coherence transaction, threaded through every message that serves it;
+  rebuilds transactions from the span records :data:`OBS` captured.
 * :mod:`repro.obs.critpath` -- offline critical-path analysis over the
   span records: segment classification (indirection / transfer / queue /
   retry / predicted-shortcut) and per-prediction-outcome latency
@@ -56,8 +58,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".manifest": ("OBS_SCHEMA_VERSION", "build_manifest"),
         ".spans": (
             "SEGMENT_KINDS",
-            "SPANS",
-            "SpanTracer",
             "Transaction",
             "build_transactions",
             "format_span_tree",
@@ -66,6 +66,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "export_trace_events",
             "save_trace_events",
             "validate_trace_events",
+            "write_timeline",
         ),
     },
 )

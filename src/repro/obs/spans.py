@@ -3,22 +3,26 @@
 The paper's argument is about the *critical path* of a coherence
 transaction -- a correct prediction removes the directory-indirection
 hop; a misprediction adds recovery work.  Aggregate accuracy tables
-cannot show where a saved hop lands, so this module gives every
+cannot show where a saved hop lands, so the simulator gives every
 coherence transaction a stable id, assigned at the requesting module and
 propagated through every message that serves it (requests, invalidation
 rounds, Origin forwards, revisions, responses, retries, duplicates), and
-records the causally-ordered milestones needed to rebuild the
-transaction's span tree offline.
+records the causally-ordered milestones this module rebuilds the
+transaction's span tree from.
 
-Design rules (identical to :mod:`repro.obs.log`):
+The records come from the simulator's one tracer, :data:`repro.obs.OBS`
+(:mod:`repro.obs.log`), with span capture switched on
+(``OBS.set_spans(True)``):
 
-* one process-global tracer, :data:`SPANS`, **off by default**;
-* every hot-path hook is written ``if SPANS.enabled: SPANS.<record>()``,
-  so the disabled layer costs one attribute read and one branch per
-  site -- the <= 2% guard in ``benchmarks/bench_core.py`` covers it;
-* records are plain tuples appended to a list; all interpretation
-  (trees, critical paths, attribution) happens offline in
-  :mod:`repro.obs.critpath`.
+* span capture is **off by default**, and every hot-path hook is one
+  guard on a plain ``OBS`` bool and one call -- ``if OBS.spans:`` for
+  the span-only milestones, ``if OBS.msg_or_spans:`` /
+  ``if OBS.proto_or_spans:`` where the same occurrence also records a
+  ring event -- so the disabled layer costs one attribute read and one
+  branch per site (the <= 2% guard in ``benchmarks/bench_core.py``);
+* records are plain tuples appended to ``OBS.records``; all
+  interpretation (trees, critical paths, attribution) happens offline,
+  here and in :mod:`repro.obs.critpath`.
 
 Record vocabulary (first element is the op, second the txn id, third the
 timestamp in simulated ns)::
@@ -35,20 +39,22 @@ timestamp in simulated ns)::
 Exact arrival times come for free: the engine delivers a transfer at
 ``t + delay_ns``, so no send/delivery matching pass is needed.
 
-This module is deliberately dependency-free (like :mod:`repro.obs.log`)
-because the protocol controllers and both network models import it.
+This module keeps the offline half: :class:`Transaction` reconstruction
+(:func:`build_transactions`), span-tree rendering
+(:func:`format_span_tree`), and the segment vocabulary
+(:data:`SEGMENT_KINDS`) the analyzer shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: One span record; see the module docstring for the per-op shapes.
 SpanRecord = Tuple
 
 #: Segment taxonomy used by :mod:`repro.obs.critpath`; listed here so the
-#: tracer and the analyzer agree on one vocabulary.
+#: span records and the analyzer agree on one vocabulary.
 SEGMENT_KINDS = (
     "indirection",
     "transfer",
@@ -56,109 +62,6 @@ SEGMENT_KINDS = (
     "retry",
     "predicted-shortcut",
 )
-
-
-def _zero_clock() -> int:
-    return 0
-
-
-class SpanTracer:
-    """A levelled-off-by-default recorder of causal transaction spans."""
-
-    __slots__ = ("enabled", "records", "dropped", "_clock", "_next", "_open")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.records: List[SpanRecord] = []
-        self.dropped = 0
-        self._clock: Callable[[], int] = _zero_clock
-        self._next = 1
-        self._open: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    # configuration
-    # ------------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Turn capture on with a fresh record list and id counter."""
-        self.enabled = True
-        self.records = []
-        self.dropped = 0
-        self._next = 1
-        self._open = set()
-
-    def disable(self) -> None:
-        """Turn capture off and drop the buffered records."""
-        self.enabled = False
-        self.records = []
-        self.dropped = 0
-        self._open = set()
-
-    def set_clock(self, clock: Optional[Callable[[], int]]) -> None:
-        """Install the simulated-time source (the engine's ``now``)."""
-        self._clock = clock if clock is not None else _zero_clock
-
-    @property
-    def now(self) -> int:
-        return self._clock()
-
-    def open_ids(self) -> Set[int]:
-        """Ids opened but not yet closed (empty at quiescence)."""
-        return set(self._open)
-
-    # ------------------------------------------------------------------
-    # recording (callers must have checked ``SPANS.enabled``)
-    # ------------------------------------------------------------------
-
-    def open(self, requester: int, home: int, block: int, kind: str) -> int:
-        """Open a transaction at the requesting module; returns its id."""
-        txn = self._next
-        self._next += 1
-        self._open.add(txn)
-        self.records.append(
-            ("open", txn, self._clock(), requester, home, block, kind)
-        )
-        return txn
-
-    def xfer(
-        self,
-        txn: int,
-        src: int,
-        dst: int,
-        mtype: int,
-        delay_ns: int,
-        dup: bool = False,
-    ) -> None:
-        """One wire transfer carrying ``txn``; arrives at now+delay_ns."""
-        self.records.append(
-            ("xfer", txn, self._clock(), src, dst, mtype, delay_ns, dup)
-        )
-
-    def drop(self, txn: int, src: int, dst: int, mtype: int) -> None:
-        self.records.append(("drop", txn, self._clock(), src, dst, mtype))
-
-    def admit(self, txn: int, home: int) -> None:
-        self.records.append(("admit", txn, self._clock(), home))
-
-    def start(self, txn: int, home: int) -> None:
-        self.records.append(("start", txn, self._clock(), home))
-
-    def finish(self, txn: int, home: int) -> None:
-        self.records.append(("finish", txn, self._clock(), home))
-
-    def retry(self, txn: int, node: int, kind: str, attempt: int) -> None:
-        self.records.append(
-            ("retry", txn, self._clock(), node, kind, attempt)
-        )
-
-    def close(self, txn: int, node: int) -> None:
-        self._open.discard(txn)
-        self.records.append(("close", txn, self._clock(), node))
-
-
-#: The process-global tracer.  Hot paths guard on ``SPANS.enabled``;
-#: entry points (the critical-path CLI/experiment, tests) enable it.
-SPANS = SpanTracer()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ReproError
-from .log import ObsEvent
+from .log import OBS, ObsEvent
 from .spans import Transaction
 
 #: Thread ids on node process lanes.
@@ -344,3 +344,31 @@ def save_trace_events(
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return Path(path)
+
+
+def write_timeline(
+    path: Union[str, Path],
+    manifest: dict,
+    spans: Optional[Iterable[Transaction]] = None,
+) -> str:
+    """Export what :data:`~repro.obs.log.OBS` captured to ``path``.
+
+    Builds the document from the ring (and ``spans``, if given) on the
+    paper's machine lanes, validates and saves it, and returns the line
+    the CLIs print.  A document failing validation raises
+    :class:`~repro.errors.ReproError` and writes nothing.
+    """
+    from ..sim.params import PAPER_PARAMS
+
+    document = export_trace_events(
+        OBS.events(),
+        PAPER_PARAMS.n_nodes,
+        manifest=manifest,
+        dropped=OBS.dropped,
+        spans=spans,
+    )
+    save_trace_events(document, path)
+    return (
+        f"wrote {document['otherData']['events']} timeline events to "
+        f"{path} ({OBS.dropped} dropped)"
+    )

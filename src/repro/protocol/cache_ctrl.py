@@ -28,7 +28,6 @@ from typing import Callable, Dict, Optional
 
 from ..errors import ProtocolError
 from ..obs.log import OBS
-from ..obs.spans import SPANS
 from .messages import Message, MessageType
 from .recovery import RecoveryConfig, Scheduler
 from .stache import DEFAULT_OPTIONS, StacheOptions
@@ -227,8 +226,8 @@ class CacheController:
             )
         self._allocate_slot(block)
         txn = _Outstanding(home, is_write, done_cb)
-        if SPANS.enabled:
-            txn.trace_id = SPANS.open(
+        if OBS.spans:
+            txn.trace_id = OBS.span_open(
                 self.node_id, home, block, "write" if is_write else "read"
             )
         self._outstanding[block] = txn
@@ -283,16 +282,15 @@ class CacheController:
         self.request_retries += 1
         txn.timeout_ns = self._recovery.next_timeout(txn.timeout_ns)
         self.retry_backoffs_ns.append(txn.timeout_ns)
-        if OBS.proto:
-            OBS.emit_now(
-                "proto",
-                "retry",
+        if OBS.proto_or_spans:
+            OBS.retry(
                 self.node_id,
                 block,
+                txn.trace_id,
+                "timeout",
+                txn.retries,
                 {"attempt": txn.retries, "timeout_ns": txn.timeout_ns},
             )
-        if SPANS.enabled and txn.trace_id is not None:
-            SPANS.retry(txn.trace_id, self.node_id, "timeout", txn.retries)
         self._issue(block, txn)
 
     def _poison_outstanding(self, block: int) -> None:
@@ -311,20 +309,14 @@ class CacheController:
         txn = self._outstanding.get(block)
         if txn is not None:
             self.poisoned_reissues += 1
-            if OBS.proto:
-                OBS.emit_now(
-                    "proto",
-                    "poison",
+            if OBS.proto_or_spans:
+                OBS.retry(
                     self.node_id,
                     block,
-                    {"stale_seq": txn.seq},
-                )
-            if SPANS.enabled and txn.trace_id is not None:
-                SPANS.retry(
                     txn.trace_id,
-                    self.node_id,
                     "poison",
                     self.poisoned_reissues,
+                    {"stale_seq": txn.seq},
                 )
             self._issue(block, txn)
 
@@ -357,8 +349,8 @@ class CacheController:
                 f"0x{block:x} with no outstanding transaction"
             )
         self._set_state(block, new_state)
-        if SPANS.enabled and txn.trace_id is not None:
-            SPANS.close(txn.trace_id, self.node_id)
+        if OBS.spans and txn.trace_id is not None:
+            OBS.span("close", txn.trace_id, self.node_id)
         txn.done_cb()
 
     def _on_get_ro_response(self, msg: Message) -> None:

@@ -31,7 +31,6 @@ from typing import Callable, Deque, Dict, Optional, Set
 
 from ..errors import ProtocolError
 from ..obs.log import OBS
-from ..obs.spans import SPANS
 from .messages import Message, MessageType
 from .recovery import RecoveryConfig, Scheduler
 from .stache import DEFAULT_OPTIONS, StacheOptions
@@ -237,8 +236,8 @@ class DirectoryController:
             self.local_hits += 1
             return True
         request = _Request(self.node_id, is_write, False, done_cb)
-        if SPANS.enabled:
-            request.txn = SPANS.open(
+        if OBS.spans:
+            request.txn = OBS.span_open(
                 self.node_id,
                 self.node_id,
                 block,
@@ -277,8 +276,8 @@ class DirectoryController:
     # ------------------------------------------------------------------
 
     def _admit(self, block: int, request: _Request) -> None:
-        if SPANS.enabled and request.txn is not None:
-            SPANS.admit(request.txn, self.node_id)
+        if OBS.spans and request.txn is not None:
+            OBS.span("admit", request.txn, self.node_id)
         if self.is_busy(block):
             if self._merge_duplicate(block, request):
                 return
@@ -320,8 +319,8 @@ class DirectoryController:
         return False
 
     def _start(self, block: int, request: _Request) -> None:
-        if SPANS.enabled and request.txn is not None:
-            SPANS.start(request.txn, self.node_id)
+        if OBS.spans and request.txn is not None:
+            OBS.span("start", request.txn, self.node_id)
         self.transactions += 1
         entry = self.entry_of(block)
         entry.check_invariants()
@@ -491,8 +490,13 @@ class DirectoryController:
                 f"{self._recovery.max_retries} invalidation retries for "
                 f"block 0x{block:x}: livelock on the unreliable network"
             )
-        if SPANS.enabled and txn.request.txn is not None:
-            SPANS.retry(txn.request.txn, self.node_id, "inval", txn.retries)
+        # One span record per round, before its re-sent transfers; one
+        # ring event after each re-send.  No single call site can do
+        # both without reordering a stream, so this site has two guards.
+        if OBS.spans and txn.request.txn is not None:
+            OBS.span(
+                "retry", txn.request.txn, self.node_id, "inval", txn.retries
+            )
         for dst in sorted(txn.pending_acks):
             msg = txn.pending_msg[dst]._replace(seq=self._take_seq())
             txn.pending_msg[dst] = msg
@@ -564,11 +568,11 @@ class DirectoryController:
         entry.owner = txn.final_owner
         entry.sharers = txn.final_sharers
         entry.check_invariants()
-        if SPANS.enabled and txn.request.txn is not None:
-            SPANS.finish(txn.request.txn, self.node_id)
+        if OBS.spans and txn.request.txn is not None:
+            OBS.span("finish", txn.request.txn, self.node_id)
         if txn.request.is_local:
-            if SPANS.enabled and txn.request.txn is not None:
-                SPANS.close(txn.request.txn, self.node_id)
+            if OBS.spans and txn.request.txn is not None:
+                OBS.span("close", txn.request.txn, self.node_id)
             assert txn.request.done_cb is not None
             txn.request.done_cb()
         elif txn.reply_type is not None:

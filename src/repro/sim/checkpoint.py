@@ -208,7 +208,7 @@ def restore(
     many runs (an exploration fork restores the same prefix for every
     episode).  The machine comes back with its own configuration and
     interconnect; pickling dropped the watchdog and delivery hooks, and
-    the restored machine takes ``watchdog`` and the OBS/SPANS clocks.
+    the restored machine takes ``watchdog`` and the OBS clock.
     """
     machine, workload = _thaw(checkpoint, watchdog)
     if watchdog is not None:

@@ -26,7 +26,6 @@ from typing import Callable, Dict
 
 from ..errors import ConfigError
 from ..obs.log import OBS
-from ..obs.spans import SPANS
 from ..protocol.messages import Message
 from .engine import Engine
 from .metrics import METRICS
@@ -290,60 +289,22 @@ class FaultyNetwork:
         self._count("sent")
         if self.profile.drop and self._rng.random() < self.profile.drop:
             self._count("dropped")
-            if OBS.proto:
-                OBS.emit(
-                    self._engine.now,
-                    "net",
-                    "drop",
-                    msg.src,
-                    msg.block,
-                    {"dst": msg.dst, "mtype": msg.mtype.name},
-                )
-            if SPANS.enabled and msg.txn is not None:
-                SPANS.drop(msg.txn, msg.src, msg.dst, msg.mtype.value)
+            if OBS.proto_or_spans:
+                OBS.drop(self._engine.now, msg)
             return
         delay = self._delay_for(msg)
         # Metrics are not an observability feature: the latency histogram
         # (here with real per-message jitter, so no constant-fold like
         # Network's) must be populated with OBS off.
         METRICS.observe("net.msg.latency_ns", delay)
-        if OBS.msg:
-            OBS.emit(
-                self._engine.now,
-                "net",
-                "send",
-                msg.src,
-                msg.block,
-                {
-                    "dst": msg.dst,
-                    "mtype": msg.mtype.name,
-                    "delay_ns": delay,
-                },
-            )
-        if SPANS.enabled and msg.txn is not None:
-            SPANS.xfer(msg.txn, msg.src, msg.dst, msg.mtype.value, delay)
+        if OBS.msg_or_spans:
+            OBS.send(self._engine.now, msg, delay)
         self._engine.schedule(delay, self._deliver_one, msg)
         if self.profile.dup and self._rng.random() < self.profile.dup:
             self._count("duplicated")
             dup_delay = self._delay_for(msg)
-            if OBS.proto:
-                OBS.emit(
-                    self._engine.now,
-                    "net",
-                    "dup",
-                    msg.src,
-                    msg.block,
-                    {"dst": msg.dst, "extra_delay_ns": dup_delay},
-                )
-            if SPANS.enabled and msg.txn is not None:
-                SPANS.xfer(
-                    msg.txn,
-                    msg.src,
-                    msg.dst,
-                    msg.mtype.value,
-                    dup_delay,
-                    dup=True,
-                )
+            if OBS.proto_or_spans:
+                OBS.send(self._engine.now, msg, dup_delay, dup=True)
             self._engine.schedule(dup_delay, self._deliver_one, msg)
 
     def _deliver_one(self, msg: Message) -> None:

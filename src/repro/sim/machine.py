@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..errors import ProtocolError, SimulationError
 from ..obs.log import OBS
-from ..obs.spans import SPANS
 from ..protocol.messages import RECEIVER_BIT, ROLE_OF_BIT, Message
 from ..protocol.recovery import RecoveryConfig
 from ..protocol.stache import DEFAULT_OPTIONS, StacheOptions
@@ -164,7 +163,7 @@ class Machine:
 
     def attach(self, watchdog: Optional["Watchdog"]) -> None:
         """Make this the running machine: guarded by ``watchdog`` and
-        owning the OBS/SPANS clocks.
+        owning the OBS clock.
 
         Called at construction and by a checkpoint restore.  OBS is
         process-global, so the most recently attached machine owns the
@@ -175,7 +174,6 @@ class Machine:
         if watchdog is not None:
             watchdog.attach(self)
         OBS.set_clock(lambda: self.engine.now)
-        SPANS.set_clock(lambda: self.engine.now)
 
     def __getstate__(self) -> dict:
         # The watchdog and delivery hooks belong to the run driving the

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..obs.log import OBS
-from ..obs.spans import SPANS
 from ..protocol.messages import Message
 from .engine import Engine
 from .metrics import METRICS
@@ -65,23 +64,8 @@ class Network:
         (usually O(1)) schedule, and nothing else when tracing is off.
         """
         self.messages_sent += 1
-        if OBS.msg:
-            OBS.emit(
-                self._engine.now,
-                "net",
-                "send",
-                msg.src,
-                msg.block,
-                {
-                    "dst": msg.dst,
-                    "mtype": msg.mtype.name,
-                    "delay_ns": self._latency,
-                },
-            )
-        if SPANS.enabled and msg.txn is not None:
-            SPANS.xfer(
-                msg.txn, msg.src, msg.dst, msg.mtype.value, self._latency
-            )
+        if OBS.msg_or_spans:
+            OBS.send(self._engine.now, msg, self._latency)
         self._engine.schedule_fifo(self._latency, self._deliver, msg)
 
     def flush_metrics(self) -> None:

@@ -1,13 +1,18 @@
 """Tests for the inline integration of predictions into the protocol."""
 
+import pytest
+
 from repro.accel.integration import (
     PredictiveMachine,
     compare_acceleration,
 )
 from repro.core.config import CosmosConfig
+from repro.errors import ConfigError
 from repro.experiments.figure2 import ProducerConsumerMicro
-from repro.obs.spans import SPANS, build_transactions
+from repro.obs.log import OBS
+from repro.obs.spans import build_transactions
 from repro.protocol.messages import MessageType
+from repro.protocol.stache import StacheOptions
 from repro.sim.machine import Machine
 from repro.workloads.moldyn import MolDyn
 
@@ -23,13 +28,13 @@ class TestInlineIntegration:
         # directory must admit, start and finish it under the span id
         # the request carried.
         machine = PredictiveMachine(seed=3, config=CosmosConfig(depth=1))
-        SPANS.enable()
+        OBS.set_spans(True)
         try:
             machine.run_workload(ProducerConsumerMicro(), iterations=20)
-            transactions = build_transactions(SPANS.records)
+            transactions = build_transactions(OBS.records)
         finally:
-            SPANS.disable()
-            SPANS.set_clock(None)
+            OBS.disable()
+            OBS.set_clock(None)
         assert machine.exclusive_grants > 0
         assert transactions
         unadmitted = [t.txn for t in transactions.values() if not t.admits]
@@ -80,6 +85,19 @@ class TestInlineIntegration:
             iterations=8,
         )
         assert machine.collector.events
+
+    def test_origin_forwarding_is_refused(self):
+        # The predictive directories extend the Stache controller; a
+        # forwarding=True machine would silently run Stache directories.
+        origin = StacheOptions(forwarding=True)
+        with pytest.raises(ConfigError, match="forwarding"):
+            PredictiveMachine(options=origin)
+        with pytest.raises(ConfigError, match="forwarding"):
+            compare_acceleration(
+                lambda: MolDyn(force_blocks=4, coord_blocks=4, cold_blocks=0),
+                iterations=1,
+                options=origin,
+            )
 
 
 class TestDataPush:

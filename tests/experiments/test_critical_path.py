@@ -7,14 +7,14 @@ from repro.experiments.critical_path import (
     run_critical_path,
 )
 from repro.experiments.runner import EXPERIMENT_TRACES, EXPERIMENTS
-from repro.obs.spans import SPANS
+from repro.obs.log import OBS
 
 
 @pytest.fixture(autouse=True)
 def spans_off_after():
     yield
-    SPANS.disable()
-    SPANS.set_clock(None)
+    OBS.disable()
+    OBS.set_clock(None)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ class TestRunCriticalPath:
             assert predictor in text
 
     def test_tracing_is_left_disabled(self, result):
-        assert not SPANS.enabled
+        assert not OBS.spans
 
     def test_registered_with_the_runner(self):
         assert "critical-path" in EXPERIMENTS

@@ -17,7 +17,8 @@ from repro.obs.critpath import (
     summarize,
     summarize_by_block,
 )
-from repro.obs.spans import SPANS, build_transactions
+from repro.obs.log import OBS
+from repro.obs.spans import build_transactions
 from repro.sim.machine import simulate
 from repro.sim.metrics import Metrics
 from repro.sim.params import PAPER_PARAMS
@@ -37,22 +38,22 @@ def _column(events, config):
 @pytest.fixture(autouse=True)
 def spans_off_after():
     yield
-    SPANS.disable()
-    SPANS.set_clock(None)
+    OBS.disable()
+    OBS.set_clock(None)
 
 
 @pytest.fixture(scope="module")
 def traced():
-    SPANS.enable()
+    OBS.set_spans(True)
     try:
         collector = simulate(
             MolDyn(force_blocks=4, coord_blocks=4, cold_blocks=0),
             iterations=3,
             seed=1,
         )
-        transactions = build_transactions(SPANS.records)
+        transactions = build_transactions(OBS.records)
     finally:
-        SPANS.disable()
+        OBS.set_spans(False)
     return collector.all_events, transactions
 
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.critpath import CriticalPath, Segment, fold_critpath_metrics
-from repro.obs.spans import SPANS, build_transactions
+from repro.obs.log import OBS
+from repro.obs.spans import build_transactions
 from repro.sim.machine import Machine
 from repro.sim.metrics import Metrics
 from repro.workloads.moldyn import MolDyn
@@ -25,13 +26,13 @@ from repro.workloads.moldyn import MolDyn
 @pytest.fixture(autouse=True)
 def spans_off_after():
     yield
-    SPANS.disable()
-    SPANS.set_clock(None)
+    OBS.disable()
+    OBS.set_clock(None)
 
 
 def _traced_machine(seed):
-    SPANS.enable()
-    machine = Machine(seed=seed)  # installs the engine clock into SPANS
+    OBS.set_spans(True)
+    machine = Machine(seed=seed)  # installs the engine clock into OBS
     return machine
 
 
@@ -45,7 +46,7 @@ def test_every_delivered_message_carries_one_live_txn_id(seed):
 
     def check(msg):
         # catch up on records appended since the last delivery
-        records = SPANS.records
+        records = OBS.records
         for record in records[cursor[0] :]:
             if record[0] == "open":
                 opened.add(record[1])
@@ -76,8 +77,7 @@ def test_every_opened_span_closes_by_quiescence(seed):
     machine.run_workload(
         MolDyn(force_blocks=4, coord_blocks=2, cold_blocks=0), iterations=2
     )
-    assert SPANS.open_ids() == set()
-    transactions = build_transactions(SPANS.records)
+    transactions = build_transactions(OBS.records)
     assert transactions
     assert all(txn.closed for txn in transactions.values())
     assert all(

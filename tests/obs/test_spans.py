@@ -1,15 +1,11 @@
-"""Tests for causal transaction spans (tracer + offline reconstruction)."""
+"""Tests for causal transaction spans: capture and offline rebuild."""
 
 import dataclasses
 
 import pytest
 
-from repro.obs.spans import (
-    SPANS,
-    SpanTracer,
-    build_transactions,
-    format_span_tree,
-)
+from repro.obs.log import OBS, ObsLog
+from repro.obs.spans import build_transactions, format_span_tree
 from repro.protocol.messages import MessageType
 from repro.protocol.stache import DEFAULT_OPTIONS
 from repro.sim.faults import PRESETS
@@ -22,44 +18,57 @@ TINY = dict(force_blocks=4, coord_blocks=4, cold_blocks=0)
 @pytest.fixture(autouse=True)
 def spans_off_after():
     yield
-    SPANS.disable()
-    SPANS.set_clock(None)
+    OBS.disable()
+    OBS.set_clock(None)
 
 
 def traced_run(workload, iterations, **kwargs):
-    SPANS.enable()
+    OBS.set_spans(True)
     try:
         simulate(workload, iterations=iterations, **kwargs)
-        return build_transactions(SPANS.records), SPANS.open_ids()
+        transactions = build_transactions(OBS.records)
+        open_ids = {t.txn for t in transactions.values() if not t.closed}
+        return transactions, open_ids
     finally:
-        SPANS.disable()
+        OBS.set_spans(False)
 
 
 class TestTracer:
     def test_disabled_by_default_and_after_disable(self):
-        tracer = SpanTracer()
-        assert not tracer.enabled
-        tracer.enable()
-        tracer.open(0, 1, 0x40, "read")
+        tracer = ObsLog()
+        assert not tracer.spans
+        tracer.set_spans(True)
+        tracer.span_open(0, 1, 0x40, "read")
         tracer.disable()
+        assert not tracer.spans
         assert tracer.records == []
-        assert tracer.open_ids() == set()
 
     def test_ids_are_fresh_per_enable(self):
-        tracer = SpanTracer()
-        tracer.enable()
-        first = tracer.open(0, 1, 0x40, "read")
-        tracer.enable()
-        again = tracer.open(0, 1, 0x40, "read")
+        tracer = ObsLog()
+        tracer.set_spans(True)
+        first = tracer.span_open(0, 1, 0x40, "read")
+        tracer.set_spans(True)
+        again = tracer.span_open(0, 1, 0x40, "read")
         assert first == again == 1
 
-    def test_open_ids_track_close(self):
-        tracer = SpanTracer()
-        tracer.enable()
-        txn = tracer.open(0, 1, 0x40, "write")
-        assert tracer.open_ids() == {txn}
-        tracer.close(txn, 0)
-        assert tracer.open_ids() == set()
+    def test_close_record_closes_the_transaction(self):
+        tracer = ObsLog()
+        tracer.set_spans(True)
+        txn = tracer.span_open(0, 1, 0x40, "write")
+        assert not build_transactions(tracer.records)[txn].closed
+        tracer.span("close", txn, 0)
+        assert build_transactions(tracer.records)[txn].closed
+
+    def test_span_switch_keeps_the_ring_level(self):
+        tracer = ObsLog()
+        tracer.configure("proto")
+        tracer.set_spans(True)
+        assert tracer.proto and not tracer.msg
+        assert tracer.proto_or_spans and tracer.msg_or_spans
+        tracer.set_spans(False)
+        assert tracer.proto_or_spans and not tracer.msg_or_spans
+        tracer.configure("off")
+        assert not tracer.proto_or_spans
 
 
 class TestBuildTransactions:

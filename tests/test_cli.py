@@ -198,10 +198,10 @@ class TestCriticalPath:
     @pytest.fixture(autouse=True)
     def spans_off_after(self):
         yield
-        from repro.obs.spans import SPANS
+        from repro.obs.log import OBS
 
-        SPANS.disable()
-        SPANS.set_clock(None)
+        OBS.disable()
+        OBS.set_clock(None)
 
     def test_reports_segments_and_attribution(self, capsys):
         assert main(self.BASE + ["--top", "1"]) == 0
