@@ -11,18 +11,11 @@ records the causally-ordered milestones this module rebuilds the
 transaction's span tree from.
 
 The records come from the simulator's one tracer, :data:`repro.obs.OBS`
-(:mod:`repro.obs.log`), with span capture switched on
-(``OBS.set_spans(True)``):
-
-* span capture is **off by default**, and every hot-path hook is one
-  guard on a plain ``OBS`` bool and one call -- ``if OBS.spans:`` for
-  the span-only milestones, ``if OBS.msg_or_spans:`` /
-  ``if OBS.proto_or_spans:`` where the same occurrence also records a
-  ring event -- so the disabled layer costs one attribute read and one
-  branch per site (the <= 2% guard in ``benchmarks/bench_core.py``);
-* records are plain tuples appended to ``OBS.records``; all
-  interpretation (trees, critical paths, attribution) happens offline,
-  here and in :mod:`repro.obs.critpath`.
+(:mod:`repro.obs.log`), with span capture switched on by
+``OBS.set_spans(True)``; it is off by default and its hooks are gated
+like every other hook there.  Records are plain tuples appended to
+``OBS.records``; all interpretation (trees, critical paths, attribution)
+happens offline, here and in :mod:`repro.obs.critpath`.
 
 Record vocabulary (first element is the op, second the txn id, third the
 timestamp in simulated ns)::
